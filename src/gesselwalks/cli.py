@@ -4,7 +4,7 @@ Subcommands cover the four counting pipelines (``count``), the verification
 suites (``verify``), the universal row segments (``universal``), the
 polynomial family fits (``fit``), bulk table export (``table``) and the
 determinant windows (``hessenberg``).  Every subcommand honours
-``--format {text,json,csv}`` and the walk-table cache flags.
+``--format {text,json,csv}``.
 
 Exit codes: 0 success, 1 a verification or fit failed, 2 usage error.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +23,6 @@ from . import conjectures, exact, series, triangular, walks
 
 __all__ = ["main", "console_main", "UsageError"]
 
-CACHE_ENV = "GESSELWALKS_CACHE_DIR"
-
 
 class UsageError(Exception):
     """Bad arguments or an unsupported combination; exits with status 2."""
@@ -34,46 +31,6 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     fmt: str
-    cache_path: str | None
-
-
-# ---------------------------------------------------------------- cache
-
-def _resolve_cache(args: argparse.Namespace) -> str | None:
-    if args.cache:
-        return args.cache
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return os.path.join(env, "walks.jsonl")
-    return None
-
-
-def _load_cache(path: str) -> None:
-    if not os.path.exists(path):
-        return
-    with open(path, encoding="utf-8") as fp:
-        table = walks.load_walk_table(fp)
-    if table.m_max > walks.shared_table().m_max:
-        walks.install_shared_table(table)
-
-
-def _acquire_lock(path: str) -> int:
-    try:
-        return os.open(path + ".lock", os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise UsageError(f"cache {path} is locked by another process") from None
-
-
-def _release_lock(path: str, fd: int) -> None:
-    os.close(fd)
-    os.unlink(path + ".lock")
-
-
-def _write_cache(path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fp:
-        walks.dump_walk_table(walks.shared_table(), fp)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------- count
@@ -206,6 +163,11 @@ def _mismatch_json(mm):
 
 
 def _series_report(suite: str, caps, report: series.CheckReport) -> dict:
+    if report.compared == 0:
+        raise UsageError(
+            f"--caps {','.join(map(str, caps))} leave the {suite} check nothing "
+            f"to compare (window {','.join(map(str, report.window))})"
+        )
     return {
         "suite": suite,
         "caps": list(caps),
@@ -300,6 +262,8 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     caps = _parse_caps(args.caps) if args.caps else (10, 10, 10)
     if args.suite == "gessel":
         n_max = args.N if args.N is not None else 16
+        if n_max < 0:
+            raise UsageError("--N must be nonnegative for suite gessel")
         check = conjectures.verify_gessel(n_max)
         mm = check.first_mismatch
         report = {
@@ -317,9 +281,14 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     elif args.suite == "root":
         report = _series_report("root", caps, series.verify_root_identity(caps))
     elif args.suite == "cross_pipeline":
-        report = _verify_cross_pipeline(args.k_max if args.k_max is not None else 200)
+        k_max = args.k_max if args.k_max is not None else 200
+        if k_max < 0:
+            raise UsageError("--k-max must be nonnegative")
+        report = _verify_cross_pipeline(k_max)
     elif args.suite == "recurrence_g":
         n_max = args.N if args.N is not None else 30
+        if n_max < 1:
+            raise UsageError("--N must be at least 1 for suite recurrence_g")
         check = conjectures.verify_recurrence_g(n_max)
         report = {
             "suite": "recurrence_g",
@@ -437,11 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default text)",
     )
-    common.add_argument(
-        "--cache", metavar="PATH", default=None,
-        help=f"walk-table cache file; ${CACHE_ENV}/walks.jsonl when the "
-             "variable is set and the flag is absent",
-    )
 
     parser = argparse.ArgumentParser(
         prog="gessel-walks",
@@ -508,26 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(fmt=args.format, cache_path=_resolve_cache(args))
-    use_cache = bool(config.cache_path) and args.command in ("count", "table")
+    config = RunConfig(fmt=args.format)
     try:
-        if not use_cache:
-            return args.func(args, config)
-        # hold the lock across load, compute and save so concurrent runs
-        # cannot lose each other's updates
-        path = config.cache_path
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        fd = _acquire_lock(path)
-        try:
-            _load_cache(path)
-            status = args.func(args, config)
-            _write_cache(path)
-        finally:
-            _release_lock(path, fd)
+        return args.func(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return status
 
 
 def console_main() -> None:

@@ -42,14 +42,16 @@ def binom_general(a: int, t: int) -> int:
 
 
 def pochhammer(q: Fraction | int, n: int) -> Fraction:
-    """Rising factorial (q)_n = q(q+1)...(q+n-1), with (q)_0 = 1."""
+    """Rising factorial (q)_n = q(q+1)...(q+n-1), with (q)_0 = 1.
+
+    For q = p/d this is (p)(p+d)...(p+(n-1)d) / d^n: one integer product
+    and a single normalisation.
+    """
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    out = Fraction(1)
-    base = Fraction(q)
-    for s in range(n):
-        out *= base + s
-    return out
+    q = Fraction(q)
+    p, d = q.numerator, q.denominator
+    return Fraction(math.prod(range(p, p + n * d, d)), d**n)
 
 
 def catalan(n: int) -> int:

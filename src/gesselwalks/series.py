@@ -191,9 +191,9 @@ def build_H(caps: Caps, G: TruncSeries3 | None = None) -> TruncSeries3:
 class CheckReport:
     """Result of one functional-equation check.
 
-    ``window`` is the inclusive exponent box actually compared, so a pass
-    can never be silently vacuous; ``compared`` counts the candidate
-    monomials examined inside it.
+    ``window`` is the inclusive exponent box actually compared and
+    ``compared`` counts the candidate monomials examined inside it; ``ok``
+    needs ``compared > 0``, so a pass can never be vacuous.
     """
 
     ok: bool
@@ -217,7 +217,7 @@ def _compare(lhs: TruncSeries3, rhs: TruncSeries3, window: Caps) -> CheckReport:
         rv = rhs.coeffs.get(k, 0)
         if lv != rv:
             return CheckReport(False, window, len(keys), (k, lv, rv))
-    return CheckReport(True, window, len(keys), None)
+    return CheckReport(bool(keys), window, len(keys), None)
 
 
 def verify_kernel_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:

@@ -6,18 +6,21 @@ dynamic program over the step recurrence
     F(m; n1, n2) = F(m-1; n1+1, n2) + F(m-1; n1-1, n2)
                  + F(m-1; n1+1, n2+1) + F(m-1; n1-1, n2-1)
 
-with F(0; n1, n2) = [n1 = n2 = 0] and zero outside the quadrant.  Also here:
-the shortest-walk closed forms and the packed boundary-count matrix used by
-the triangular-system pipeline.
+with F(0; n1, n2) = [n1 = n2 = 0] and zero outside the quadrant.  Each layer
+packs column n1 into one Python int with F(m; n1, n2) in the W-bit slot at
+offset W*n2 (Kronecker substitution); W >= 2*m + 4 exceeds the bit length of
+any count of layer m (at most 4^m), so the four-term step becomes four
+big-int operations per column with no carry between slots.  Layer m holds
+about 0.9*m^3 bits.  Also here: the shortest-walk closed forms and the
+packed boundary-count matrix used by the triangular-system pipeline.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import Iterator
 
 __all__ = [
     "reachable",
@@ -29,13 +32,10 @@ __all__ = [
     "build_f_matrix",
     "WalkTable",
     "shared_table",
-    "install_shared_table",
-    "dump_walk_table",
-    "load_walk_table",
 ]
 
-Position = tuple[int, int]
-Layer = dict[Position, int]
+# (slot width W, columns): F(m; n1, n2) is bits [W*n2, W*n2 + W) of column n1
+Layer = tuple[int, list[int]]
 
 
 def reachable(m: int, n1: int, n2: int) -> bool:
@@ -54,10 +54,53 @@ def reachable(m: int, n1: int, n2: int) -> bool:
     )
 
 
+def _slot_width(m: int) -> int:
+    """Slot width in bits for layers up to m: at least 2*m + 4, rounded up to
+    whole bytes so columns unpack through ``int.to_bytes``."""
+    return (2 * m + 4 + 7) // 8 * 8
+
+
+def _unpack(column: int, width: int) -> list[int]:
+    """The slots of a packed column, lowest n2 first, ending at its top
+    nonzero slot."""
+    size = width // 8
+    data = column.to_bytes(-(-column.bit_length() // 8), "little")
+    return [
+        int.from_bytes(data[at:at + size], "little")
+        for at in range(0, len(data), size)
+    ]
+
+
+def _pack(slots: list[int], width: int) -> int:
+    size = width // 8
+    return int.from_bytes(
+        b"".join(v.to_bytes(size, "little") for v in slots), "little"
+    )
+
+
 class WalkTable:
     """Layered table of walk counts for 0 <= m <= m_max.
 
-    Layer m stores only its support box, so memory is O(m^2) per layer.
+    Layer m is a slot width W and a list of m + 1 Python ints, one per
+    column n1; F(m; n1, n2) sits in the W-bit slot at bit offset W*n2 of
+    column n1, and columns of the wrong parity are 0.  Every count of layer
+    m is at most 4^m < 2^W since W >= 2*m + 4, so the step recurrence
+
+        cur[n1] = a + (a >> W) + b + (b << W),  a = prev[n1+1], b = prev[n1-1]
+
+    (evaluated as x + (x >> W) with x = a + (b << W)) adds whole columns
+    slot by slot without a carry crossing a slot boundary, and the O(m^3)
+    cell loop runs inside big-int arithmetic.  Layer m holds about
+    (3/8)*m^2 slots of W bits, about 0.9*m^3 bits in all, so a table that
+    keeps every layer up to m_max holds about m_max^4/4 bits (61 MiB at
+    m_max = 220, 660 MiB at m_max = 400).
+
+    When the next layer m needs wider slots than the newest layer has,
+    ``extend`` builds on a copy of that layer repacked to the slot width of
+    layer 5m/4, so widths grow geometrically: a table grown one layer per
+    call repacks O(log m) times, and every layer keeps the width it was
+    built with, at most about 25% wider than it needs.
+
     With keep_layers=False every layer except the newest is dropped as
     construction advances; ``value`` then serves only m = m_max.
     Construction is single-writer; a built table may be read from any
@@ -66,7 +109,7 @@ class WalkTable:
 
     def __init__(self, m_max: int = 0, keep_layers: bool = True) -> None:
         self._keep = keep_layers
-        self._layers: dict[int, Layer] = {0: {(0, 0): 1}}
+        self._layers: dict[int, Layer] = {0: (_slot_width(0), [1])}
         self._m_max = 0
         self.extend(m_max)
 
@@ -76,24 +119,26 @@ class WalkTable:
 
     def extend(self, m_max: int) -> None:
         """Grow the table to m_max layers; a no-op if it is already there."""
+        width, prev = self._layers[self._m_max]
         while self._m_max < m_max:
             m = self._m_max + 1
-            prev = self._layers[self._m_max]
-            cur: Layer = {}
+            if width < 2 * m + 4:
+                # build on a copy of the newest layer 25% wider than layer m
+                # needs, so widths grow geometrically however the table grows
+                wider = _slot_width(m + m // 4)
+                prev = [_pack(_unpack(c, width), wider) for c in prev]
+                width = wider
+            # padded[i] is column i - 1 of the previous layer, 0 beyond its ends
+            padded = [0, *prev, 0, 0]
+            cur = [0] * (m + 1)
             for n1 in range(m % 2, m + 1, 2):
-                for n2 in range((n1 + m) // 2 + 1):
-                    total = (
-                        prev.get((n1 + 1, n2), 0)
-                        + prev.get((n1 - 1, n2), 0)
-                        + prev.get((n1 + 1, n2 + 1), 0)
-                        + prev.get((n1 - 1, n2 - 1), 0)
-                    )
-                    if total:
-                        cur[(n1, n2)] = total
+                x = padded[n1 + 2] + (padded[n1] << width)
+                cur[n1] = x + (x >> width)
             if not self._keep:
                 self._layers.pop(self._m_max, None)
-            self._layers[m] = cur
+            self._layers[m] = (width, cur)
             self._m_max = m
+            prev = cur
 
     def value(self, m: int, n1: int, n2: int) -> int:
         if not 0 <= m <= self._m_max:
@@ -101,14 +146,19 @@ class WalkTable:
         layer = self._layers.get(m)
         if layer is None:
             raise ValueError(f"layer {m} was dropped (keep_layers=False)")
-        return layer.get((n1, n2), 0)
+        width, columns = layer
+        if not 0 <= n1 <= m or n2 < 0:
+            return 0
+        return (columns[n1] >> (width * n2)) & ((1 << width) - 1)
 
     def nonzero_records(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (m, n1, n2, count) for every retained nonzero entry, sorted."""
         for m in sorted(self._layers):
-            layer = self._layers[m]
-            for n1, n2 in sorted(layer):
-                yield m, n1, n2, layer[(n1, n2)]
+            width, columns = self._layers[m]
+            for n1, column in enumerate(columns):
+                for n2, count in enumerate(_unpack(column, width)):
+                    if count:
+                        yield m, n1, n2, count
 
 
 _shared = WalkTable(0)
@@ -133,18 +183,6 @@ def count_walks(m: int, n1: int, n2: int) -> int:
 def shared_table() -> WalkTable:
     """The process-wide memo table behind ``count_walks``."""
     return _shared
-
-
-def install_shared_table(table: WalkTable) -> None:
-    """Replace the process-wide memo table, e.g. with one loaded from disk.
-
-    Only tables that keep all layers can serve as the shared memo.
-    """
-    global _shared
-    if not table._keep:
-        raise ValueError("the shared table must keep all layers")
-    with _shared_lock:
-        _shared = table
 
 
 def shortest_walk(n1: int, n2: int) -> tuple[int, int]:
@@ -219,37 +257,3 @@ def build_f_matrix(size: int) -> FMatrix:
         tuple(f_entry(i, j) for j in range(size + 1)) for i in range(size + 1)
     )
     return FMatrix(size, entries)
-
-
-def dump_walk_table(table: WalkTable, fp: IO[str]) -> int:
-    """Write the table as JSON lines, one record per nonzero entry.
-
-    Counts are serialized as decimal strings because they outgrow 64-bit
-    integers quickly.  Returns the number of records written.
-    """
-    written = 0
-    for m, n1, n2, value in table.nonzero_records():
-        fp.write(json.dumps({"m": m, "n1": n1, "n2": n2, "F": str(value)}) + "\n")
-        written += 1
-    return written
-
-
-def load_walk_table(fp: IO[str]) -> WalkTable:
-    """Rebuild a table from ``dump_walk_table`` output."""
-    layers: dict[int, Layer] = {}
-    top = 0
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        m = int(rec["m"])
-        layers.setdefault(m, {})[(int(rec["n1"]), int(rec["n2"]))] = int(rec["F"])
-        top = max(top, m)
-    table = WalkTable(0)
-    rebuilt = {m: layers.get(m, {}) for m in range(top + 1)}
-    if not rebuilt[0]:
-        rebuilt[0] = {(0, 0): 1}
-    table._layers = rebuilt
-    table._m_max = top
-    return table

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import os
 
 import pytest
 
@@ -193,6 +192,31 @@ class TestVerify:
         assert code == 2
         assert "comma-separated" in err
 
+    def refused(self, capsys, *argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        return err
+
+    def test_gessel_negative_n_refused(self, capsys):
+        assert "--N" in self.refused(capsys, "--suite", "gessel", "--N", "-1")
+
+    def test_recurrence_zero_n_refused(self, capsys):
+        assert "--N" in self.refused(capsys, "--suite", "recurrence_g", "--N", "0")
+
+    def test_cross_pipeline_negative_k_refused(self, capsys):
+        err = self.refused(capsys, "--suite", "cross_pipeline", "--k-max", "-1")
+        assert "--k-max" in err
+
+    def test_kernel_empty_window_refused(self, capsys):
+        err = self.refused(capsys, "--suite", "kernel", "--caps", "1,1,1")
+        assert "nothing to compare" in err
+
+    def test_root_empty_window_refused(self, capsys):
+        err = self.refused(capsys, "--suite", "root", "--caps", "0,0,0")
+        assert "nothing to compare" in err
+
 
 class TestUniversal:
     def test_third_row(self, capsys):
@@ -296,60 +320,6 @@ class TestHessenberg:
             if row
         ]
         assert tuple(rows) == H24_ROWS
-
-
-class TestCache:
-    def test_round_trip(self, capsys, tmp_path):
-        path = str(tmp_path / "walks.jsonl")
-        code, plain, _ = run_cli(capsys, "count", "--m", "6")
-        code, cached, _ = run_cli(capsys, "count", "--m", "6", "--cache", path)
-        assert code == 0
-        assert cached == plain
-        assert os.path.exists(path)
-        code, reloaded, _ = run_cli(capsys, "count", "--m", "6", "--cache", path)
-        assert code == 0
-        assert reloaded == plain
-
-    def test_cache_content_is_jsonl(self, capsys, tmp_path):
-        path = str(tmp_path / "walks.jsonl")
-        run_cli(capsys, "count", "--m", "4", "--cache", path)
-        with open(path) as handle:
-            records = [json.loads(line) for line in handle]
-        assert {"m": 4, "n1": 0, "n2": 0, "F": "11"} in records
-
-    def test_env_var_location(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-        code, out, _ = run_cli(capsys, "count", "--m", "4")
-        assert code == 0
-        assert out.split()[0] == "11"
-        assert (tmp_path / "walks.jsonl").exists()
-
-    def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envdir"))
-        target = tmp_path / "explicit.jsonl"
-        run_cli(capsys, "count", "--m", "4", "--cache", str(target))
-        assert target.exists()
-        assert not (tmp_path / "envdir" / "walks.jsonl").exists()
-
-    def test_locked_cache_refused(self, capsys, tmp_path):
-        path = tmp_path / "walks.jsonl"
-        lock = tmp_path / "walks.jsonl.lock"
-        lock.write_text("")
-        code, out, err = run_cli(capsys, "count", "--m", "4", "--cache", str(path))
-        assert code == 2
-        assert out == ""
-        assert "locked by another process" in err
-        assert lock.exists()
-        assert not path.exists()
-
-    def test_verify_ignores_cache(self, capsys, tmp_path):
-        # verification commands never touch the walk cache
-        path = tmp_path / "walks.jsonl"
-        code, _, _ = run_cli(
-            capsys, "verify", "--suite", "gessel", "--N", "4", "--cache", str(path)
-        )
-        assert code == 0
-        assert not path.exists()
 
 
 class TestDeterminism:

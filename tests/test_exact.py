@@ -48,6 +48,20 @@ class TestPochhammer:
     def test_two_factors(self):
         assert pochhammer(Fraction(5, 6), 2) == Fraction(55, 36)
 
+    @pytest.mark.parametrize(
+        "q",
+        [-3, Fraction(-7, 2), Fraction(-5, 6), 0, 1, 4, Fraction(1, 2),
+         Fraction(5, 6), Fraction(7, 6), Fraction(5, 3), Fraction(8, 3)],
+    )
+    def test_matches_definitional_product(self, q):
+        for n in range(41):
+            expected = Fraction(1)
+            for s in range(n):
+                expected *= Fraction(q) + s
+            got = pochhammer(q, n)
+            assert isinstance(got, Fraction)
+            assert got == expected, (q, n)
+
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(5, 6), Fraction(5, 3)])
     @given(m=st.integers(min_value=0, max_value=10), n=st.integers(min_value=0, max_value=10))
     def test_multiplicative(self, q, m, n):

@@ -123,7 +123,11 @@ class TestKernel:
         assert report.first_mismatch is None
 
     def test_kernel_equation_degenerate_caps(self):
-        assert verify_kernel_equation((1, 1, 1))
+        # nothing lies in the window, so the check must not pass
+        report = verify_kernel_equation((1, 1, 1))
+        assert not report
+        assert report.compared == 0
+        assert report.first_mismatch is None
 
     def test_kernel_equation_mutated_fails(self):
         caps = (8, 8, 8)

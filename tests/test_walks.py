@@ -1,18 +1,15 @@
-import io
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gesselwalks.exact import catalan
+from gesselwalks.exact import catalan, gessel_closed_form
 from gesselwalks.walks import (
     WalkTable,
     build_f_matrix,
     count_walks,
-    dump_walk_table,
     f_entry,
     f_tilde,
-    load_walk_table,
     reachable,
     shortest_walk,
 )
@@ -107,18 +104,59 @@ class TestWalkTable:
         with pytest.raises(ValueError):
             t.value(3, 0, 0)
 
-    def test_dump_load_round_trip(self):
-        t = WalkTable(9)
-        buf = io.StringIO()
-        wrote = dump_walk_table(t, buf)
-        assert wrote == sum(1 for _ in t.nonzero_records())
-        buf.seek(0)
-        back = load_walk_table(buf)
-        assert back.m_max == 9
-        for m in range(10):
-            for n1 in range(m + 1):
-                for n2 in range((n1 + m) // 2 + 1):
-                    assert back.value(m, n1, n2) == t.value(m, n1, n2)
+    def test_grown_one_layer_per_call_matches_one_call(self):
+        # calls that outgrow the slot width build on a repacked copy
+        whole = WalkTable(60)
+        grown = WalkTable(0)
+        for m in range(1, 61):
+            grown.extend(m)
+        for m in range(61):
+            for n1 in range(m + 2):
+                for n2 in range((n1 + m) // 2 + 2):
+                    assert grown.value(m, n1, n2) == whole.value(m, n1, n2)
+        assert list(grown.nonzero_records()) == list(whole.nonzero_records())
+
+    def test_matches_dict_recurrence(self):
+        # the unpacked step recurrence, cell by cell, as the reference
+        by_layer: dict[int, dict] = {}
+        for m, n1, n2, v in WalkTable(40).nonzero_records():
+            by_layer.setdefault(m, {})[(n1, n2)] = v
+        layer = {(0, 0): 1}
+        for m in range(1, 41):
+            layer = {
+                (n1, n2): total
+                for n1 in range(m + 1)
+                for n2 in range(m + 1)
+                if (
+                    total := layer.get((n1 + 1, n2), 0)
+                    + layer.get((n1 - 1, n2), 0)
+                    + layer.get((n1 + 1, n2 + 1), 0)
+                    + layer.get((n1 - 1, n2 - 1), 0)
+                )
+            }
+            assert by_layer[m] == layer
+
+    def test_no_carry_between_slots(self):
+        # origin counts pass 200 bits by n = 110; a carry would corrupt them
+        assert count_walks(220, 0, 0).bit_length() > 200
+        for n in range(111):
+            assert count_walks(2 * n, 0, 0) == gessel_closed_form(n)
+
+    def test_dropped_layers_while_growing(self):
+        t = WalkTable(0, keep_layers=False)
+        for m in range(1, 31):
+            t.extend(m)
+        assert {m for m, _, _, _ in t.nonzero_records()} == {30}
+        assert t.value(30, 0, 0) == count_walks(30, 0, 0)
+        with pytest.raises(ValueError):
+            t.value(29, 1, 0)
+
+    def test_value_outside_columns_is_zero(self):
+        t = WalkTable(5)
+        assert t.value(5, -1, 0) == 0
+        assert t.value(5, 6, 0) == 0
+        assert t.value(5, 1, -1) == 0
+        assert t.value(5, 1, 40) == 0
 
 
 class TestShortestWalk:
