@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +321,18 @@ class TestHessenberg:
             if row
         ]
         assert tuple(rows) == H24_ROWS
+
+
+# Exit code, stdout and stderr of a fixed set of invocations, recorded byte
+# for byte from the command line before counting and the verify suites moved
+# into the library.  Moving math must leave every byte of these unchanged.
+FROZEN = json.loads(Path(__file__).with_name("cli_frozen.json").read_text())
+
+
+@pytest.mark.parametrize("case", FROZEN, ids=lambda case: " ".join(case["argv"]))
+def test_frozen_output(capsys, case):
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 class TestDeterminism:
