@@ -3,7 +3,8 @@
 Four independent pipelines compute the same numbers: a dynamic program over
 the step recurrence (``walks``), hypergeometric and polynomial closed forms
 (``exact``), Hessenberg determinant windows and a multiple-sum inversion of
-a triangular system (``triangular``).  Truncated trivariate series checks
+a triangular system (``triangular``); ``pipelines.count`` picks one by name
+and knows which targets each covers.  Truncated trivariate series checks
 of the functional equations live in ``series`` and the conjecture fits in
 ``conjectures``.  Everything is integer or rational arithmetic; nothing is
 floating point.
@@ -27,6 +28,7 @@ from .exact import (
     gessel_closed_form,
     pochhammer,
 )
+from .pipelines import NotCovered, count
 from .series import (
     CheckReport,
     TruncSeries3,
@@ -64,6 +66,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
+    "count",
+    "NotCovered",
     "reachable",
     "count_walks",
     "shortest_walk",

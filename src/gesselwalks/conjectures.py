@@ -1,7 +1,7 @@
 """Desk-scale verification of the conjectured closed forms: sequence
 comparison against the oracle, the second-order recurrence for the counts
-next to the origin, and exact polynomial fits for the excess families with
-their claimed structure.
+next to the origin, exact polynomial fits for the excess families with
+their claimed structure, and the family suite that runs all of them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exact import gessel_closed_form, pochhammer
+from .exact import ClosedFormFamily, conjectured_value, gessel_closed_form, pochhammer
 from .walks import count_walks, f_tilde
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
     "verify_family_claims",
     "fit_report",
     "solve_linear_exact",
+    "FAMILY_PLAN",
+    "verify_families",
 ]
 
 
@@ -352,3 +354,46 @@ def fit_report(fit: PolyFit, claims: FamilyClaims | None = None) -> dict:
         },
         "held_out_ok": fit.verified_extra,
     }
+
+
+# The family members with displayed expansions, fitted by ``verify_families``.
+FAMILY_PLAN: tuple[tuple[FitFamily, int], ...] = (
+    *((FitFamily.S_K, k) for k in range(4)),
+    *((FitFamily.R_K, k) for k in range(1, 4)),
+    (FitFamily.P_K, 1),
+    (FitFamily.Q_K, 1),
+    *((FitFamily.RT_K, k) for k in range(3)),
+)
+
+
+def verify_families() -> dict:
+    """JSON-ready report: fit and claim check for each ``FAMILY_PLAN`` member,
+    then each printed closed-form family against the dp on a range of n."""
+    fits = []
+    ok = True
+    for family, k in FAMILY_PLAN:
+        try:
+            fit = fit_family(family, k)
+        except FitError as exc:
+            fits.append({"family": family.value, "k": k, "ok": False, "error": str(exc)})
+            ok = False
+            continue
+        claims = verify_family_claims(fit)
+        entry = fit_report(fit, claims)
+        entry["ok"] = claims.ok
+        ok = ok and claims.ok
+        fits.append(entry)
+    closed = {}
+    for label, family, ks, n_max, target in (
+        ("f201", ClosedFormFamily.F201, (None,), 12, lambda k, n: (2 * n, 0, 1)),
+        ("vert", ClosedFormFamily.VERT, range(4), 10, lambda k, n: (2 * (n + k), 0, n)),
+        ("hor", ClosedFormFamily.HOR, range(4), 10, lambda k, n: (n + 2 * k, n, 0)),
+    ):
+        good = all(
+            conjectured_value(family, k, n) == count_walks(*target(k, n))
+            for k in ks
+            for n in range(n_max + 1)
+        )
+        closed[label] = {"n_max": n_max, "ok": good}
+        ok = ok and good
+    return {"suite": "families", "fits": fits, "closed_forms": closed, "ok": ok}

@@ -1,0 +1,150 @@
+"""One entry point for the counting pipelines, and the check that they agree.
+
+A method that does not cover a target raises ``NotCovered``; that refusal
+is the coverage rule, stated nowhere else.  Other modules are called through
+their module attributes, never imported by name, so a wrapper installed on,
+say, ``walks.count_walks`` sees every call made from here.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import exact, triangular, walks
+
+__all__ = ["METHODS", "MAX_SPAN", "NotCovered", "count", "verify_cross_pipeline"]
+
+METHODS = ("dp", "closed", "det", "multisum", "solve")
+
+MAX_SPAN = 24  # default chain-span limit of the multisum pipeline
+
+
+class NotCovered(ValueError):
+    """The chosen method does not compute this target, or refuses the work."""
+
+
+def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN) -> int:
+    """F(m; n1, n2) through the named pipeline.
+
+    ``dp`` counts anything; ``closed`` covers the targets with a closed form,
+    ``det`` and ``multisum`` the origin returns F(2n; 0, 0), and ``solve``
+    the boundary points (n1 = 0 or n2 = 0).  ``multisum`` also refuses index
+    chains whose span exceeds ``max_span``, since its work grows like 2^span.
+    """
+    if method == "dp":
+        return walks.count_walks(m, n1, n2)
+    if method == "closed":
+        return _count_closed(m, n1, n2)
+    if method == "solve":
+        return _count_solve(m, n1, n2)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if n1 or n2 or m % 2:
+        pipeline = "determinant" if method == "det" else "multiple-sum"
+        raise NotCovered(f"the {pipeline} pipeline computes F(2n; 0, 0) only")
+    if method == "det":
+        return triangular.gessel_via_determinant(m // 2)
+    k = triangular.rho(m + 1, m + 1)
+    if k == triangular.RHS_INDEX:
+        return 1
+    try:
+        return triangular.inverse_entry_multisum(
+            k, triangular.RHS_INDEX, triangular.system_entry, max_span=max_span
+        )
+    except ValueError as exc:
+        raise NotCovered(str(exc)) from None
+
+
+def _as_int(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise ArithmeticError(f"{what} evaluated to the non-integer {value}")
+    return value.numerator
+
+
+def _count_closed(m: int, n1: int, n2: int) -> int:
+    """Walk count from a proven or printed closed form, when one applies."""
+    if not walks.reachable(m, n1, n2):
+        return 0
+    length, ways = walks.shortest_walk(n1, n2)
+    if m == length:
+        return ways
+    if n1 == 0 and n2 == 0:
+        return _as_int(exact.gessel_closed_form(m // 2), "origin closed form")
+    if n1 == 0 and n2 == 1 and m % 2 == 0:
+        return _as_int(
+            exact.conjectured_value(exact.ClosedFormFamily.F201, None, m // 2),
+            "F(2n; 0, 1) closed form",
+        )
+    if n1 == 0 and (m - 2 * n2) % 2 == 0 and 0 <= (m - 2 * n2) // 2 <= 3:
+        return _as_int(
+            exact.conjectured_value(
+                exact.ClosedFormFamily.VERT, (m - 2 * n2) // 2, n2
+            ),
+            "vertical family closed form",
+        )
+    if n2 == 0 and (m - n1) % 2 == 0 and 0 <= (m - n1) // 2 <= 3:
+        return _as_int(
+            exact.conjectured_value(exact.ClosedFormFamily.HOR, (m - n1) // 2, n1),
+            "horizontal family closed form",
+        )
+    raise NotCovered(f"no closed form covers F({m}; {n1}, {n2})")
+
+
+def _count_solve(m: int, n1: int, n2: int) -> int:
+    """Boundary count recovered from the forward-solved triangular system."""
+    if n1 and n2:
+        raise NotCovered(
+            "the triangular solve recovers boundary counts only (n1 = 0 or n2 = 0)"
+        )
+    if not walks.reachable(m, n1, n2):
+        return 0
+    if n2 == 0:
+        k_max = triangular.rho(m + 1 + n1, m + 1)
+        system = triangular.solve_forward(k_max)
+        return system.x[k_max]
+    # F(m; 0, n2) telescopes out of the transformed axis values
+    k_max = triangular.rho(m + 1, m + 1 + n2)
+    system = triangular.solve_forward(k_max)
+    total = 0
+    for j in range(n2 + 1):
+        sign = 1 if (n2 - j) % 2 == 0 else -1
+        total += sign * system.x[triangular.rho(m + 1, m + 1 + j)]
+    return total
+
+
+def verify_cross_pipeline(k_max: int) -> dict:
+    """JSON-ready report: every solved x(k), k <= k_max, against the boundary
+    matrix entry it packs, then dp, det and solve at each origin index."""
+    system = triangular.solve_forward(k_max)
+    checked = 0
+    first = None
+    for k in range(k_max + 1):
+        i, j = triangular.rho_inv(k)
+        expected = walks.f_entry(i, j)
+        if system.x[k] != expected:
+            first = {"k": k, "i": i, "j": j, "solved": system.x[k], "direct": expected}
+            break
+        checked += 1
+    gessel_rows = []
+    n = 0
+    while first is None:
+        k = triangular.rho(2 * n + 1, 2 * n + 1)
+        if k > k_max:
+            break
+        dp = walks.count_walks(2 * n, 0, 0)
+        det = triangular.gessel_via_determinant(n)
+        solved = system.x[k]
+        row = {"n": n, "k": k, "dp": str(dp), "det": str(det), "solve": str(solved)}
+        gessel_rows.append(row)
+        if not dp == det == solved:
+            first = row
+            break
+        n += 1
+    return {
+        "suite": "cross_pipeline",
+        "k_max": k_max,
+        "entries_checked": checked,
+        "gessel_indices": gessel_rows,
+        "ok": first is None,
+        "first_mismatch": first,
+    }

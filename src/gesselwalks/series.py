@@ -22,7 +22,6 @@ __all__ = [
     "series_neg",
     "series_sub",
     "series_mul",
-    "series_coeff",
     "section_y0",
     "section_z0",
     "build_G",
@@ -141,10 +140,6 @@ def series_mul(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
             else:
                 del out[key]
     return TruncSeries3((dx, dy, dz), out)
-
-
-def series_coeff(a: TruncSeries3, mono: Mono) -> int:
-    return a.coeffs.get(tuple(mono), 0)
 
 
 def section_y0(a: TruncSeries3) -> TruncSeries3:

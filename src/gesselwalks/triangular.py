@@ -91,12 +91,6 @@ class TriSystem:
     k_max: int
     x: tuple[int, ...]
 
-    def a(self, n: int, k: int) -> int:
-        return system_entry(n, k)
-
-    def b(self, n: int) -> int:
-        return system_rhs(n)
-
 
 def solve_forward(k_max: int) -> TriSystem:
     """Forward substitution on the unit-lower-triangular packed system.

@@ -246,9 +246,6 @@ class FMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
 
 def build_f_matrix(size: int) -> FMatrix:
     if size < 0:

@@ -218,6 +218,18 @@ class TestVerify:
         err = self.refused(capsys, "--suite", "root", "--caps", "0,0,0")
         assert "nothing to compare" in err
 
+    def test_n_refused_outside_gessel_and_recurrence(self, capsys):
+        err = self.refused(capsys, "--suite", "kernel", "--N", "100")
+        assert "--N does not apply to suite kernel" in err
+
+    def test_k_max_refused_outside_cross_pipeline(self, capsys):
+        err = self.refused(capsys, "--suite", "families", "--k-max", "5")
+        assert "--k-max does not apply to suite families" in err
+
+    def test_caps_refused_outside_series_suites(self, capsys):
+        err = self.refused(capsys, "--suite", "gessel", "--caps", "1,1,1")
+        assert "--caps does not apply to suite gessel" in err
+
 
 class TestUniversal:
     def test_third_row(self, capsys):

@@ -1,0 +1,35 @@
+"""The counting entry point: every pipeline against the dp, target by target."""
+
+import pytest
+
+from gesselwalks import walks
+from gesselwalks.pipelines import METHODS, NotCovered, count
+
+
+def test_every_method_agrees_with_dp_or_refuses():
+    """Exhaustive over 0 <= m <= 12, 0 <= n1, n2 <= m: each method either
+    raises NotCovered or returns the dp count."""
+    answered = {method: 0 for method in METHODS if method != "dp"}
+    for m in range(13):
+        for n1 in range(m + 1):
+            for n2 in range(m + 1):
+                expected = walks.count_walks(m, n1, n2)
+                for method in answered:
+                    try:
+                        value = count(m, n1, n2, method)
+                    except NotCovered:
+                        continue
+                    assert value == expected, (method, m, n1, n2)
+                    answered[method] += value != 0
+    assert all(answered.values()), answered
+
+
+def test_multisum_span_refusal_is_not_covered():
+    with pytest.raises(NotCovered, match="chain explosion"):
+        count(8, 0, 0, "multisum")
+
+
+def test_unknown_method_rejected():
+    with pytest.raises(ValueError, match="unknown method") as info:
+        count(4, 0, 0, "magic")
+    assert not isinstance(info.value, NotCovered)
