@@ -212,7 +212,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_hessenberg(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    k = triangular.rho(2 * args.n + 1, 2 * args.n + 1)
+    k = triangular.origin_index(args.n)
     h = triangular.hessenberg_for(k)
     if args.dump:
         if args.format == "json":

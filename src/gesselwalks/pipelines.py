@@ -30,7 +30,10 @@ def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN
     ``det`` and ``multisum`` the origin returns F(2n; 0, 0), and ``solve``
     the boundary points (n1 = 0 or n2 = 0).  ``multisum`` also refuses index
     chains whose span exceeds ``max_span``, since its work grows like 2^span.
+    Negative m, n1 or n2 are refused with one message whatever the method.
     """
+    if m < 0 or n1 < 0 or n2 < 0:
+        raise ValueError("m, n1, n2 must be nonnegative")
     if method == "dp":
         return walks.count_walks(m, n1, n2)
     if method == "closed":
@@ -44,7 +47,7 @@ def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN
         raise NotCovered(f"the {pipeline} pipeline computes F(2n; 0, 0) only")
     if method == "det":
         return triangular.gessel_via_determinant(m // 2)
-    k = triangular.rho(m + 1, m + 1)
+    k = triangular.origin_index(m // 2)
     if k == triangular.RHS_INDEX:
         return 1
     try:
@@ -128,7 +131,7 @@ def verify_cross_pipeline(k_max: int) -> dict:
     gessel_rows = []
     n = 0
     while first is None:
-        k = triangular.rho(2 * n + 1, 2 * n + 1)
+        k = triangular.origin_index(n)
         if k > k_max:
             break
         dp = walks.count_walks(2 * n, 0, 0)

@@ -16,6 +16,7 @@ __all__ = [
     "rho",
     "rho_inv",
     "RHS_INDEX",
+    "origin_index",
     "coefficient_c",
     "system_entry",
     "system_rhs",
@@ -51,6 +52,14 @@ def rho_inv(n: int) -> tuple[int, int]:
 
 
 RHS_INDEX = rho(1, 1)  # the single equation with a nonzero right-hand side
+
+
+def origin_index(n: int) -> int:
+    """Index rho(2n+1, 2n+1) of the unknown that holds the origin count
+    F(2n; 0, 0).  n = 0 gives RHS_INDEX."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return rho(2 * n + 1, 2 * n + 1)
 
 
 def coefficient_c(u: int, v: int, i: int, j: int) -> int:
@@ -92,27 +101,49 @@ class TriSystem:
     x: tuple[int, ...]
 
 
+def _admitted_columns(u: int, v: int):
+    """The zero rule of the boundary system, stated once.
+
+    Off the diagonal, ``coefficient_c(u, v, i, j)`` is nonzero exactly when
+    i = u - 2t >= 1 for some t >= 0 and 1 <= j <= v - t.  Yields each such
+    column i with its bound j_max = v - t >= 1, in descending i.  The
+    diagonal (i, j) = (u, v), whose coefficient is 1, is admitted too when
+    u and v are positive; it is the builders' job to treat it as the unit.
+    """
+    for t in range((u + 1) // 2):
+        j_max = v - t
+        if j_max < 1:
+            return
+        yield u - 2 * t, j_max
+
+
 def solve_forward(k_max: int) -> TriSystem:
     """Forward substitution on the unit-lower-triangular packed system.
 
-    Only previously solved nonzero entries contribute to each row, which
-    keeps the inner sums short since the solution vector is sparse.
+    Row (u, v) visits only the nonzero coefficients: for each column i that
+    ``_admitted_columns`` admits, it walks the solved nonzero unknowns
+    x(i, j), kept per i in ascending j, up to j_max.  The index is built
+    from the values as they are computed, so it assumes nothing about where
+    the solution is nonzero.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    pairs = [rho_inv(n) for n in range(k_max + 1)]
     x: list[int] = []
-    support: list[int] = []
+    found: dict[int, list[tuple[int, int]]] = {}  # i -> [(j, k)] with x(k) != 0
     for n in range(k_max + 1):
-        u, v = pairs[n]
+        u, v = rho_inv(n)
         acc = system_rhs(n)
-        for k in support:
-            c = coefficient_c(u, v, *pairs[k])
-            if c:
-                acc -= c * x[k]
+        # unknowns at or after n are not in the index yet, so the diagonal
+        # (i, j) = (u, v) is never visited here
+        for i, j_max in _admitted_columns(u, v):
+            for j, k in found.get(i, ()):
+                if j > j_max:
+                    break
+                if j:  # the rule admits 1 <= j only
+                    acc -= coefficient_c(u, v, i, j) * x[k]
         x.append(acc)
         if acc:
-            support.append(n)
+            found.setdefault(u, []).append((v, n))
     return TriSystem(k_max, tuple(x))
 
 
@@ -144,18 +175,26 @@ def hessenberg_for(k: int) -> HessenbergMatrix:
     nonzero entry leaves this window times a unit triangle, so
     det = x(k) * (-1)^(k - RHS_INDEX).  The sign is +1 at every index k
     used for the origin counts, since those k are even.
+
+    Each row is filled from the unit diagonal of the packed matrix (the
+    window's superdiagonal) and the cells ``_admitted_columns`` admits left
+    of it; every other cell is zero and is never visited.
     """
     if k < RHS_INDEX:
         raise ValueError(f"k must be at least rho(1,1) = {RHS_INDEX}, got {k}")
-    pairs = [rho_inv(n) for n in range(k + 1)]
     width = k - RHS_INDEX
     rows = []
     for n in range(RHS_INDEX + 1, k + 1):
-        u, v = pairs[n]
+        u, v = rho_inv(n)
         row = [0] * width
-        # entries right of column n are zero by triangularity; skip them
-        for c_abs in range(RHS_INDEX, min(n, k - 1) + 1):
-            row[c_abs - RHS_INDEX] = coefficient_c(u, v, *pairs[c_abs])
+        if n < k:
+            row[n - RHS_INDEX] = 1  # the unit diagonal of the packed matrix
+        # admitted cells have i, j >= 1, so rho(i, j) >= rho(1, 1) = RHS_INDEX
+        for i, j_max in _admitted_columns(u, v):
+            for j in range(1, j_max + 1):
+                c_abs = rho(i, j)
+                if c_abs < n:
+                    row[c_abs - RHS_INDEX] = coefficient_c(u, v, i, j)
         rows.append(tuple(row))
     return HessenbergMatrix(width, tuple(rows))
 
@@ -183,11 +222,8 @@ def hessenberg_det(h: HessenbergMatrix) -> int:
 
 def gessel_via_determinant(n: int) -> int:
     """Origin count F(2n; 0, 0) as a Hessenberg determinant at index
-    rho(2n+1, 2n+1).  n = 0 gives the empty window, determinant 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    k = rho(2 * n + 1, 2 * n + 1)
-    return hessenberg_det(hessenberg_for(k))
+    ``origin_index(n)``.  n = 0 gives the empty window, determinant 1."""
+    return hessenberg_det(hessenberg_for(origin_index(n)))
 
 
 def inverse_entry_multisum(

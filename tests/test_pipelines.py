@@ -33,3 +33,11 @@ def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method") as info:
         count(4, 0, 0, "magic")
     assert not isinstance(info.value, NotCovered)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_negative_targets_refused_alike(method):
+    for target in ((-2, 0, 0), (4, -1, 0), (4, 0, -1)):
+        with pytest.raises(ValueError, match=r"^m, n1, n2 must be nonnegative$") as info:
+            count(*target, method)
+        assert not isinstance(info.value, NotCovered)

@@ -1,17 +1,21 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gesselwalks import cli
 from gesselwalks.exact import catalan
 from gesselwalks.triangular import (
     RHS_INDEX,
     HessenbergMatrix,
+    _admitted_columns,
     coefficient_c,
     gessel_via_determinant,
     hessenberg_det,
     hessenberg_for,
     inverse_entry_multisum,
+    origin_index,
     rho,
     rho_inv,
     solve_forward,
@@ -54,6 +58,14 @@ class TestRho:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             rho_inv(-1)
+
+    def test_origin_index(self):
+        assert origin_index(0) == RHS_INDEX
+        assert origin_index(1) == 24
+        for n in range(5):
+            assert origin_index(n) == rho(2 * n + 1, 2 * n + 1)
+        with pytest.raises(ValueError):
+            origin_index(-1)
 
 
 class TestCoefficientC:
@@ -254,3 +266,66 @@ class TestUniversalSequences:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             universal_sequence(0)
+
+
+def dense_solve(k_max):
+    """Forward substitution calling coefficient_c against every solved
+    nonzero unknown, the reference for the sparse solve."""
+    pairs = [rho_inv(n) for n in range(k_max + 1)]
+    x, support = [], []
+    for n in range(k_max + 1):
+        acc = system_rhs(n)
+        for k in support:
+            acc -= coefficient_c(*pairs[n], *pairs[k]) * x[k]
+        x.append(acc)
+        if acc:
+            support.append(n)
+    return tuple(x)
+
+
+def dense_hessenberg(k):
+    """The window of hessenberg_for built cell by cell from coefficient_c."""
+    return tuple(
+        tuple(
+            coefficient_c(*rho_inv(n), *rho_inv(c)) if c <= n else 0
+            for c in range(RHS_INDEX, k)
+        )
+        for n in range(RHS_INDEX + 1, k + 1)
+    )
+
+
+class TestSparseBuilders:
+    def test_zero_rule_admits_exactly_the_nonzero_cells(self):
+        for u in range(25):
+            for v in range(25):
+                admitted = {(u, v)}
+                for i, j_max in _admitted_columns(u, v):
+                    admitted.update((i, j) for j in range(1, j_max + 1))
+                nonzero = {
+                    (i, j)
+                    for i in range(31)
+                    for j in range(31)
+                    if coefficient_c(u, v, i, j)
+                }
+                assert admitted == nonzero, (u, v)
+
+    def test_solve_matches_dense_reference(self):
+        reference = dense_solve(1500)
+        for k_max in (0, 3, 4, 5, 24, 100, 1500):
+            assert solve_forward(k_max).x == reference[: k_max + 1], k_max
+
+    def test_origin_windows_match_dense_build(self):
+        for n in range(7):
+            k = origin_index(n)
+            h = hessenberg_for(k)
+            assert h.size == k - RHS_INDEX
+            assert h.entries == dense_hessenberg(k), n
+            assert h.well_formed()
+
+    def test_cross_pipeline_at_k_1200(self, capsys):
+        code = cli.main(["verify", "--suite", "cross_pipeline", "--k-max", "1200"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["ok"] and report["first_mismatch"] is None
+        assert report["entries_checked"] == 1201
+        assert [row["n"] for row in report["gessel_indices"]] == list(range(12))
