@@ -7,7 +7,7 @@ their claimed structure, and the family suite that runs all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -73,7 +73,8 @@ G_RECURRENCE_POLYS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def _poly_at(coeffs: Sequence[int], n: int) -> int:
+def _poly_at(coeffs: Sequence[int | Fraction], n: int | Fraction) -> int | Fraction:
+    """Horner's rule for ascending coefficients."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * n + c
@@ -156,10 +157,7 @@ class PolyFit:
         return self.coeffs[self.degree]
 
     def evaluate(self, n: int | Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
+        return _poly_at(self.coeffs, n)
 
     @property
     def divisible_by_n_plus_1(self) -> bool:
@@ -202,8 +200,9 @@ def solve_linear_exact(
 
 
 def family_target(family: FitFamily, k: int, n: int) -> Fraction:
-    """Oracle value the fitted polynomial must reproduce at n, with the
-    ansatz prefactor divided out exactly."""
+    """Oracle value the ansatz must reproduce at n, with the prefactor
+    divided out exactly.  P_K and Q_K share one target: the two-polynomial
+    ansatz for F(2n; 0, k), which the pair matches jointly."""
     if family is FitFamily.S_K:
         return Fraction(count_walks(n + 2 * k, n, 0))
     if family is FitFamily.R_K:
@@ -212,7 +211,21 @@ def family_target(family: FitFamily, k: int, n: int) -> Fraction:
     if family is FitFamily.RT_K:
         Ft = f_tilde(2 * n + 2 * k + 1, 0, n)
         return Ft * pochhammer(k + 2, n) / (4**n * pochhammer(Fraction(1, 2), n))
-    raise ValueError(f"no single-polynomial target for {family}; P/Q are fitted jointly")
+    F = count_walks(2 * n, 0, k)
+    return F * pochhammer(k + 2, n) / (16**n * pochhammer(Fraction(1, 2), n))
+
+
+def _ansatz_row(family: FitFamily, k: int, n: int) -> list[Fraction]:
+    """What each unknown coefficient is multiplied by in the ansatz at n:
+    the powers of n, weighted by wa for p and by wb for q in the joint P/Q
+    ansatz, with p's coefficients first."""
+    if family in (FitFamily.P_K, FitFamily.Q_K):
+        wa = pochhammer(Fraction(7, 6), n) / pochhammer(Fraction(3 * k + 4, 3), n)
+        wb = pochhammer(Fraction(5, 6), n) / pochhammer(Fraction(3 * k + 5, 3), n)
+        parts = ((wa, FitFamily.P_K), (wb, FitFamily.Q_K))
+    else:
+        parts = ((Fraction(1), family),)
+    return [w * n**a for w, f in parts for a in range(claimed_degree(f, k) + 1)]
 
 
 def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
@@ -227,61 +240,26 @@ def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
         raise ValueError("k must be nonnegative")
     if held_out < 1:
         raise ValueError("held_out must be positive")
-    if family in (FitFamily.P_K, FitFamily.Q_K):
-        if k < 1:
-            raise ValueError("the k = 0 point is the base closed form; P/Q need k >= 1")
-        p, q = _fit_pq(k, held_out)
-        return p if family is FitFamily.P_K else q
+    joint = family in (FitFamily.P_K, FitFamily.Q_K)
+    if joint and k < 1:
+        raise ValueError("the k = 0 point is the base closed form; P/Q need k >= 1")
     if family is FitFamily.R_K and k == 0:
         raise ValueError("r_0(n) = 1/(2n+1) is a closed form, not a polynomial fit")
-    deg = claimed_degree(family, k)
-    samples = list(range(deg + 1))
-    rows = [[Fraction(n) ** a for a in range(deg + 1)] for n in samples]
+    label = "p/q" if joint else family.value
+    samples = range(len(_ansatz_row(family, k, 0)))
+    rows = [_ansatz_row(family, k, n) for n in samples]
     rhs = [family_target(family, k, n) for n in samples]
     sol = solve_linear_exact(rows, rhs)
     if sol is None:
-        raise FitError(f"ansatz inconsistent at ({family.value}, {k})")
-    fit = PolyFit(family, k, tuple(sol), tuple(samples), 0)
-    for n in range(deg + 1, deg + 1 + held_out):
-        if fit.evaluate(n) != family_target(family, k, n):
-            raise FitError(f"conjecture fails at n={n} for ({family.value}, {k})")
-    return replace(fit, verified_extra=held_out)
-
-
-def _pq_weights(k: int, n: int) -> tuple[Fraction, Fraction]:
-    wa = pochhammer(Fraction(7, 6), n) / pochhammer(Fraction(3 * k + 4, 3), n)
-    wb = pochhammer(Fraction(5, 6), n) / pochhammer(Fraction(3 * k + 5, 3), n)
-    return wa, wb
-
-
-def _pq_target(k: int, n: int) -> Fraction:
-    F = count_walks(2 * n, 0, k)
-    return F * pochhammer(k + 2, n) / (16**n * pochhammer(Fraction(1, 2), n))
-
-
-def _fit_pq(k: int, held_out: int) -> tuple[PolyFit, PolyFit]:
-    n_p = 2 * k - 1  # coefficients of p_k, degree 2k-2
-    n_q = 2 * k + 1  # coefficients of q_k, degree 2k
-    total = n_p + n_q
-    samples = list(range(total))
-    rows = []
-    rhs = []
-    for n in samples:
-        wa, wb = _pq_weights(k, n)
-        row = [wa * Fraction(n) ** a for a in range(n_p)]
-        row += [wb * Fraction(n) ** b for b in range(n_q)]
-        rows.append(row)
-        rhs.append(_pq_target(k, n))
-    sol = solve_linear_exact(rows, rhs)
-    if sol is None:
-        raise FitError(f"ansatz inconsistent at (p/q, {k})")
-    p = PolyFit(FitFamily.P_K, k, tuple(sol[:n_p]), tuple(samples), 0)
-    q = PolyFit(FitFamily.Q_K, k, tuple(sol[n_p:]), tuple(samples), 0)
-    for n in range(total, total + held_out):
-        wa, wb = _pq_weights(k, n)
-        if wa * p.evaluate(n) + wb * q.evaluate(n) != _pq_target(k, n):
-            raise FitError(f"conjecture fails at n={n} for (p/q, {k})")
-    return replace(p, verified_extra=held_out), replace(q, verified_extra=held_out)
+        raise FitError(f"ansatz inconsistent at ({label}, {k})")
+    for n in range(len(sol), len(sol) + held_out):
+        row = _ansatz_row(family, k, n)
+        if sum(c * w for c, w in zip(sol, row)) != family_target(family, k, n):
+            raise FitError(f"conjecture fails at n={n} for ({label}, {k})")
+    if joint:
+        n_p = claimed_degree(FitFamily.P_K, k) + 1
+        sol = sol[:n_p] if family is FitFamily.P_K else sol[n_p:]
+    return PolyFit(family, k, tuple(sol), tuple(samples), held_out)
 
 
 @dataclass(frozen=True)

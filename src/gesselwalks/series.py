@@ -152,6 +152,11 @@ def section_z0(a: TruncSeries3) -> TruncSeries3:
     return TruncSeries3(a.caps, {k: c for k, c in a.coeffs.items() if k[2] == 0})
 
 
+def _on_axes(a: TruncSeries3) -> TruncSeries3:
+    """The terms with ey = 0 or ez = 0: a(x,0,z) + a(x,y,0) - a(x,0,0)."""
+    return TruncSeries3(a.caps, {k: c for k, c in a.coeffs.items() if 0 in k[1:]})
+
+
 def build_G(caps: Caps) -> TruncSeries3:
     """Walk-count generating series up to the caps, filled from the oracle."""
     dx, dy, dz = caps
@@ -216,7 +221,8 @@ def _compare(lhs: TruncSeries3, rhs: TruncSeries3, window: Caps) -> CheckReport:
 
 
 def verify_kernel_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
-    """Check K*G = x(1+z)G(x,0,z) + xG(x,y,0) - xG(x,0,0) - yz.
+    """Check K*G = x(1+z)G(x,0,z) + xG(x,y,0) - xG(x,0,0) - yz, whose right
+    side is x times the axis terms of G, plus xzG(x,0,z), minus yz.
 
     The kernel has degree 1 in x and 2 in both y (through y^2) and z, so
     the window drops that much from each cap; inside it both sides are
@@ -227,14 +233,12 @@ def verify_kernel_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckRe
     caps = G.caps
     dx, dy, dz = caps
     lhs = series_mul(build_K(caps), G)
-    x_poly = monomial(caps, 1, 0, 0)
-    x_1pz = make_series(caps, {(1, 0, 0): 1, (1, 0, 1): 1})
-    g_y0 = section_y0(G)
-    g_z0 = section_z0(G)
-    g_00 = section_z0(g_y0)
     rhs = series_sub(
-        series_add(series_mul(x_1pz, g_y0), series_mul(x_poly, g_z0)),
-        series_add(series_mul(x_poly, g_00), monomial(caps, 0, 1, 1)),
+        series_add(
+            series_mul(monomial(caps, 1, 0, 0), _on_axes(G)),
+            series_mul(monomial(caps, 1, 0, 1), section_y0(G)),
+        ),
+        monomial(caps, 0, 1, 1),
     )
     return _compare(lhs, rhs, (dx - 1, dy - 2, dz - 2))
 
@@ -244,11 +248,7 @@ def verify_H_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
     mixed monomial of H (positive y and z exponents) vanishes."""
     H = build_H(caps, G)
     dx, dy, dz = H.caps
-    h_y0 = section_y0(H)
-    h_z0 = section_z0(H)
-    h_00 = section_z0(h_y0)
-    rhs = series_sub(series_add(h_y0, h_z0), h_00)
-    return _compare(H, rhs, (dx - 1, dy - 2, dz - 2))
+    return _compare(H, _on_axes(H), (dx - 1, dy - 2, dz - 2))
 
 
 def x_of_yz(caps: Caps) -> TruncSeries3:
@@ -290,7 +290,8 @@ def substitute_x(series: TruncSeries3, x_series: TruncSeries3) -> TruncSeries3:
 def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
     """Substitute the kernel root for x in the boundary-transform sections
     and check that H(x(y,z),0,z) + H(x(y,z),y,0) - H(x(y,z),0,0) collapses
-    to the single monomial yz.
+    to the single monomial yz.  The three sections add up to the axis
+    terms of H, and substitution is linear, so the root is substituted once.
 
     Every monomial of the root carries at least one power of z, so x^m
     contributes z-order >= m and the composition is exact for ez up to the
@@ -299,14 +300,7 @@ def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckRepo
     H = build_H(caps, G)
     dx, dy, dz = H.caps
     wz = min(dx, dz)
-    X = x_of_yz((0, dy, wz))
-    h_y0 = section_y0(H)
-    h_z0 = section_z0(H)
-    h_00 = section_z0(h_y0)
-    lhs = series_sub(
-        series_add(substitute_x(h_y0, X), substitute_x(h_z0, X)),
-        substitute_x(h_00, X),
-    )
+    lhs = substitute_x(_on_axes(H), x_of_yz((0, dy, wz)))
     target = monomial((0, dy, wz), 0, 1, 1)
     return _compare(lhs, target, (0, dy, wz))
 

@@ -226,6 +226,13 @@ class TestVerify:
         err = self.refused(capsys, "--suite", "families", "--k-max", "5")
         assert "--k-max does not apply to suite families" in err
 
+    def test_format_refused(self, capsys):
+        # the report is always JSON, so --format is not a verify option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "gessel", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
     def test_caps_refused_outside_series_suites(self, capsys):
         err = self.refused(capsys, "--suite", "gessel", "--caps", "1,1,1")
         assert "--caps does not apply to suite gessel" in err

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gesselwalks import conjectures
 from gesselwalks.conjectures import (
     FitError,
     FitFamily,
@@ -181,6 +182,24 @@ class TestFits:
         assert sol is not None
         fitted = sum(sol[a] * Fraction(7) ** a for a in range(deg + 1))
         assert fitted != bad_targets[7]
+
+    @pytest.mark.parametrize(
+        "family, walk, message",
+        [
+            (FitFamily.S_K, (7, 5, 0), r"conjecture fails at n=5 for \(s, 1\)"),
+            (FitFamily.P_K, (12, 0, 1), r"conjecture fails at n=6 for \(p/q, 1\)"),
+            (FitFamily.Q_K, (12, 0, 1), r"conjecture fails at n=6 for \(p/q, 1\)"),
+        ],
+    )
+    def test_held_out_check_in_fit_family(self, monkeypatch, family, walk, message):
+        # the oracle is off by one at a single held-out point: F(m; n1, n2)
+        # for s_1 at n = 5 (samples 0..2), for the p/q pair at n = 6 (0..3)
+        real = conjectures.count_walks
+        monkeypatch.setattr(
+            conjectures, "count_walks", lambda *t: real(*t) + (t == walk)
+        )
+        with pytest.raises(FitError, match=message):
+            fit_family(family, 1)
 
 
 class TestClaims:

@@ -24,6 +24,17 @@ from gesselwalks.walks import count_walks, f_tilde
 
 CAPS = (6, 6, 6)
 
+# Negative controls for the functional-equation checks: G with one
+# coefficient bumped, inside the quarter plane or on an axis.  The root
+# identity only reads the axis terms of H, so it is blind to the interior
+# bump by design.
+INTERIOR_BUMP = (4, 2, 1)
+AXIS_BUMPS = [(2, 0, 1), (3, 1, 0), (0, 0, 0)]  # y = 0, z = 0, origin
+
+
+def bump_id(mono):
+    return "-".join(map(str, mono))
+
 monos = st.tuples(
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=3),
@@ -129,9 +140,10 @@ class TestKernel:
         assert report.compared == 0
         assert report.first_mismatch is None
 
-    def test_kernel_equation_mutated_fails(self):
+    @pytest.mark.parametrize("mono", [INTERIOR_BUMP, *AXIS_BUMPS], ids=bump_id)
+    def test_kernel_equation_mutated_fails(self, mono):
         caps = (8, 8, 8)
-        bad = bump_coeff(build_G(caps), (4, 2, 1))
+        bad = bump_coeff(build_G(caps), mono)
         report = verify_kernel_equation(caps, bad)
         assert not report
         assert report.first_mismatch is not None
@@ -168,9 +180,10 @@ class TestBuildH:
         assert report
         assert report.window == (7, 6, 6)
 
-    def test_H_equation_mutated_fails(self):
+    @pytest.mark.parametrize("mono", [INTERIOR_BUMP, *AXIS_BUMPS], ids=bump_id)
+    def test_H_equation_mutated_fails(self, mono):
         caps = (8, 8, 8)
-        bad = bump_coeff(build_G(caps), (4, 2, 1))
+        bad = bump_coeff(build_G(caps), mono)
         assert not verify_H_equation(caps, bad)
 
 
@@ -216,9 +229,10 @@ class TestRoot:
         assert report.ok
         assert report.first_mismatch is None
 
-    def test_root_identity_mutated_fails(self):
+    @pytest.mark.parametrize("mono", AXIS_BUMPS, ids=bump_id)
+    def test_root_identity_mutated_fails(self, mono):
         caps = (8, 8, 8)
-        bad = bump_coeff(build_G(caps), (2, 0, 1))
+        bad = bump_coeff(build_G(caps), mono)
         assert not verify_root_identity(caps, bad)
 
     def test_substitution_requires_zero_constant(self):
