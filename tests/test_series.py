@@ -35,6 +35,7 @@ AXIS_BUMPS = [(2, 0, 1), (3, 1, 0), (0, 0, 0)]  # y = 0, z = 0, origin
 def bump_id(mono):
     return "-".join(map(str, mono))
 
+
 monos = st.tuples(
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=3),
