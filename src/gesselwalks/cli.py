@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
+from operator import itemgetter
 from typing import Sequence
 
 from . import conjectures, pipelines, series, triangular, walks
@@ -192,18 +194,17 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise UsageError("--m-max must be nonnegative")
     table = walks.shared_table()
     table.extend(args.m_max)
+    # one f-string per record and one write per layer; the bytes are those of
+    # csv.writer rows (\r\n line ends) and of json.dumps lines
     if args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["m", "n1", "n2", "F"])
-        for m, n1, n2, value in table.nonzero_records():
-            if m > args.m_max:
-                break
-            w.writerow([m, n1, n2, value])
+        sys.stdout.write("m,n1,n2,F\r\n")
+        line = "{},{},{},{}\r\n".format
     else:
-        for m, n1, n2, value in table.nonzero_records():
-            if m > args.m_max:
-                break
-            print(json.dumps({"m": m, "n1": n1, "n2": n2, "F": str(value)}))
+        line = '{{"m": {}, "n1": {}, "n2": {}, "F": "{}"}}\n'.format
+    for m, records in itertools.groupby(table.nonzero_records(), itemgetter(0)):
+        if m > args.m_max:
+            break
+        sys.stdout.write("".join([line(*record) for record in records]))
     return 0
 
 

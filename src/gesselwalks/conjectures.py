@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exact import ClosedFormFamily, conjectured_value, gessel_closed_form, pochhammer
-from .walks import count_walks, f_tilde
+from .walks import count_walks, counts_along, f_tilde
 
 __all__ = [
     "FitError",
@@ -51,11 +51,12 @@ class GesselCheck:
 
 def verify_gessel(n_max: int) -> GesselCheck:
     """Compare the dynamic-programming counts F(2n; 0, 0) with the closed
-    form for 0 <= n <= n_max."""
+    form for 0 <= n <= n_max, all read from one cone pass to (2 n_max, 0, 0)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    along = counts_along(2 * n_max, 0, 0)
     for n in range(n_max + 1):
-        dp = count_walks(2 * n, 0, 0)
+        dp = along[2 * n]
         cf = gessel_closed_form(n)
         if cf != dp:
             return GesselCheck(n_max, False, (n, dp, cf))
@@ -115,10 +116,16 @@ class RecurrenceCheck:
 def verify_recurrence_g(
     n_max: int, g: Callable[[int], int] | None = None
 ) -> RecurrenceCheck:
-    """Check that the recurrence residual vanishes for 0 <= n <= n_max - 1."""
+    """Check that the recurrence residual vanishes for 0 <= n <= n_max - 1.
+
+    Without an injected g, g(0..n_max) is read from one cone pass to
+    (2 n_max + 1, 1, 0).
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    g = g or default_g
+    if g is None:
+        along = counts_along(2 * n_max + 1, 1, 0)
+        g = lambda n: along[2 * n + 1]
     for n in range(n_max):
         res = recurrence_residual(n, g)
         if res != 0:

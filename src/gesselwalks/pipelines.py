@@ -1,7 +1,10 @@
 """One entry point for the counting pipelines, and the check that they agree.
 
 A method that does not cover a target raises ``NotCovered``; that refusal
-is the coverage rule, stated nowhere else.  Other modules are called through
+is the coverage rule, stated nowhere else.  A ``dp`` count asks for one
+target, so it runs a two-layer cone pass (``walks.counts_along``); the
+memo table behind ``walks.count_walks`` serves the callers that read many
+cells, such as ``verify_cross_pipeline``.  Other modules are called through
 their module attributes, never imported by name, so a wrapper installed on,
 say, ``walks.count_walks`` sees every call made from here.
 """
@@ -35,7 +38,7 @@ def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN
     if m < 0 or n1 < 0 or n2 < 0:
         raise ValueError("m, n1, n2 must be nonnegative")
     if method == "dp":
-        return walks.count_walks(m, n1, n2)
+        return walks.counts_along(m, n1, n2)[-1] if walks.reachable(m, n1, n2) else 0
     if method == "closed":
         return _count_closed(m, n1, n2)
     if method == "solve":

@@ -19,11 +19,9 @@ __all__ = [
     "monomial",
     "bump_coeff",
     "series_add",
-    "series_neg",
     "series_sub",
     "series_mul",
     "section_y0",
-    "section_z0",
     "build_G",
     "build_K",
     "build_H",
@@ -33,7 +31,6 @@ __all__ = [
     "verify_kernel_equation",
     "verify_H_equation",
     "verify_root_identity",
-    "series_to_json",
 ]
 
 Caps = tuple[int, int, int]
@@ -102,12 +99,8 @@ def series_add(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
     return TruncSeries3(a.caps, out)
 
 
-def series_neg(a: TruncSeries3) -> TruncSeries3:
-    return TruncSeries3(a.caps, {k: -c for k, c in a.coeffs.items()})
-
-
 def series_sub(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
-    return series_add(a, series_neg(b))
+    return series_add(a, TruncSeries3(b.caps, {k: -c for k, c in b.coeffs.items()}))
 
 
 def series_mul(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
@@ -145,11 +138,6 @@ def series_mul(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
 def section_y0(a: TruncSeries3) -> TruncSeries3:
     """The y = 0 section, kept in the same ring."""
     return TruncSeries3(a.caps, {k: c for k, c in a.coeffs.items() if k[1] == 0})
-
-
-def section_z0(a: TruncSeries3) -> TruncSeries3:
-    """The z = 0 section, kept in the same ring."""
-    return TruncSeries3(a.caps, {k: c for k, c in a.coeffs.items() if k[2] == 0})
 
 
 def _on_axes(a: TruncSeries3) -> TruncSeries3:
@@ -303,12 +291,3 @@ def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckRepo
     lhs = substitute_x(_on_axes(H), x_of_yz((0, dy, wz)))
     target = monomial((0, dy, wz), 0, 1, 1)
     return _compare(lhs, target, (0, dy, wz))
-
-
-def series_to_json(series: TruncSeries3) -> list[dict[str, object]]:
-    """JSON-ready dump: [{"ex": int, "ey": int, "ez": int, "coef": str}, ...]
-    sorted by exponents, coefficients as decimal strings."""
-    return [
-        {"ex": ex, "ey": ey, "ez": ez, "coef": str(c)}
-        for (ex, ey, ez), c in sorted(series.coeffs.items())
-    ]

@@ -11,8 +11,15 @@ packs column n1 into one Python int with F(m; n1, n2) in the W-bit slot at
 offset W*n2 (Kronecker substitution); W >= 2*m + 4 exceeds the bit length of
 any count of layer m (at most 4^m), so the four-term step becomes four
 big-int operations per column with no carry between slots.  Layer m holds
-about 0.9*m^3 bits.  Also here: the shortest-walk closed forms and the
-packed boundary-count matrix used by the triangular-system pipeline.
+about 0.9*m^3 bits.
+
+Two shapes of query share that one step.  ``count_walks`` reads a
+process-wide ``WalkTable`` that keeps every layer, for callers that read
+many cells.  ``counts_along`` answers one target (n1, n2): it keeps two
+layers, computes only the cells that can still reach the target, and
+returns F(t; n1, n2) for every t up to m.  Also here: the shortest-walk
+closed forms and the packed boundary-count matrix used by the
+triangular-system pipeline.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from typing import Iterator
 __all__ = [
     "reachable",
     "count_walks",
+    "counts_along",
     "shortest_walk",
     "f_tilde",
     "f_entry",
@@ -78,6 +86,27 @@ def _pack(slots: list[int], width: int) -> int:
     )
 
 
+def _step(
+    prev: list[int], width: int, columns: range, rows: int | None = None
+) -> list[int]:
+    """Layer t of the step recurrence from layer t - 1, whose columns are prev.
+
+    Only the columns in ``columns`` are computed and the others are 0; with
+    ``rows`` given, each computed column keeps only its slots n2 < rows.
+    """
+    # padded[i] is column i - 1 of the previous layer, 0 beyond its ends
+    padded = [0, *prev, 0, 0]
+    cur = [0] * (len(prev) + 1)
+    for n1 in columns:
+        x = padded[n1 + 2] + (padded[n1] << width)
+        cur[n1] = x + (x >> width)
+    if rows is not None:
+        mask = (1 << (width * rows)) - 1
+        for n1 in columns:
+            cur[n1] &= mask
+    return cur
+
+
 class WalkTable:
     """Layered table of walk counts for 0 <= m <= m_max.
 
@@ -101,64 +130,79 @@ class WalkTable:
     call repacks O(log m) times, and every layer keeps the width it was
     built with, at most about 25% wider than it needs.
 
-    With keep_layers=False every layer except the newest is dropped as
-    construction advances; ``value`` then serves only m = m_max.
     Construction is single-writer; a built table may be read from any
     number of threads.
     """
 
-    def __init__(self, m_max: int = 0, keep_layers: bool = True) -> None:
-        self._keep = keep_layers
-        self._layers: dict[int, Layer] = {0: (_slot_width(0), [1])}
-        self._m_max = 0
+    def __init__(self, m_max: int = 0) -> None:
+        self._layers: list[Layer] = [(_slot_width(0), [1])]
         self.extend(m_max)
 
     @property
     def m_max(self) -> int:
-        return self._m_max
+        return len(self._layers) - 1
 
     def extend(self, m_max: int) -> None:
         """Grow the table to m_max layers; a no-op if it is already there."""
-        width, prev = self._layers[self._m_max]
-        while self._m_max < m_max:
-            m = self._m_max + 1
+        width, prev = self._layers[-1]
+        for m in range(len(self._layers), m_max + 1):
             if width < 2 * m + 4:
                 # build on a copy of the newest layer 25% wider than layer m
                 # needs, so widths grow geometrically however the table grows
                 wider = _slot_width(m + m // 4)
                 prev = [_pack(_unpack(c, width), wider) for c in prev]
                 width = wider
-            # padded[i] is column i - 1 of the previous layer, 0 beyond its ends
-            padded = [0, *prev, 0, 0]
-            cur = [0] * (m + 1)
-            for n1 in range(m % 2, m + 1, 2):
-                x = padded[n1 + 2] + (padded[n1] << width)
-                cur[n1] = x + (x >> width)
-            if not self._keep:
-                self._layers.pop(self._m_max, None)
-            self._layers[m] = (width, cur)
-            self._m_max = m
-            prev = cur
+            prev = _step(prev, width, range(m % 2, m + 1, 2))
+            self._layers.append((width, prev))
 
     def value(self, m: int, n1: int, n2: int) -> int:
-        if not 0 <= m <= self._m_max:
-            raise ValueError(f"layer {m} not in table (m_max={self._m_max})")
-        layer = self._layers.get(m)
-        if layer is None:
-            raise ValueError(f"layer {m} was dropped (keep_layers=False)")
-        width, columns = layer
+        if not 0 <= m <= self.m_max:
+            raise ValueError(f"layer {m} not in table (m_max={self.m_max})")
+        width, columns = self._layers[m]
         if not 0 <= n1 <= m or n2 < 0:
             return 0
         return (columns[n1] >> (width * n2)) & ((1 << width) - 1)
 
     def nonzero_records(self) -> Iterator[tuple[int, int, int, int]]:
-        """Yield (m, n1, n2, count) for every retained nonzero entry, sorted."""
-        for m in sorted(self._layers):
-            width, columns = self._layers[m]
+        """Yield (m, n1, n2, count) for every nonzero entry, sorted."""
+        for m, (width, columns) in enumerate(self._layers):
             for n1, column in enumerate(columns):
                 for n2, count in enumerate(_unpack(column, width)):
                     if count:
                         yield m, n1, n2, count
+
+
+def counts_along(m: int, n1: int, n2: int) -> list[int]:
+    """[F(t; n1, n2) for t = 0..m] from one pass that holds two layers.
+
+    A step moves n1 by exactly 1 and n2 by at most 1, and a step down (SW)
+    also moves one column left.  So a cell (c, r) of layer t can reach
+    (n1, n2) by step m only if |c - n1| <= m - t and
+    r - n2 <= (m - t + c - n1) / 2.  Those cells form a cone, and the cells
+    any cone cell reads lie in the cone of the layer before.  The pass holds
+    two layers at the slot width of layer m.  In each it computes only the
+    columns within m - t of n1, and cuts them all at the row bound of the
+    rightmost one.  Every cone cell is then exact, and the target lies in
+    the cone at every t.  Targets no walk of at most m steps reaches give
+    zeros without a pass.
+    """
+    if not (reachable(m, n1, n2) or reachable(m - 1, n1, n2)):
+        return [0] * (m + 1)
+    width = _slot_width(m)
+    slot = (1 << width) - 1
+    layer = [1]
+    counts = [int(n1 == n2 == 0)]
+    for t in range(1, m + 1):
+        left = m - t
+        lo = max(0, n1 - left)
+        lo += (lo - t) % 2  # columns of the wrong parity are 0
+        hi = min(t, n1 + left)
+        # every step down is a SW step, which also moves one column left
+        top = n2 + (left + hi - n1) // 2
+        cut = top + 1 if top < (hi + t) // 2 else None
+        layer = _step(layer, width, range(lo, hi + 1, 2), cut)
+        counts.append((layer[n1] >> (width * n2)) & slot if n1 <= t else 0)
+    return counts
 
 
 _shared = WalkTable(0)

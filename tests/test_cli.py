@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gesselwalks import cli
+from gesselwalks.walks import WalkTable
 from oracles import H24_ROWS
 
 
@@ -309,6 +310,24 @@ class TestTable:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["m", "n1", "n2", "F"]
         assert ["2", "0", "0", "2"] in rows
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_bytes_match_json_dumps_and_csv_writer(self, capsys, fmt):
+        records = list(WalkTable(30).nonzero_records())
+        if fmt == "csv":
+            expected = io.StringIO()
+            w = csv.writer(expected)
+            w.writerow(["m", "n1", "n2", "F"])
+            w.writerows(records)
+            expected = expected.getvalue()
+        else:
+            expected = "".join(
+                json.dumps({"m": m, "n1": n1, "n2": n2, "F": str(v)}) + "\n"
+                for m, n1, n2, v in records
+            )
+        code, out, _ = run_cli(capsys, "table", "--m-max", "30", "--format", fmt)
+        assert code == 0
+        assert out == expected
 
 
 class TestHessenberg:

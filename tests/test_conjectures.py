@@ -65,6 +65,21 @@ class TestVerifyGessel:
         with pytest.raises(ValueError):
             verify_gessel(-1)
 
+    def test_off_by_one_dp_is_caught(self, monkeypatch):
+        # the dp sequence is off by one at F(14; 0, 0), that is at n = 7
+        real = conjectures.counts_along
+
+        def bumped(m, n1, n2):
+            along = real(m, n1, n2)
+            along[14] += 1
+            return along
+
+        monkeypatch.setattr(conjectures, "counts_along", bumped)
+        check = verify_gessel(16)
+        assert not check.ok
+        cf = gessel_closed_form(7)
+        assert check.first_mismatch == (7, cf + 1, cf)
+
 
 class TestRecurrence:
     def test_coefficient_polynomials_factored(self):
@@ -97,6 +112,24 @@ class TestRecurrence:
         assert not check.holds
         assert check.first_failure is not None
         assert check.first_failure[0] in (4, 5, 6)
+
+    def test_default_g_reads_one_pass(self, monkeypatch):
+        # without an injected g the values come from the cone pass; bumping
+        # g(5) = F(11; 1, 0) there first breaks the residual at n = 4
+        real = conjectures.counts_along
+        calls = []
+
+        def bumped(m, n1, n2):
+            calls.append((m, n1, n2))
+            along = real(m, n1, n2)
+            along[11] += 1
+            return along
+
+        monkeypatch.setattr(conjectures, "counts_along", bumped)
+        check = verify_recurrence_g(10)
+        assert calls == [(21, 1, 0)]
+        bad = lambda n: default_g(n) + (n == 5)
+        assert check.first_failure == (4, recurrence_residual(4, bad))
 
     def test_rejects_zero_range(self):
         with pytest.raises(ValueError):

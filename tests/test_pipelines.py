@@ -24,6 +24,24 @@ def test_every_method_agrees_with_dp_or_refuses():
     assert all(answered.values()), answered
 
 
+@pytest.mark.parametrize(
+    "m, n1, n2",
+    [
+        (400, 0, 0),  # origin return
+        (202, 0, 1),  # F(2n; 0, 1)
+        (206, 200, 0), (201, 195, 0),  # horizontal family, excess 3
+        (206, 0, 100), (202, 0, 101),  # vertical family, excess 3 and 0
+        (230, 230, 0), (200, 60, 130),  # shortest walks
+    ],
+)
+def test_dp_cone_pass_against_closed_forms(m, n1, n2):
+    """Single dp counts at m >= 200, each against a closed form; none of
+    them grows the memo table."""
+    before = walks.shared_table().m_max
+    assert count(m, n1, n2, "dp") == count(m, n1, n2, "closed")
+    assert walks.shared_table().m_max == before
+
+
 def test_multisum_span_refusal_is_not_covered():
     with pytest.raises(NotCovered, match="chain explosion"):
         count(8, 0, 0, "multisum")

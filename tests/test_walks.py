@@ -8,6 +8,7 @@ from gesselwalks.walks import (
     WalkTable,
     build_f_matrix,
     count_walks,
+    counts_along,
     f_entry,
     f_tilde,
     reachable,
@@ -93,12 +94,6 @@ class TestWalkTable:
         assert t.m_max == 6
         assert t.value(6, 0, 0) == 85
 
-    def test_dropped_layers(self):
-        t = WalkTable(8, keep_layers=False)
-        assert t.value(8, 0, 0) == 782
-        with pytest.raises(ValueError):
-            t.value(6, 0, 0)
-
     def test_out_of_range(self):
         t = WalkTable(2)
         with pytest.raises(ValueError):
@@ -142,21 +137,47 @@ class TestWalkTable:
         for n in range(111):
             assert count_walks(2 * n, 0, 0) == gessel_closed_form(n)
 
-    def test_dropped_layers_while_growing(self):
-        t = WalkTable(0, keep_layers=False)
-        for m in range(1, 31):
-            t.extend(m)
-        assert {m for m, _, _, _ in t.nonzero_records()} == {30}
-        assert t.value(30, 0, 0) == count_walks(30, 0, 0)
-        with pytest.raises(ValueError):
-            t.value(29, 1, 0)
-
     def test_value_outside_columns_is_zero(self):
         t = WalkTable(5)
         assert t.value(5, -1, 0) == 0
         assert t.value(5, 6, 0) == 0
         assert t.value(5, 1, -1) == 0
         assert t.value(5, 1, 40) == 0
+
+
+class TestCountsAlong:
+    def test_matches_memo_table(self):
+        # every target in and beyond the support box for m <= 40, including
+        # the unreachable ones, and the whole sequence t = 0..m at each
+        table = WalkTable(40)
+        for m in range(41):
+            for n1 in range(m + 2):
+                for n2 in range(m + 2):
+                    expected = [table.value(t, n1, n2) for t in range(m + 1)]
+                    assert counts_along(m, n1, n2) == expected, (m, n1, n2)
+
+    def test_origin_sequence_against_closed_form(self):
+        along = counts_along(240, 0, 0)
+        assert along[-1].bit_length() > 400
+        for t in range(241):
+            assert along[t] == (gessel_closed_form(t // 2) if t % 2 == 0 else 0)
+
+    @pytest.mark.parametrize(
+        "n1, n2", [(250, 0), (230, 70), (200, 200), (60, 130), (3000, 0)]
+    )
+    def test_shortest_walks(self, n1, n2):
+        length, ways = shortest_walk(n1, n2)
+        assert length >= 200
+        along = counts_along(length, n1, n2)
+        assert along[-1] == ways
+        assert not any(along[:-1])
+
+    def test_out_of_reach_and_negative(self):
+        assert counts_along(9, 10, 0) == [0] * 10
+        assert counts_along(9, 2, 6) == [0] * 10
+        assert counts_along(4, -1, 0) == [0] * 5
+        assert counts_along(-1, 0, 0) == []
+        assert counts_along(0, 0, 0) == [1]
 
 
 class TestShortestWalk:
