@@ -8,104 +8,73 @@ and knows which targets each covers.  Truncated trivariate series checks
 of the functional equations live in ``series`` and the conjecture fits in
 ``conjectures``.  Everything is integer or rational arithmetic; nothing is
 floating point.
+
+Each public name below is imported from its submodule on first use, so a
+caller that needs one pipeline loads only the modules behind it.
 """
 
-from .conjectures import (
-    FitError,
-    FitFamily,
-    PolyFit,
-    fit_family,
-    fit_report,
-    verify_family_claims,
-    verify_gessel,
-    verify_recurrence_g,
-)
-from .exact import (
-    ClosedFormFamily,
-    binom_general,
-    catalan,
-    conjectured_value,
-    gessel_closed_form,
-    pochhammer,
-)
-from .pipelines import NotCovered, count
-from .series import (
-    CheckReport,
-    TruncSeries3,
-    build_G,
-    build_H,
-    build_K,
-    verify_H_equation,
-    verify_kernel_equation,
-    verify_root_identity,
-    x_of_yz,
-)
-from .triangular import (
-    RHS_INDEX,
-    gessel_via_determinant,
-    hessenberg_det,
-    hessenberg_for,
-    inverse_entry_multisum,
-    rho,
-    rho_inv,
-    solve_forward,
-    universal_sequence,
-)
-from .walks import (
-    FMatrix,
-    WalkTable,
-    build_f_matrix,
-    count_walks,
-    f_entry,
-    f_tilde,
-    reachable,
-    shortest_walk,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "count",
-    "NotCovered",
-    "reachable",
-    "count_walks",
-    "shortest_walk",
-    "f_tilde",
-    "f_entry",
-    "build_f_matrix",
-    "FMatrix",
-    "WalkTable",
-    "binom_general",
-    "pochhammer",
-    "catalan",
-    "gessel_closed_form",
-    "ClosedFormFamily",
-    "conjectured_value",
-    "TruncSeries3",
-    "CheckReport",
-    "build_G",
-    "build_K",
-    "build_H",
-    "x_of_yz",
-    "verify_kernel_equation",
-    "verify_H_equation",
-    "verify_root_identity",
-    "rho",
-    "rho_inv",
-    "RHS_INDEX",
-    "solve_forward",
-    "hessenberg_for",
-    "hessenberg_det",
-    "gessel_via_determinant",
-    "inverse_entry_multisum",
-    "universal_sequence",
-    "FitError",
-    "FitFamily",
-    "PolyFit",
-    "fit_family",
-    "fit_report",
-    "verify_family_claims",
-    "verify_gessel",
-    "verify_recurrence_g",
-]
+# public name -> the submodule that defines it
+_HOME = {
+    "count": "pipelines",
+    "NotCovered": "pipelines",
+    "reachable": "walks",
+    "count_walks": "walks",
+    "shortest_walk": "walks",
+    "f_tilde": "walks",
+    "f_entry": "walks",
+    "build_f_matrix": "walks",
+    "FMatrix": "walks",
+    "WalkTable": "walks",
+    "binom_general": "exact",
+    "pochhammer": "exact",
+    "catalan": "exact",
+    "gessel_closed_form": "exact",
+    "ClosedFormFamily": "exact",
+    "conjectured_value": "exact",
+    "TruncSeries3": "series",
+    "CheckReport": "series",
+    "build_G": "series",
+    "build_K": "series",
+    "build_H": "series",
+    "x_of_yz": "series",
+    "verify_kernel_equation": "series",
+    "verify_H_equation": "series",
+    "verify_root_identity": "series",
+    "rho": "triangular",
+    "rho_inv": "triangular",
+    "RHS_INDEX": "triangular",
+    "solve_forward": "triangular",
+    "hessenberg_for": "triangular",
+    "hessenberg_det": "triangular",
+    "gessel_via_determinant": "triangular",
+    "inverse_entry_multisum": "triangular",
+    "universal_sequence": "triangular",
+    "FitError": "conjectures",
+    "FitFamily": "conjectures",
+    "PolyFit": "conjectures",
+    "fit_family": "conjectures",
+    "fit_report": "conjectures",
+    "verify_family_claims": "conjectures",
+    "verify_gessel": "conjectures",
+    "verify_recurrence_g": "conjectures",
+}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

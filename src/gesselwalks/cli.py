@@ -7,6 +7,10 @@ determinant windows (``hessenberg``).  Every subcommand but ``verify``,
 which always prints JSON, honours ``--format {text,json,csv}``.
 
 Exit codes: 0 success, 1 a verification or fit failed, 2 usage error.
+
+Only ``pipelines`` is imported up front, for the parser's choices; each
+subcommand imports the library modules it calls, so a child process that
+runs one subcommand loads no others.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ import itertools
 import json
 import sys
 from operator import itemgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import conjectures, pipelines, series, triangular, walks
+from . import pipelines
+
+if TYPE_CHECKING:
+    from .series import CheckReport
 
 __all__ = ["main", "console_main", "UsageError"]
 
@@ -71,7 +78,7 @@ def _mismatch_json(mm):
     return {"monomial": list(mono), "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _series_report(suite: str, caps, report: series.CheckReport) -> dict:
+def _series_report(suite: str, caps, report: CheckReport) -> dict:
     if report.compared == 0:
         raise UsageError(
             f"--caps {','.join(map(str, caps))} leave the {suite} check nothing "
@@ -103,6 +110,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_max = args.N if args.N is not None else 16
         if n_max < 0:
             raise UsageError("--N must be nonnegative for suite gessel")
+        from . import conjectures
         check = conjectures.verify_gessel(n_max)
         mm = check.first_mismatch
         report = {
@@ -113,12 +121,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 None if mm is None else {"n": mm[0], "dp": str(mm[1]), "closed": str(mm[2])}
             ),
         }
-    elif args.suite == "kernel":
-        report = _series_report("kernel", caps, series.verify_kernel_equation(caps))
-    elif args.suite == "hkernel":
-        report = _series_report("hkernel", caps, series.verify_H_equation(caps))
-    elif args.suite == "root":
-        report = _series_report("root", caps, series.verify_root_identity(caps))
+    elif args.suite in ("kernel", "hkernel", "root"):
+        from . import series
+        check = {
+            "kernel": series.verify_kernel_equation,
+            "hkernel": series.verify_H_equation,
+            "root": series.verify_root_identity,
+        }[args.suite]
+        report = _series_report(args.suite, caps, check(caps))
     elif args.suite == "cross_pipeline":
         k_max = args.k_max if args.k_max is not None else 200
         if k_max < 0:
@@ -128,6 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_max = args.N if args.N is not None else 30
         if n_max < 1:
             raise UsageError("--N must be at least 1 for suite recurrence_g")
+        from . import conjectures
         check = conjectures.verify_recurrence_g(n_max)
         report = {
             "suite": "recurrence_g",
@@ -140,6 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ),
         }
     else:
+        from . import conjectures
         report = conjectures.verify_families()
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
@@ -150,6 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_universal(args: argparse.Namespace) -> int:
     if args.i < 1:
         raise UsageError("--i must be at least 1")
+    from . import triangular
     seq = triangular.universal_sequence(args.i)
     if args.format == "json":
         print(json.dumps({"i": args.i, "length": len(seq), "values": seq}))
@@ -163,6 +176,7 @@ def cmd_universal(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from . import conjectures
     family = conjectures.FitFamily(args.family)
     try:
         fit = conjectures.fit_family(family, args.k, held_out=args.held_out)
@@ -192,6 +206,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.m_max < 0:
         raise UsageError("--m-max must be nonnegative")
+    from . import walks
     table = walks.shared_table()
     table.extend(args.m_max)
     # one f-string per record and one write per layer; the bytes are those of
@@ -211,6 +226,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_hessenberg(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
+    from . import triangular
     k = triangular.origin_index(args.n)
     h = triangular.hessenberg_for(k)
     if args.dump:

@@ -7,10 +7,9 @@ their claimed structure, and the family suite that runs all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import ClosedFormFamily, conjectured_value, gessel_closed_form, pochhammer
 from .walks import count_walks, counts_along, f_tilde
@@ -42,8 +41,7 @@ class FitError(ValueError):
     """An ansatz could not be fitted or failed held-out validation."""
 
 
-@dataclass(frozen=True)
-class GesselCheck:
+class GesselCheck(NamedTuple):
     n_max: int
     ok: bool
     first_mismatch: tuple[int, int, Fraction] | None  # (n, oracle, closed form)
@@ -104,8 +102,7 @@ def recurrence_residual(n: int, g: Callable[[int], int] | None = None) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class RecurrenceCheck:
+class RecurrenceCheck(NamedTuple):
     order: int
     coeff_polys: tuple[tuple[int, ...], ...]
     range_checked: int
@@ -141,8 +138,7 @@ class FitFamily(Enum):
     RT_K = "rt"  # boundary-transform vertical family f_tilde(2n+2k+1; 0, n)
 
 
-@dataclass(frozen=True)
-class PolyFit:
+class PolyFit(NamedTuple):
     """An exactly interpolated polynomial from one of the ansatz families,
     together with its validation record."""
 
@@ -269,8 +265,7 @@ def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
     return PolyFit(family, k, tuple(sol), tuple(samples), held_out)
 
 
-@dataclass(frozen=True)
-class FamilyClaims:
+class FamilyClaims(NamedTuple):
     """Which of the claimed structural properties a fit satisfies.
 
     Fields are None where the family carries no such claim.

@@ -6,14 +6,19 @@ target, so it runs a two-layer cone pass (``walks.counts_along``); the
 memo table behind ``walks.count_walks`` serves the callers that read many
 cells, such as ``verify_cross_pipeline``.  Other modules are called through
 their module attributes, never imported by name, so a wrapper installed on,
-say, ``walks.count_walks`` sees every call made from here.
+say, ``walks.count_walks`` sees every call made from here.  ``exact`` and
+``triangular`` are imported by the functions that call them, so a ``dp``
+count loads neither.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import exact, triangular, walks
+from . import walks
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["METHODS", "MAX_SPAN", "NotCovered", "count", "verify_cross_pipeline"]
 
@@ -33,10 +38,13 @@ def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN
     ``det`` and ``multisum`` the origin returns F(2n; 0, 0), and ``solve``
     the boundary points (n1 = 0 or n2 = 0).  ``multisum`` also refuses index
     chains whose span exceeds ``max_span``, since its work grows like 2^span.
-    Negative m, n1 or n2 are refused with one message whatever the method.
+    Negative m, n1 or n2, and a ``max_span`` below 1, are refused with one
+    message each whatever the method.
     """
     if m < 0 or n1 < 0 or n2 < 0:
         raise ValueError("m, n1, n2 must be nonnegative")
+    if max_span < 1:
+        raise ValueError("max_span must be at least 1")
     if method == "dp":
         return walks.counts_along(m, n1, n2)[-1] if walks.reachable(m, n1, n2) else 0
     if method == "closed":
@@ -48,6 +56,7 @@ def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN
     if n1 or n2 or m % 2:
         pipeline = "determinant" if method == "det" else "multiple-sum"
         raise NotCovered(f"the {pipeline} pipeline computes F(2n; 0, 0) only")
+    from . import triangular
     if method == "det":
         return triangular.gessel_via_determinant(m // 2)
     k = triangular.origin_index(m // 2)
@@ -69,6 +78,7 @@ def _as_int(value: Fraction, what: str) -> int:
 
 def _count_closed(m: int, n1: int, n2: int) -> int:
     """Walk count from a proven or printed closed form, when one applies."""
+    from . import exact
     if not walks.reachable(m, n1, n2):
         return 0
     length, ways = walks.shortest_walk(n1, n2)
@@ -98,6 +108,7 @@ def _count_closed(m: int, n1: int, n2: int) -> int:
 
 def _count_solve(m: int, n1: int, n2: int) -> int:
     """Boundary count recovered from the forward-solved triangular system."""
+    from . import triangular
     if n1 and n2:
         raise NotCovered(
             "the triangular solve recovers boundary counts only (n1 = 0 or n2 = 0)"
@@ -121,6 +132,7 @@ def _count_solve(m: int, n1: int, n2: int) -> int:
 def verify_cross_pipeline(k_max: int) -> dict:
     """JSON-ready report: every solved x(k), k <= k_max, against the boundary
     matrix entry it packs, then dp, det and solve at each origin index."""
+    from . import triangular
     system = triangular.solve_forward(k_max)
     checked = 0
     first = None

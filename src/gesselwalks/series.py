@@ -8,8 +8,7 @@ horizontal coordinate, z the vertical coordinate of the walk series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .walks import count_walks
 
@@ -37,8 +36,7 @@ Caps = tuple[int, int, int]
 Mono = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class TruncSeries3:
+class TruncSeries3(NamedTuple):
     """Immutable truncated series.  Invariants: every stored exponent is
     within the caps and every stored coefficient is nonzero; construction
     goes through ``make_series`` which enforces both."""
@@ -175,8 +173,7 @@ def build_H(caps: Caps, G: TruncSeries3 | None = None) -> TruncSeries3:
     return series_add(series_mul(build_K(caps), G), monomial(caps, 0, 1, 1))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Result of one functional-equation check.
 
     ``window`` is the inclusive exponent box actually compared and

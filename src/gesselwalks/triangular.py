@@ -6,8 +6,7 @@ inversion, and the universal row segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import binom_general
 from .walks import f_entry
@@ -93,8 +92,7 @@ def system_rhs(n: int) -> int:
     return 1 if n == RHS_INDEX else 0
 
 
-@dataclass(frozen=True)
-class TriSystem:
+class TriSystem(NamedTuple):
     """Solved prefix of the infinite packed system A x = b."""
 
     k_max: int
@@ -147,8 +145,7 @@ def solve_forward(k_max: int) -> TriSystem:
     return TriSystem(k_max, tuple(x))
 
 
-@dataclass(frozen=True)
-class HessenbergMatrix:
+class HessenbergMatrix(NamedTuple):
     """Lower-Hessenberg integer matrix with unit superdiagonal and zeros
     above it."""
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "reachable",
@@ -280,8 +279,7 @@ def f_entry(i: int, j: int) -> int:
     return f_tilde(j, i - j, 0)
 
 
-@dataclass(frozen=True)
-class FMatrix:
+class FMatrix(NamedTuple):
     """The packed boundary-count matrix materialized on [0, size]^2."""
 
     size: int

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gesselwalks import cli
+from gesselwalks import cli, walks
 from gesselwalks.walks import WalkTable
 from oracles import H24_ROWS
 
@@ -59,6 +59,14 @@ class TestCount:
         assert code == 2
         assert "limit 4" in err
 
+    def test_max_span_below_one_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "count", "--m", "0", "--method", "multisum", "--max-span", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_span must be at least 1\n"
+
     def test_solve_boundary(self, capsys):
         code, out, _ = run_cli(
             capsys, "count", "--m", "9", "--n1", "3", "--method", "solve"
@@ -85,7 +93,7 @@ class TestCount:
             capsys, "count", "--m", "5", "--n1", "1", "--method", "closed"
         )
         assert code == 0
-        dp = cli.walks.count_walks(5, 1, 0)
+        dp = walks.count_walks(5, 1, 0)
         assert out.split()[0] == str(dp)
 
     def test_closed_uncovered(self, capsys):

@@ -1,0 +1,114 @@
+"""What each subcommand imports, and the package's lazily resolved names.
+
+Each case runs in a fresh interpreter, since this test session has already
+imported every module of the package.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import gesselwalks
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SUBMODULES = ("walks", "exact", "series", "triangular", "conjectures", "pipelines")
+
+# modules that only other subcommands need
+BEYOND_DP = {
+    "dataclasses", "inspect", "fractions", "gesselwalks.exact",
+    "gesselwalks.triangular", "gesselwalks.series", "gesselwalks.conjectures",
+}
+BEYOND_DETERMINANT = {"dataclasses", "gesselwalks.series", "gesselwalks.conjectures"}
+
+
+def run_fresh(code: str):
+    """Run code in a new interpreter with only src on PYTHONPATH; return the
+    JSON value it prints last."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["count", "--m", "40", "--n1", "2"], BEYOND_DP),
+        (["count", "--m", "6", "--method", "det"], BEYOND_DETERMINANT),
+        (["hessenberg", "--n", "1"], BEYOND_DETERMINANT),
+        (["count", "--m", "6", "--method", "closed"], {"dataclasses"}),
+        (["count", "--m", "6", "--method", "solve"], {"dataclasses"}),
+        (["verify", "--suite", "gessel", "--N", "5"], {"dataclasses"}),
+        (["verify", "--suite", "kernel", "--caps", "4,4,4"], {"dataclasses"}),
+        (["verify", "--suite", "cross_pipeline", "--k-max", "20"], {"dataclasses"}),
+        (["verify", "--suite", "families"], {"dataclasses"}),
+        (["universal", "--i", "2"], {"dataclasses"}),
+        (["fit", "--family", "r", "--k", "1"], {"dataclasses"}),
+        (["table", "--m-max", "3"], {"dataclasses"}),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(argv, absent):
+    """Modules loaded by the package are those of the subcommand; a module
+    already loaded at interpreter start-up is not the package's doing."""
+    loaded = run_fresh(f"""
+        import contextlib, io, json, sys
+        before = set(sys.modules)
+        from gesselwalks import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main({argv!r})
+        print(json.dumps([status, sorted(set(sys.modules) - before)]))
+    """)
+    status, new = loaded
+    assert status == 0
+    assert "gesselwalks.cli" in new
+    assert absent.isdisjoint(new), sorted(absent.intersection(new))
+
+
+def test_star_import_binds_each_name_to_its_home():
+    """A public name's home is the one submodule whose ``__all__`` lists it."""
+    version, homes = run_fresh(f"""
+        import importlib, json
+        namespace = {{}}
+        exec("from gesselwalks import *", namespace)
+        import gesselwalks
+        modules = [importlib.import_module("gesselwalks." + sub) for sub in {SUBMODULES!r}]
+        homes = {{
+            name: [
+                m.__name__ for m in modules
+                if name in m.__all__ and getattr(m, name) is namespace[name]
+            ]
+            for name in gesselwalks.__all__ if name != "__version__"
+        }}
+        print(json.dumps([namespace["__version__"], homes]))
+    """)
+    assert version == gesselwalks.__version__
+    assert {name: subs for name, subs in homes.items() if len(subs) != 1} == {}
+
+
+def test_dir_lists_public_names_and_unknown_names_raise():
+    result = run_fresh("""
+        import json, sys
+        import gesselwalks
+        listed = set(gesselwalks.__all__) <= set(dir(gesselwalks))
+        loaded_by_dir = sorted(m for m in sys.modules if m.startswith("gesselwalks."))
+        try:
+            gesselwalks.no_such_name
+        except AttributeError as exc:
+            message = str(exc)
+        else:
+            message = None
+        print(json.dumps([listed, loaded_by_dir, message]))
+    """)
+    listed, loaded_by_dir, message = result
+    assert listed
+    assert loaded_by_dir == []
+    assert message == "module 'gesselwalks' has no attribute 'no_such_name'"

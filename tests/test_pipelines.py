@@ -59,3 +59,11 @@ def test_negative_targets_refused_alike(method):
         with pytest.raises(ValueError, match=r"^m, n1, n2 must be nonnegative$") as info:
             count(*target, method)
         assert not isinstance(info.value, NotCovered)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_max_span_below_one_refused_alike(method):
+    for span in (0, -7):
+        with pytest.raises(ValueError, match=r"^max_span must be at least 1$") as info:
+            count(4, 0, 0, method, max_span=span)
+        assert not isinstance(info.value, NotCovered)
