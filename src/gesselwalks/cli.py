@@ -3,8 +3,9 @@
 Subcommands cover the four counting pipelines (``count``), the verification
 suites (``verify``), the universal row segments (``universal``), the
 polynomial family fits (``fit``), bulk table export (``table``) and the
-determinant windows (``hessenberg``).  Every subcommand but ``verify``,
-which always prints JSON, honours ``--format {text,json,csv}``.
+determinant windows (``hessenberg``).  ``verify`` always prints JSON.  The
+others take ``--format {text,json,csv}``; for ``text``, ``table`` prints
+JSON lines and ``hessenberg --dump`` prints csv rows.
 
 Exit codes: 0 success, 1 a verification or fit failed, 2 usage error.
 
@@ -20,19 +21,32 @@ import csv
 import itertools
 import json
 import sys
+from functools import partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
 from . import pipelines
-
-if TYPE_CHECKING:
-    from .series import CheckReport
 
 __all__ = ["main", "console_main", "UsageError"]
 
 
 class UsageError(Exception):
     """Bad arguments or an unsupported combination; exits with status 2."""
+
+
+def _emit(fmt: str, text: str | None, record: dict | Callable[[], dict],
+          rows: Sequence[Sequence] | None = None, indent: int | None = None) -> None:
+    """Print one result as ``text``, as ``record`` in one JSON object (a
+    function building it is called only then), or as csv ``rows``, by default
+    the record's keys over its values; with no ``text``, text prints the rows."""
+    if fmt == "json":
+        print(json.dumps(record() if callable(record) else record, indent=indent))
+    elif fmt == "csv" or text is None:
+        if rows is None:
+            rows = [list(record), list(record.values())]
+        csv.writer(sys.stdout).writerows(rows)
+    else:
+        print(text)
 
 
 # ---------------------------------------------------------------- count
@@ -43,16 +57,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         value = pipelines.count(m, n1, n2, args.method, args.max_span)
     except ValueError as exc:  # a negative target, or NotCovered
         raise UsageError(str(exc)) from None
-    if args.format == "json":
-        print(json.dumps(
-            {"m": m, "n1": n1, "n2": n2, "method": args.method, "F": str(value)}
-        ))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["m", "n1", "n2", "method", "F"])
-        w.writerow([m, n1, n2, args.method, value])
-    else:
-        print(f"{value}  method={args.method}")
+    _emit(args.format, f"{value}  method={args.method}",
+          {"m": m, "n1": n1, "n2": n2, "method": args.method, "F": str(value)})
     return 0
 
 
@@ -63,96 +69,93 @@ def _parse_caps(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise UsageError("--caps wants three comma-separated integers, e.g. 10,10,10")
     try:
-        dx, dy, dz = (int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError:
         raise UsageError(f"bad --caps value {text!r}") from None
-    if min(dx, dy, dz) < 0:
-        raise UsageError("--caps must be nonnegative")
-    return dx, dy, dz
 
 
-def _mismatch_json(mm):
-    if mm is None:
+def _first(found, *names) -> dict | None:
+    """A suite's first counterexample: where it is, then its values as strings."""
+    if found is None:
         return None
-    mono, lhs, rhs = mm
-    return {"monomial": list(mono), "lhs": str(lhs), "rhs": str(rhs)}
+    return dict(zip(names, [found[0], *map(str, found[1:])]))
 
 
-def _series_report(suite: str, caps, report: CheckReport) -> dict:
+def _gessel(n_max: int) -> dict:
+    from . import conjectures
+    check = conjectures.verify_gessel(n_max)
+    return {"suite": "gessel", "n_max": check.n_max, "ok": check.ok,
+            "first_mismatch": _first(check.first_mismatch, "n", "dp", "closed")}
+
+
+def _series(suite: str, check: str, caps: tuple[int, int, int]) -> dict:
+    """The report of the three series suites; ``check`` names the ``series``
+    function that runs one."""
+    from . import series
+    report = getattr(series, check)(caps)
     if report.compared == 0:
         raise UsageError(
             f"--caps {','.join(map(str, caps))} leave the {suite} check nothing "
             f"to compare (window {','.join(map(str, report.window))})"
         )
-    return {
-        "suite": suite,
-        "caps": list(caps),
-        "ok": report.ok,
-        "window": list(report.window),
-        "compared": report.compared,
-        "first_mismatch": _mismatch_json(report.first_mismatch),
-    }
+    return {"suite": suite, "caps": caps, "ok": report.ok, "window": report.window,
+            "compared": report.compared,
+            "first_mismatch": _first(report.first_mismatch, "monomial", "lhs", "rhs")}
 
 
-# The one flag that sizes each suite; the suite refuses the other two.
-_SUITE_FLAG = {
-    "gessel": "--N", "kernel": "--caps", "hkernel": "--caps", "root": "--caps",
-    "cross_pipeline": "--k-max", "recurrence_g": "--N", "families": None,
+def _cross_pipeline(k_max: int) -> dict:
+    try:
+        return pipelines.verify_cross_pipeline(k_max)
+    except ValueError as exc:  # a k_max that would cross-check no count
+        raise UsageError(f"--k-max {k_max} refused: {exc}") from None
+
+
+def _recurrence_g(n_max: int) -> dict:
+    from . import conjectures
+    check = conjectures.verify_recurrence_g(n_max)
+    return {"suite": "recurrence_g", "range_checked": check.range_checked,
+            "ok": check.holds,
+            "first_failure": _first(check.first_failure, "n", "residual")}
+
+
+def _families(_: None) -> dict:
+    from . import conjectures
+    return conjectures.verify_families()
+
+
+# suite -> (the one flag that sizes it, the default size, the flag's lower
+# bound, the call that runs it); a suite refuses the other sizing flags
+_SUITES = {
+    "gessel": ("--N", 16, 0, _gessel),
+    "kernel": ("--caps", "10,10,10", 0,
+               partial(_series, "kernel", "verify_kernel_equation")),
+    "hkernel": ("--caps", "10,10,10", 0,
+                partial(_series, "hkernel", "verify_H_equation")),
+    "root": ("--caps", "10,10,10", 0,
+             partial(_series, "root", "verify_root_identity")),
+    "cross_pipeline": ("--k-max", 200, 0, _cross_pipeline),
+    "recurrence_g": ("--N", 30, 1, _recurrence_g),
+    "families": (None, None, None, _families),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    for flag, value in (("--N", args.N), ("--k-max", args.k_max), ("--caps", args.caps)):
-        if value is not None and flag != _SUITE_FLAG[args.suite]:
-            raise UsageError(f"{flag} does not apply to suite {args.suite}")
-    caps = _parse_caps(args.caps) if args.caps else (10, 10, 10)
-    if args.suite == "gessel":
-        n_max = args.N if args.N is not None else 16
-        if n_max < 0:
-            raise UsageError("--N must be nonnegative for suite gessel")
-        from . import conjectures
-        check = conjectures.verify_gessel(n_max)
-        mm = check.first_mismatch
-        report = {
-            "suite": "gessel",
-            "n_max": check.n_max,
-            "ok": check.ok,
-            "first_mismatch": (
-                None if mm is None else {"n": mm[0], "dp": str(mm[1]), "closed": str(mm[2])}
-            ),
-        }
-    elif args.suite in ("kernel", "hkernel", "root"):
-        from . import series
-        check = {
-            "kernel": series.verify_kernel_equation,
-            "hkernel": series.verify_H_equation,
-            "root": series.verify_root_identity,
-        }[args.suite]
-        report = _series_report(args.suite, caps, check(caps))
-    elif args.suite == "cross_pipeline":
-        k_max = args.k_max if args.k_max is not None else 200
-        if k_max < 0:
-            raise UsageError("--k-max must be nonnegative")
-        report = pipelines.verify_cross_pipeline(k_max)
-    elif args.suite == "recurrence_g":
-        n_max = args.N if args.N is not None else 30
-        if n_max < 1:
-            raise UsageError("--N must be at least 1 for suite recurrence_g")
-        from . import conjectures
-        check = conjectures.verify_recurrence_g(n_max)
-        report = {
-            "suite": "recurrence_g",
-            "range_checked": check.range_checked,
-            "ok": check.holds,
-            "first_failure": (
-                None
-                if check.first_failure is None
-                else {"n": check.first_failure[0], "residual": str(check.first_failure[1])}
-            ),
-        }
-    else:
-        from . import conjectures
-        report = conjectures.verify_families()
+    flag, default, low, run = _SUITES[args.suite]
+    given = {"--N": args.N, "--k-max": args.k_max, "--caps": args.caps}
+    for other, value in given.items():
+        if value is not None and other != flag:
+            raise UsageError(f"{other} does not apply to suite {args.suite}")
+    # an empty --caps asks for the default too
+    size = default if given.get(flag) in (None, "") else given[flag]
+    values = (size,)
+    if flag == "--caps":
+        size = values = _parse_caps(size)
+    if flag is not None and min(values) < low:
+        rule = "nonnegative" if low == 0 else f"at least {low}"
+        # --N sizes two suites, so its refusal names the suite
+        where = f" for suite {args.suite}" if flag == "--N" else ""
+        raise UsageError(f"{flag} must be {rule}{where}")
+    report = run(size)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -164,22 +167,17 @@ def cmd_universal(args: argparse.Namespace) -> int:
         raise UsageError("--i must be at least 1")
     from . import triangular
     seq = triangular.universal_sequence(args.i)
-    if args.format == "json":
-        print(json.dumps({"i": args.i, "length": len(seq), "values": seq}))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["i"] + [f"v{j}" for j in range(len(seq))])
-        w.writerow([args.i] + seq)
-    else:
-        print(", ".join(str(v) for v in seq))
+    _emit(args.format, ", ".join(str(v) for v in seq),
+          {"i": args.i, "length": len(seq), "values": seq},
+          [["i"] + [f"v{j}" for j in range(len(seq))], [args.i] + seq])
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     from . import conjectures
-    family = conjectures.FitFamily(args.family)
     try:
-        fit = conjectures.fit_family(family, args.k, held_out=args.held_out)
+        fit = conjectures.fit_family(conjectures.FitFamily(args.family), args.k,
+                                     held_out=args.held_out)
     except conjectures.FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
@@ -187,19 +185,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     claims = conjectures.verify_family_claims(fit)
     report = conjectures.fit_report(fit, claims)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["family", "k", "degree", "claims_ok", "coeffs"])
-        w.writerow(
-            [report["family"], report["k"], report["degree"], claims.ok,
-             " ".join(report["coeffs"])]
-        )
-    else:
-        coeffs = ", ".join(report["coeffs"])
-        print(f"{family.value}_{args.k}: degree {fit.degree}, coeffs [{coeffs}] "
-              f"(ascending), claims_ok={claims.ok}")
+    coeffs = report["coeffs"]
+    _emit(args.format,
+          f"{args.family}_{args.k}: degree {fit.degree}, coeffs [{', '.join(coeffs)}] "
+          f"(ascending), claims_ok={claims.ok}",
+          report,
+          [["family", "k", "degree", "claims_ok", "coeffs"],
+           [args.family, args.k, fit.degree, claims.ok, " ".join(coeffs)]],
+          indent=2)
     return 0 if claims.ok else 1
 
 
@@ -207,8 +200,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.m_max < 0:
         raise UsageError("--m-max must be nonnegative")
     from . import walks
-    table = walks.shared_table()
-    table.extend(args.m_max)
+    table = walks.WalkTable(args.m_max)
     # one f-string per record and one write per layer; the bytes are those of
     # csv.writer rows (\r\n line ends) and of json.dumps lines
     if args.format == "csv":
@@ -216,9 +208,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         line = "{},{},{},{}\r\n".format
     else:
         line = '{{"m": {}, "n1": {}, "n2": {}, "F": "{}"}}\n'.format
-    for m, records in itertools.groupby(table.nonzero_records(), itemgetter(0)):
-        if m > args.m_max:
-            break
+    for _, records in itertools.groupby(table.nonzero_records(), itemgetter(0)):
         sys.stdout.write("".join([line(*record) for record in records]))
     return 0
 
@@ -230,25 +220,14 @@ def cmd_hessenberg(args: argparse.Namespace) -> int:
     k = triangular.origin_index(args.n)
     h = triangular.hessenberg_for(k)
     if args.dump:
-        if args.format == "json":
-            print(json.dumps(
-                {"n": args.n, "k": k, "size": h.size,
-                 "entries": [[str(v) for v in row] for row in h.entries]}
-            ))
-        else:
-            w = csv.writer(sys.stdout)
-            for row in h.entries:
-                w.writerow(row)
-        return 0
-    det = triangular.hessenberg_det(h)
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "k": k, "size": h.size, "det": str(det)}))
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["n", "k", "size", "det"])
-        w.writerow([args.n, k, h.size, det])
+        _emit(args.format, None,
+              lambda: {"n": args.n, "k": k, "size": h.size,
+                       "entries": [[str(v) for v in row] for row in h.entries]},
+              h.entries)
     else:
-        print(f"det={det} size={h.size} k={k}")
+        det = triangular.hessenberg_det(h)
+        _emit(args.format, f"det={det} size={h.size} k={k}",
+              {"n": args.n, "k": k, "size": h.size, "det": str(det)})
     return 0
 
 
@@ -283,14 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=_SUITE_FLAG)
+    p.add_argument("--suite", required=True, choices=_SUITES)
     p.add_argument("--N", type=int, default=None,
                    help="range for gessel / recurrence_g")
     p.add_argument("--k-max", type=int, default=None,
-                   help="system size for cross_pipeline (default 200)")
+                   help="system size for cross_pipeline "
+                        f"(default {_SUITES['cross_pipeline'][1]})")
     p.add_argument("--caps", default=None,
                    help="series caps dx,dy,dz for the kernel suites "
-                        "(default 10,10,10)")
+                        f"(default {_SUITES['kernel'][1]})")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("universal", parents=[common],

@@ -115,24 +115,32 @@ def _count_solve(m: int, n1: int, n2: int) -> int:
         )
     if not walks.reachable(m, n1, n2):
         return 0
+    # the unknowns hold f_tilde(m + 1; ., .), the one-step shift of F(m; ., .)
+    k_max = triangular.boundary_index(m + 1, n1, n2)
+    system = triangular.solve_forward(k_max)
     if n2 == 0:
-        k_max = triangular.rho(m + 1 + n1, m + 1)
-        system = triangular.solve_forward(k_max)
         return system.x[k_max]
     # F(m; 0, n2) telescopes out of the transformed axis values
-    k_max = triangular.rho(m + 1, m + 1 + n2)
-    system = triangular.solve_forward(k_max)
     total = 0
     for j in range(n2 + 1):
         sign = 1 if (n2 - j) % 2 == 0 else -1
-        total += sign * system.x[triangular.rho(m + 1, m + 1 + j)]
+        total += sign * system.x[triangular.boundary_index(m + 1, 0, j)]
     return total
 
 
 def verify_cross_pipeline(k_max: int) -> dict:
     """JSON-ready report: every solved x(k), k <= k_max, against the boundary
-    matrix entry it packs, then dp, det and solve at each origin index."""
+    matrix entry it packs, then dp, det and solve at each origin index.
+
+    A ``k_max`` below the first origin index is refused, since it would
+    leave dp, det and solve uncompared."""
     from . import triangular
+    first_origin = triangular.origin_index(0)
+    if k_max < first_origin:
+        raise ValueError(
+            f"k_max must be at least {first_origin}, the first origin index, "
+            "or no count is cross-checked"
+        )
     system = triangular.solve_forward(k_max)
     checked = 0
     first = None

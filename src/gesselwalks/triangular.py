@@ -15,6 +15,7 @@ __all__ = [
     "rho",
     "rho_inv",
     "RHS_INDEX",
+    "boundary_index",
     "origin_index",
     "coefficient_c",
     "system_entry",
@@ -53,12 +54,20 @@ def rho_inv(n: int) -> tuple[int, int]:
 RHS_INDEX = rho(1, 1)  # the single equation with a nonzero right-hand side
 
 
+def boundary_index(m: int, n1: int, n2: int) -> int:
+    """Index rho(m + n1, m + n2) of the unknown that holds f_tilde(m; n1, n2),
+    for a cell on either axis; interior cells have no unknown."""
+    if n1 and n2:
+        raise ValueError("only axis cells (n1 = 0 or n2 = 0) have an unknown")
+    return rho(m + n1, m + n2)
+
+
 def origin_index(n: int) -> int:
-    """Index rho(2n+1, 2n+1) of the unknown that holds the origin count
-    F(2n; 0, 0).  n = 0 gives RHS_INDEX."""
+    """Index of the unknown f_tilde(2n+1; 0, 0) = F(2n; 0, 0), the origin
+    count.  n = 0 gives RHS_INDEX."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return rho(2 * n + 1, 2 * n + 1)
+    return boundary_index(2 * n + 1, 0, 0)
 
 
 def coefficient_c(u: int, v: int, i: int, j: int) -> int:

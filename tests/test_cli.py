@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gesselwalks import cli, walks
+from gesselwalks import cli, triangular, walks
 from gesselwalks.walks import WalkTable
 from oracles import H24_ROWS
 
@@ -218,6 +218,12 @@ class TestVerify:
     def test_cross_pipeline_negative_k_refused(self, capsys):
         err = self.refused(capsys, "--suite", "cross_pipeline", "--k-max", "-1")
         assert "--k-max" in err
+
+    @pytest.mark.parametrize("k_max", ["0", "3"])
+    def test_cross_pipeline_k_below_first_origin_refused(self, capsys, k_max):
+        err = self.refused(capsys, "--suite", "cross_pipeline", "--k-max", k_max)
+        assert "--k-max" in err
+        assert f"at least {triangular.origin_index(0)}" in err
 
     def test_kernel_empty_window_refused(self, capsys):
         err = self.refused(capsys, "--suite", "kernel", "--caps", "1,1,1")

@@ -2,8 +2,8 @@
 
 import pytest
 
-from gesselwalks import walks
-from gesselwalks.pipelines import METHODS, NotCovered, count
+from gesselwalks import triangular, walks
+from gesselwalks.pipelines import METHODS, NotCovered, count, verify_cross_pipeline
 
 
 def test_every_method_agrees_with_dp_or_refuses():
@@ -67,3 +67,15 @@ def test_max_span_below_one_refused_alike(method):
         with pytest.raises(ValueError, match=r"^max_span must be at least 1$") as info:
             count(4, 0, 0, method, max_span=span)
         assert not isinstance(info.value, NotCovered)
+
+
+def test_cross_pipeline_refuses_a_size_that_compares_no_count():
+    """Below the first origin index no dp, det and solve row is compared, so
+    an "ok" there would check nothing."""
+    first = triangular.origin_index(0)
+    for k_max in (-1, 0, first - 1):
+        with pytest.raises(ValueError, match=f"at least {first}"):
+            verify_cross_pipeline(k_max)
+    report = verify_cross_pipeline(first)
+    assert report["ok"]
+    assert [row["n"] for row in report["gessel_indices"]] == [0]

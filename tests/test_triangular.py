@@ -10,6 +10,7 @@ from gesselwalks.triangular import (
     RHS_INDEX,
     HessenbergMatrix,
     _admitted_columns,
+    boundary_index,
     coefficient_c,
     gessel_via_determinant,
     hessenberg_det,
@@ -23,7 +24,7 @@ from gesselwalks.triangular import (
     system_rhs,
     universal_sequence,
 )
-from gesselwalks.walks import count_walks, f_entry
+from gesselwalks.walks import count_walks, f_entry, f_tilde
 from oracles import (
     GESSEL_NUMBERS,
     H24_ROWS,
@@ -66,6 +67,22 @@ class TestRho:
             assert origin_index(n) == rho(2 * n + 1, 2 * n + 1)
         with pytest.raises(ValueError):
             origin_index(-1)
+
+    def test_boundary_index_holds_f_tilde(self):
+        """Every axis cell with m, n1, n2 < 20 against the solved unknowns."""
+        cells = [
+            (m, n1, n2)
+            for m in range(20)
+            for a in range(20)
+            for n1, n2 in ((a, 0), (0, a))
+        ]
+        system = solve_forward(max(boundary_index(*cell) for cell in cells))
+        for cell in cells:
+            assert system.x[boundary_index(*cell)] == f_tilde(*cell), cell
+
+    def test_boundary_index_refuses_interior_cells(self):
+        with pytest.raises(ValueError, match="axis cells"):
+            boundary_index(5, 1, 1)
 
 
 class TestCoefficientC:
