@@ -145,8 +145,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for other, value in given.items():
         if value is not None and other != flag:
             raise UsageError(f"{other} does not apply to suite {args.suite}")
-    # an empty --caps asks for the default too
-    size = default if given.get(flag) in (None, "") else given[flag]
+    size = default if given.get(flag) is None else given[flag]
     values = (size,)
     if flag == "--caps":
         size = values = _parse_caps(size)

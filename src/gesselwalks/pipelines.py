@@ -152,20 +152,24 @@ def verify_cross_pipeline(k_max: int) -> dict:
             break
         checked += 1
     gessel_rows = []
-    n = 0
-    while first is None:
-        k = triangular.origin_index(n)
-        if k > k_max:
-            break
-        dp = walks.count_walks(2 * n, 0, 0)
-        det = triangular.gessel_via_determinant(n)
-        solved = system.x[k]
-        row = {"n": n, "k": k, "dp": str(dp), "det": str(det), "solve": str(solved)}
-        gessel_rows.append(row)
-        if not dp == det == solved:
-            first = row
-            break
-        n += 1
+    if first is None:
+        n_last = 0
+        while triangular.origin_index(n_last + 1) <= k_max:
+            n_last += 1
+        # the window of a smaller origin index is a leading block of the
+        # last one, so that window's leading minors hold every det
+        minors = triangular.hessenberg_minors(
+            triangular.hessenberg_for(triangular.origin_index(n_last)))
+        for n in range(n_last + 1):
+            k = triangular.origin_index(n)
+            dp = walks.count_walks(2 * n, 0, 0)
+            det = minors[k - triangular.RHS_INDEX]
+            solved = system.x[k]
+            row = {"n": n, "k": k, "dp": str(dp), "det": str(det), "solve": str(solved)}
+            gessel_rows.append(row)
+            if not dp == det == solved:
+                first = row
+                break
     return {
         "suite": "cross_pipeline",
         "k_max": k_max,

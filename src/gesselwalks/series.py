@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple
 
-from .walks import count_walks
+from . import walks
 
 __all__ = [
     "TruncSeries3",
@@ -78,23 +78,14 @@ def monomial(caps: Caps, ex: int, ey: int, ez: int, coef: int = 1) -> TruncSerie
 def bump_coeff(series: TruncSeries3, mono: Mono, delta: int = 1) -> TruncSeries3:
     """Copy of the series with one coefficient shifted by delta.  The
     negative controls in the functional-equation tests are built with this."""
-    items = dict(series.coeffs)
-    items[mono] = items.get(mono, 0) + delta
-    return make_series(series.caps, items)
+    return make_series(series.caps, [*series.coeffs.items(), (mono, delta)])
 
 
 def series_add(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
     """Sum of two series sharing the same caps."""
     if a.caps != b.caps:
         raise ValueError(f"cap mismatch: {a.caps} vs {b.caps}")
-    out = dict(a.coeffs)
-    for key, c in b.coeffs.items():
-        acc = out.get(key, 0) + c
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return TruncSeries3(a.caps, out)
+    return make_series(a.caps, [*a.coeffs.items(), *b.coeffs.items()])
 
 
 def series_sub(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
@@ -144,16 +135,10 @@ def _on_axes(a: TruncSeries3) -> TruncSeries3:
 
 
 def build_G(caps: Caps) -> TruncSeries3:
-    """Walk-count generating series up to the caps, filled from the oracle."""
-    dx, dy, dz = caps
-    items: dict[Mono, int] = {}
-    for m in range(dx + 1):
-        for n1 in range(m % 2, min(m, dy) + 1, 2):
-            for n2 in range(min((n1 + m) // 2, dz) + 1):
-                v = count_walks(m, n1, n2)
-                if v:
-                    items[(m, n1, n2)] = v
-    return TruncSeries3(caps, items)
+    """Walk-count generating series up to the caps, read from the nonzero
+    records of a dp table with dx layers."""
+    records = walks.WalkTable(caps[0]).nonzero_records()
+    return make_series(caps, (((m, n1, n2), v) for m, n1, n2, v in records))
 
 
 def build_K(caps: Caps) -> TruncSeries3:

@@ -24,6 +24,7 @@ __all__ = [
     "solve_forward",
     "HessenbergMatrix",
     "hessenberg_for",
+    "hessenberg_minors",
     "hessenberg_det",
     "gessel_via_determinant",
     "inverse_entry_multisum",
@@ -205,13 +206,14 @@ def hessenberg_for(k: int) -> HessenbergMatrix:
     return HessenbergMatrix(width, tuple(rows))
 
 
-def hessenberg_det(h: HessenbergMatrix) -> int:
-    """Determinant via the leading-minor recurrence, O(size^2) products:
+def hessenberg_minors(h: HessenbergMatrix) -> list[int]:
+    """Leading minors d_0, ..., d_size by the recurrence, O(size^2) products:
 
         d_r = sum over c < r of (-1)^(r-1-c) * entry(r-1, c) * d_c,  d_0 = 1.
 
     The unit superdiagonal collapses the cofactor expansion of the last row
-    of each leading block to this form.  The empty matrix has determinant 1.
+    of each leading block to this form.  The window of a smaller index is a
+    leading block of a larger one, so one window holds the dets of both.
     """
     minors = [1]
     for r in range(1, h.size + 1):
@@ -223,7 +225,12 @@ def hessenberg_det(h: HessenbergMatrix) -> int:
                 term = e * minors[c]
                 acc += term if (r - 1 - c) % 2 == 0 else -term
         minors.append(acc)
-    return minors[-1]
+    return minors
+
+
+def hessenberg_det(h: HessenbergMatrix) -> int:
+    """Determinant, the last leading minor (1 for the empty matrix)."""
+    return hessenberg_minors(h)[-1]
 
 
 def gessel_via_determinant(n: int) -> int:
@@ -245,21 +252,21 @@ def inverse_entry_multisum(
         (-1)^j * prod entries(l_t, l_{t-1}).
 
     The chain count grows like 2^(k-m-1), so spans beyond max_span are
-    refused rather than silently exploding; chains through a zero entry are
-    pruned, which changes nothing but the running time.
+    refused rather than silently exploding.  Each entry below the diagonal
+    is read once, and the chains walk only the nonzero ones.
     """
     if m < 0 or k <= m:
         raise ValueError("need k > m >= 0")
     if k - m > max_span:
         raise ValueError(f"chain explosion: span {k - m} exceeds the limit {max_span}")
+    # below[p]: the nonzero entries (q, entries(q, p)) of column p, m <= p < q <= k
+    below = {p: [(q, e) for q in range(p + 1, k + 1) if (e := entries(q, p))]
+             for p in range(m, k)}
     total = 0
 
     def extend(p: int, product: int, links: int) -> None:
         nonlocal total
-        for q in range(p + 1, k + 1):
-            e = entries(q, p)
-            if not e:
-                continue
+        for q, e in below[p]:
             piece = product * e
             if q == k:
                 # closing the chain makes links+1 factors in the product

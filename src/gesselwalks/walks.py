@@ -266,17 +266,15 @@ def f_tilde(m: int, n1: int, n2: int) -> int:
 
 
 def f_entry(i: int, j: int) -> int:
-    """Entry (i, j) of the packed boundary matrix.
-
-    Above the diagonal row i holds the vertical-axis transform values
-    f_tilde(i; 0, j-i); below it column j holds the horizontal-axis values
-    f_tilde(j; i-j, 0).  Both readings agree on the diagonal.
+    """Entry (i, j) of the packed boundary matrix: f_tilde(m; i-m, j-m) with
+    m = min(i, j), the axis cell whose unknown is rho(i, j) (the inverse of
+    ``triangular.boundary_index``).  Above the diagonal row i holds the
+    vertical-axis values, below it column j the horizontal-axis ones.
     """
     if i < 0 or j < 0:
         raise ValueError("f_entry needs nonnegative indices")
-    if i <= j:
-        return f_tilde(i, 0, j - i)
-    return f_tilde(j, i - j, 0)
+    m = min(i, j)
+    return f_tilde(m, i - m, j - m)
 
 
 class FMatrix(NamedTuple):

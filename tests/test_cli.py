@@ -248,6 +248,15 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["kernel", "hkernel", "root"])
+    def test_empty_caps_is_malformed_for_series_suites(self, capsys, suite):
+        err = self.refused(capsys, "--suite", suite, "--caps", "")
+        assert "--caps wants three comma-separated integers" in err
+
+    def test_empty_caps_refused_outside_series_suites(self, capsys):
+        err = self.refused(capsys, "--suite", "gessel", "--caps", "")
+        assert "--caps does not apply to suite gessel" in err
+
     def test_caps_refused_outside_series_suites(self, capsys):
         err = self.refused(capsys, "--suite", "gessel", "--caps", "1,1,1")
         assert "--caps does not apply to suite gessel" in err

@@ -113,6 +113,17 @@ class TestBuildG:
                 for n2 in range(6):
                     assert G.coeff((m, n1, n2)) == count_walks(m, n1, n2)
 
+    def test_unequal_caps_cut_each_axis(self):
+        caps = (9, 3, 5)
+        expected = {
+            (m, n1, n2): count_walks(m, n1, n2)
+            for m in range(10)
+            for n1 in range(4)
+            for n2 in range(6)
+            if count_walks(m, n1, n2)
+        }
+        assert build_G(caps) == make_series(caps, expected)
+
 
 class TestKernel:
     def test_K_has_five_monomials(self):

@@ -15,6 +15,7 @@ from gesselwalks.triangular import (
     gessel_via_determinant,
     hessenberg_det,
     hessenberg_for,
+    hessenberg_minors,
     inverse_entry_multisum,
     origin_index,
     rho,
@@ -190,6 +191,14 @@ class TestHessenberg:
     def test_det_24_against_gauss(self):
         assert gauss_det([list(r) for r in H24_ROWS]) == 2
 
+    def test_minors_of_one_window_hold_every_origin_det(self):
+        # origin_index(11) = 1104; every smaller origin window is a leading block
+        minors = hessenberg_minors(hessenberg_for(origin_index(11)))
+        assert len(minors) == origin_index(11) - RHS_INDEX + 1
+        for n in range(12):
+            assert minors[origin_index(n) - RHS_INDEX] == gessel_via_determinant(n), n
+        assert minors[-1] == GESSEL_NUMBERS[11]
+
 
 class TestGesselViaDeterminant:
     def test_first_values(self):
@@ -242,6 +251,20 @@ class TestMultisum:
             inverse_entry_multisum(24, 4, system_entry)
         with pytest.raises(ValueError, match="chain explosion"):
             inverse_entry_multisum(60, 4, system_entry, max_span=30)
+
+    def test_reads_each_entry_once(self):
+        # the packed system at m = 6: span 108, value F(6; 0, 0) = 85
+        k = origin_index(3)
+        span = k - RHS_INDEX
+        reads = []
+
+        def entries(r, c):
+            reads.append((r, c))
+            return system_entry(r, c)
+
+        assert span == 108
+        assert inverse_entry_multisum(k, RHS_INDEX, entries, max_span=span) == 85
+        assert len(reads) == len(set(reads)) <= span * (span + 1) // 2
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
