@@ -217,16 +217,17 @@ def cmd_hessenberg(args: argparse.Namespace) -> int:
         raise UsageError("--n must be nonnegative")
     from . import triangular
     k = triangular.origin_index(args.n)
-    h = triangular.hessenberg_for(k)
     if args.dump:
+        h = triangular.hessenberg_for(k)
         _emit(args.format, None,
               lambda: {"n": args.n, "k": k, "size": h.size,
                        "entries": [[str(v) for v in row] for row in h.entries]},
               h.entries)
     else:
-        det = triangular.hessenberg_det(h)
-        _emit(args.format, f"det={det} size={h.size} k={k}",
-              {"n": args.n, "k": k, "size": h.size, "det": str(det)})
+        minors = triangular.window_minors(k)
+        det, size = minors[-1], len(minors) - 1
+        _emit(args.format, f"det={det} size={size} k={k}",
+              {"n": args.n, "k": k, "size": size, "det": str(det)})
     return 0
 
 

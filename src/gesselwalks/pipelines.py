@@ -4,11 +4,15 @@ A method that does not cover a target raises ``NotCovered``; that refusal
 is the coverage rule, stated nowhere else.  A ``dp`` count asks for one
 target, so it runs a two-layer cone pass (``walks.counts_along``); the
 memo table behind ``walks.count_walks`` serves the callers that read many
-cells, such as ``verify_cross_pipeline``.  Other modules are called through
-their module attributes, never imported by name, so a wrapper installed on,
-say, ``walks.count_walks`` sees every call made from here.  ``exact`` and
-``triangular`` are imported by the functions that call them, so a ``dp``
-count loads neither.
+cells, such as ``verify_cross_pipeline``.  Likewise a ``solve`` count
+solves only the rows its target depends on (``triangular.solve_cone``),
+while ``verify_cross_pipeline`` solves every row of the prefix it checks;
+every determinant here comes from a window's nonzero cells
+(``triangular.window_minors``), never from the dense window.  Other modules
+are called through their module attributes, never imported by name, so a
+wrapper installed on, say, ``walks.count_walks`` sees every call made from
+here.  ``exact`` and ``triangular`` are imported by the functions that call
+them, so a ``dp`` count loads neither.
 """
 
 from __future__ import annotations
@@ -116,15 +120,15 @@ def _count_solve(m: int, n1: int, n2: int) -> int:
     if not walks.reachable(m, n1, n2):
         return 0
     # the unknowns hold f_tilde(m + 1; ., .), the one-step shift of F(m; ., .)
-    k_max = triangular.boundary_index(m + 1, n1, n2)
-    system = triangular.solve_forward(k_max)
+    k = triangular.boundary_index(m + 1, n1, n2)
+    x = triangular.solve_cone(k)
     if n2 == 0:
-        return system.x[k_max]
-    # F(m; 0, n2) telescopes out of the transformed axis values
+        return x[k]
+    # F(m; 0, n2) telescopes out of the transformed axis values, all in the cone
     total = 0
     for j in range(n2 + 1):
         sign = 1 if (n2 - j) % 2 == 0 else -1
-        total += sign * system.x[triangular.boundary_index(m + 1, 0, j)]
+        total += sign * x[triangular.boundary_index(m + 1, 0, j)]
     return total
 
 
@@ -132,14 +136,16 @@ def verify_cross_pipeline(k_max: int) -> dict:
     """JSON-ready report: every solved x(k), k <= k_max, against the boundary
     matrix entry it packs, then dp, det and solve at each origin index.
 
-    A ``k_max`` below the first origin index is refused, since it would
-    leave dp, det and solve uncompared."""
+    A ``k_max`` below the origin index of n = 1 is refused: dp, det and
+    solve would then be compared at n = 0 only, where all three are 1 by
+    construction (an empty window, the right-hand side), so an "ok" would
+    check nothing."""
     from . import triangular
-    first_origin = triangular.origin_index(0)
-    if k_max < first_origin:
+    floor = triangular.origin_index(1)
+    if k_max < floor:
         raise ValueError(
-            f"k_max must be at least {first_origin}, the first origin index, "
-            "or no count is cross-checked"
+            f"k_max must be at least {floor}, the origin index of n = 1, "
+            "or only the n = 0 row, 1 by construction, is cross-checked"
         )
     system = triangular.solve_forward(k_max)
     checked = 0
@@ -158,8 +164,7 @@ def verify_cross_pipeline(k_max: int) -> dict:
             n_last += 1
         # the window of a smaller origin index is a leading block of the
         # last one, so that window's leading minors hold every det
-        minors = triangular.hessenberg_minors(
-            triangular.hessenberg_for(triangular.origin_index(n_last)))
+        minors = triangular.window_minors(triangular.origin_index(n_last))
         for n in range(n_last + 1):
             k = triangular.origin_index(n)
             dp = walks.count_walks(2 * n, 0, 0)

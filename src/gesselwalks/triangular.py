@@ -1,11 +1,20 @@
 """The packed triangular system behind the boundary walk counts: diagonal
 ordering, forward substitution, Hessenberg determinant windows, chain-sum
 inversion, and the universal row segments.
+
+``coefficient_c`` defines each coefficient and ``_admitted_columns`` states
+where it is nonzero.  The builders visit only those cells and read each
+value from one table of binomials, built once per call (``_kernel``).
+``solve_forward`` substitutes every row of a prefix; ``solve_cone`` only the
+rows that one row depends on.  ``_window_rows`` gives a determinant window's
+nonzero cells row by row, so ``window_minors`` and ``gessel_via_determinant``
+never build the dense window that ``hessenberg_for`` returns.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .exact import binom_general
@@ -22,9 +31,11 @@ __all__ = [
     "system_rhs",
     "TriSystem",
     "solve_forward",
+    "solve_cone",
     "HessenbergMatrix",
     "hessenberg_for",
     "hessenberg_minors",
+    "window_minors",
     "hessenberg_det",
     "gessel_via_determinant",
     "inverse_entry_multisum",
@@ -125,34 +136,90 @@ def _admitted_columns(u: int, v: int):
         yield u - 2 * t, j_max
 
 
-def solve_forward(k_max: int) -> TriSystem:
-    """Forward substitution on the unit-lower-triangular packed system.
+def _coefficient_table(d: int) -> list[list[int]]:
+    """N[a][t] = C(a+t-1, t) = (-1)^t * binom_general(-a, t) for a <= d // 2
+    and t <= d: every value that a row (u, v) with u + v <= d reads.
 
-    Row (u, v) visits only the nonzero coefficients: for each column i that
-    ``_admitted_columns`` admits, it walks the solved nonzero unknowns
-    x(i, j), kept per i in ascending j, up to j_max.  The index is built
-    from the values as they are computed, so it assumes nothing about where
-    the solution is nonzero.
+    Row a is the running sum of row a - 1 (the hockey-stick identity),
+    starting from N[0] = 1, 0, 0, ...
     """
+    rows = [[1] + [0] * d]
+    for _ in range(d // 2):
+        rows.append(list(accumulate(rows[-1])))
+    return rows
+
+
+def _kernel(table: list[list[int]], u: int, v: int, i: int, j: int) -> int:
+    """``coefficient_c(u, v, i, j)`` on a cell that ``_admitted_columns``
+    admits, read from ``_coefficient_table``.
+
+    With t = (u - i) / 2 and a = min(i, j) >= 1, both binomials of
+    ``coefficient_c`` have upper index -a, so the coefficient is
+    (-1)^(v-j) * N[a][t] * N[a][v-j-t].
+    """
+    t = (u - i) // 2
+    row = table[i if i < j else j]
+    c = row[t] * row[v - j - t]
+    return -c if (v - j) % 2 else c
+
+
+def _substitute(table: list[list[int]], n: int, u: int, v: int,
+                found: dict[int, list[tuple[int, int]]]) -> int:
+    """x(n) for row n = rho(u, v) by forward substitution; a nonzero x(n) is
+    then added to ``found``.
+
+    ``found`` maps i -> [(j, x(i, j))], the nonzero unknowns solved so far
+    in ascending j.  For each column i that ``_admitted_columns`` admits, the
+    row walks ``found[i]`` up to j_max, so it visits only the nonzero
+    coefficients and assumes nothing about where the solution is nonzero.
+    Unknowns at or after n are not in ``found`` yet, so the diagonal
+    (i, j) = (u, v) is never visited.
+    """
+    acc = system_rhs(n)
+    for i, j_max in _admitted_columns(u, v):
+        for j, x in found.get(i, ()):
+            if j > j_max:
+                break
+            if j:  # the rule admits 1 <= j only
+                acc -= _kernel(table, u, v, i, j) * x
+    if acc:
+        found.setdefault(u, []).append((v, acc))
+    return acc
+
+
+def solve_forward(k_max: int) -> TriSystem:
+    """Forward substitution on the unit-lower-triangular packed system, every
+    row up to ``k_max``."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    x: list[int] = []
-    found: dict[int, list[tuple[int, int]]] = {}  # i -> [(j, k)] with x(k) != 0
-    for n in range(k_max + 1):
-        u, v = rho_inv(n)
-        acc = system_rhs(n)
-        # unknowns at or after n are not in the index yet, so the diagonal
-        # (i, j) = (u, v) is never visited here
-        for i, j_max in _admitted_columns(u, v):
-            for j, k in found.get(i, ()):
-                if j > j_max:
-                    break
-                if j:  # the rule admits 1 <= j only
-                    acc -= coefficient_c(u, v, i, j) * x[k]
-        x.append(acc)
-        if acc:
-            found.setdefault(u, []).append((v, n))
-    return TriSystem(k_max, tuple(x))
+    table = _coefficient_table(sum(rho_inv(k_max)))
+    found: dict[int, list[tuple[int, int]]] = {}
+    return TriSystem(k_max, tuple(
+        _substitute(table, n, *rho_inv(n), found) for n in range(k_max + 1)
+    ))
+
+
+def solve_cone(k: int) -> dict[int, int]:
+    """x(n) for every n in the cone of row k = rho(U, V): the row itself and
+    the cells (U - 2t, j) with U - 2t >= 1 and 1 <= j <= V - t.
+
+    Row (u, v) reads only rows (u - 2t, j) with j <= v - t, so the cone holds
+    every row that its rows read, and solving it in packed order gives the
+    values of ``solve_forward(k)`` on it.  It holds every axis unknown
+    rho(U, j) with j <= V, so a telescope along that axis reads one cone.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    top_u, top_v = rho_inv(k)
+    cells = {(top_u, top_v)}
+    for i, j_max in _admitted_columns(top_u, top_v):
+        cells.update((i, j) for j in range(1, j_max + 1))
+    table = _coefficient_table(top_u + top_v)
+    found: dict[int, list[tuple[int, int]]] = {}
+    return {
+        n: _substitute(table, n, u, v, found)
+        for n, u, v in sorted((rho(i, j), i, j) for i, j in cells)
+    }
 
 
 class HessenbergMatrix(NamedTuple):
@@ -173,6 +240,26 @@ class HessenbergMatrix(NamedTuple):
         return True
 
 
+def _window_rows(k: int):
+    """The nonzero cells left of the superdiagonal of the window for index
+    k, row by row: for each row n = RHS_INDEX+1 .. k, the list of (c, value)
+    over the cells ``_admitted_columns`` admits other than the diagonal,
+    with c = rho(i, j) - RHS_INDEX the window column.
+    """
+    if k < RHS_INDEX:
+        raise ValueError(f"k must be at least rho(1,1) = {RHS_INDEX}, got {k}")
+    table = _coefficient_table(sum(rho_inv(k)))
+    for n in range(RHS_INDEX + 1, k + 1):
+        u, v = rho_inv(n)
+        cells = []
+        for i, j_max in _admitted_columns(u, v):
+            if i == u:
+                j_max -= 1  # (u, v) is the unit diagonal: the window's superdiagonal
+            for j in range(1, j_max + 1):
+                cells.append((rho(i, j) - RHS_INDEX, _kernel(table, u, v, i, j)))
+        yield cells
+
+
 def hessenberg_for(k: int) -> HessenbergMatrix:
     """The determinant window for solution entry k: rows RHS_INDEX+1 .. k
     and columns RHS_INDEX .. k-1 of the packed matrix, a square block of
@@ -183,49 +270,55 @@ def hessenberg_for(k: int) -> HessenbergMatrix:
     det = x(k) * (-1)^(k - RHS_INDEX).  The sign is +1 at every index k
     used for the origin counts, since those k are even.
 
-    Each row is filled from the unit diagonal of the packed matrix (the
-    window's superdiagonal) and the cells ``_admitted_columns`` admits left
-    of it; every other cell is zero and is never visited.
+    Each row is the unit superdiagonal (the unit diagonal of the packed
+    matrix) plus the cells of ``_window_rows``; every other cell is zero.
     """
-    if k < RHS_INDEX:
-        raise ValueError(f"k must be at least rho(1,1) = {RHS_INDEX}, got {k}")
     width = k - RHS_INDEX
     rows = []
-    for n in range(RHS_INDEX + 1, k + 1):
-        u, v = rho_inv(n)
+    for r, cells in enumerate(_window_rows(k)):
         row = [0] * width
-        if n < k:
-            row[n - RHS_INDEX] = 1  # the unit diagonal of the packed matrix
-        # admitted cells have i, j >= 1, so rho(i, j) >= rho(1, 1) = RHS_INDEX
-        for i, j_max in _admitted_columns(u, v):
-            for j in range(1, j_max + 1):
-                c_abs = rho(i, j)
-                if c_abs < n:
-                    row[c_abs - RHS_INDEX] = coefficient_c(u, v, i, j)
+        if r + 1 < width:
+            row[r + 1] = 1
+        for c, e in cells:
+            row[c] = e
         rows.append(tuple(row))
     return HessenbergMatrix(width, tuple(rows))
 
 
-def hessenberg_minors(h: HessenbergMatrix) -> list[int]:
-    """Leading minors d_0, ..., d_size by the recurrence, O(size^2) products:
+def _leading_minors(rows) -> list[int]:
+    """Leading minors d_0, ..., d_size of a lower-Hessenberg matrix with unit
+    superdiagonal, given each row's nonzero cells (c, value) left of the
+    superdiagonal.  Row r gives the next minor:
 
-        d_r = sum over c < r of (-1)^(r-1-c) * entry(r-1, c) * d_c,  d_0 = 1.
+        d_(r+1) = sum over c <= r of (-1)^(r-c) * entry(r, c) * d_c,  d_0 = 1.
 
     The unit superdiagonal collapses the cofactor expansion of the last row
-    of each leading block to this form.  The window of a smaller index is a
-    leading block of a larger one, so one window holds the dets of both.
+    of each leading block to this form.
     """
     minors = [1]
-    for r in range(1, h.size + 1):
-        row = h.entries[r - 1]
+    for r, cells in enumerate(rows):
         acc = 0
-        for c in range(r):
-            e = row[c]
-            if e:
-                term = e * minors[c]
-                acc += term if (r - 1 - c) % 2 == 0 else -term
+        for c, e in cells:
+            term = e * minors[c]
+            acc += term if (r - c) % 2 == 0 else -term
         minors.append(acc)
     return minors
+
+
+def hessenberg_minors(h: HessenbergMatrix) -> list[int]:
+    """Leading minors d_0, ..., d_size of ``h``, from its nonzero cells left
+    of the superdiagonal.  The window of a smaller index is a leading block
+    of a larger one, so one window holds the dets of both."""
+    return _leading_minors(
+        [(c, e) for c, e in enumerate(row[: r + 1]) if e]
+        for r, row in enumerate(h.entries)
+    )
+
+
+def window_minors(k: int) -> list[int]:
+    """``hessenberg_minors(hessenberg_for(k))`` read from the window's
+    nonzero cells alone, without building the window."""
+    return _leading_minors(_window_rows(k))
 
 
 def hessenberg_det(h: HessenbergMatrix) -> int:
@@ -234,9 +327,10 @@ def hessenberg_det(h: HessenbergMatrix) -> int:
 
 
 def gessel_via_determinant(n: int) -> int:
-    """Origin count F(2n; 0, 0) as a Hessenberg determinant at index
-    ``origin_index(n)``.  n = 0 gives the empty window, determinant 1."""
-    return hessenberg_det(hessenberg_for(origin_index(n)))
+    """Origin count F(2n; 0, 0) as the Hessenberg determinant of the window
+    at index ``origin_index(n)``.  n = 0 gives the empty window,
+    determinant 1."""
+    return window_minors(origin_index(n))[-1]
 
 
 def inverse_entry_multisum(

@@ -219,11 +219,22 @@ class TestVerify:
         err = self.refused(capsys, "--suite", "cross_pipeline", "--k-max", "-1")
         assert "--k-max" in err
 
-    @pytest.mark.parametrize("k_max", ["0", "3"])
+    @pytest.mark.parametrize("k_max", ["0", "3", "23"])
     def test_cross_pipeline_k_below_first_origin_refused(self, capsys, k_max):
+        # the n = 0 row alone reads 1 in every pipeline by construction
         err = self.refused(capsys, "--suite", "cross_pipeline", "--k-max", k_max)
         assert "--k-max" in err
-        assert f"at least {triangular.origin_index(0)}" in err
+        assert f"at least {triangular.origin_index(1)}," in err
+
+    def test_cross_pipeline_at_its_floor_compares_n_1(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "cross_pipeline", "--k-max", "24"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert [(row["n"], row["det"]) for row in report["gessel_indices"]] == [
+            (0, "1"), (1, "2")]
 
     def test_kernel_empty_window_refused(self, capsys):
         err = self.refused(capsys, "--suite", "kernel", "--caps", "1,1,1")

@@ -49,7 +49,7 @@ def run_fresh(code: str):
         (["count", "--m", "6", "--method", "solve"], {"dataclasses"}),
         (["verify", "--suite", "gessel", "--N", "5"], {"dataclasses"}),
         (["verify", "--suite", "kernel", "--caps", "4,4,4"], {"dataclasses"}),
-        (["verify", "--suite", "cross_pipeline", "--k-max", "20"], {"dataclasses"}),
+        (["verify", "--suite", "cross_pipeline", "--k-max", "24"], {"dataclasses"}),
         (["verify", "--suite", "families"], {"dataclasses"}),
         (["universal", "--i", "2"], {"dataclasses"}),
         (["fit", "--family", "r", "--k", "1"], {"dataclasses"}),

@@ -2,8 +2,9 @@
 
 import pytest
 
-from gesselwalks import triangular, walks
+from gesselwalks import cli, triangular, walks
 from gesselwalks.pipelines import METHODS, NotCovered, count, verify_cross_pipeline
+from oracles import GESSEL_NUMBERS
 
 
 def test_every_method_agrees_with_dp_or_refuses():
@@ -70,12 +71,49 @@ def test_max_span_below_one_refused_alike(method):
 
 
 def test_cross_pipeline_refuses_a_size_that_compares_no_count():
-    """Below the first origin index no dp, det and solve row is compared, so
-    an "ok" there would check nothing."""
-    first = triangular.origin_index(0)
-    for k_max in (-1, 0, first - 1):
-        with pytest.raises(ValueError, match=f"at least {first}"):
+    """Below the origin index of n = 1 only the n = 0 row is compared, where
+    dp, det and solve all read 1 by construction, so an "ok" there would
+    check nothing."""
+    floor = triangular.origin_index(1)
+    for k_max in (-1, 0, triangular.origin_index(0), floor - 1):
+        with pytest.raises(ValueError, match=f"at least {floor},"):
             verify_cross_pipeline(k_max)
-    report = verify_cross_pipeline(first)
+    report = verify_cross_pipeline(floor)
     assert report["ok"]
-    assert [row["n"] for row in report["gessel_indices"]] == [0]
+    assert [row["n"] for row in report["gessel_indices"]] == [0, 1]
+
+
+def test_solve_at_large_m_against_closed_forms():
+    """Single-target solves far past the exhaustive range: the origin,
+    F(2n; 0, 1), and the horizontal and vertical families at excess 0-3."""
+    m = 60
+    targets = [(m, 0, 0), (m + 2, 0, 0), (m, 0, 1)]
+    for excess in range(4):
+        targets += [(m, m - 2 * excess, 0), (m, 0, m // 2 - excess)]
+    for target in targets:
+        assert count(*target, "solve") == count(*target, "closed"), target
+
+
+def test_solve_never_substitutes_the_whole_prefix(monkeypatch):
+    def refuse(k_max):
+        raise AssertionError("solve_forward called")
+
+    monkeypatch.setattr(triangular, "solve_forward", refuse)
+    for target in ((40, 2, 0), (40, 0, 2)):
+        assert count(*target, "solve") == count(*target, "dp"), target
+
+
+def test_det_paths_never_build_the_dense_window(monkeypatch, capsys):
+    def refuse(k):
+        raise AssertionError("hessenberg_for called")
+
+    monkeypatch.setattr(triangular, "hessenberg_for", refuse)
+    assert count(16, 0, 0, "det") == GESSEL_NUMBERS[8]
+    report = verify_cross_pipeline(1195)
+    assert report["ok"] and report["entries_checked"] == 1196
+    assert [row["det"] for row in report["gessel_indices"]] == [
+        str(value) for value in GESSEL_NUMBERS[:12]]
+    k = triangular.origin_index(7)
+    assert cli.main(["hessenberg", "--n", "7"]) == 0
+    assert capsys.readouterr().out == (
+        f"det={GESSEL_NUMBERS[7]} size={k - triangular.RHS_INDEX} k={k}\n")

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gesselwalks import cli
-from gesselwalks.exact import catalan
+from gesselwalks.exact import binom_general, catalan
 from gesselwalks.triangular import (
     RHS_INDEX,
     HessenbergMatrix,
     _admitted_columns,
+    _coefficient_table,
+    _kernel,
     boundary_index,
     coefficient_c,
     gessel_via_determinant,
@@ -20,12 +22,14 @@ from gesselwalks.triangular import (
     origin_index,
     rho,
     rho_inv,
+    solve_cone,
     solve_forward,
     system_entry,
     system_rhs,
     universal_sequence,
+    window_minors,
 )
-from gesselwalks.walks import count_walks, f_entry, f_tilde
+from gesselwalks.walks import count_walks, f_entry, f_tilde, reachable
 from oracles import (
     GESSEL_NUMBERS,
     H24_ROWS,
@@ -369,3 +373,95 @@ class TestSparseBuilders:
         assert report["ok"] and report["first_mismatch"] is None
         assert report["entries_checked"] == 1201
         assert [row["n"] for row in report["gessel_indices"]] == list(range(12))
+
+
+class TestCoefficientKernel:
+    def test_table_holds_the_reflected_binomials(self):
+        for d in range(31):
+            table = _coefficient_table(d)
+            assert len(table) == d // 2 + 1
+            for a, row in enumerate(table):
+                assert len(row) == d + 1
+                for t, value in enumerate(row):
+                    assert value == (-1) ** t * binom_general(-a, t), (d, a, t)
+
+    def test_kernel_matches_coefficient_c_on_admitted_cells(self):
+        """Every admitted cell with u, v <= 40, each row read from a table
+        sized to its own u + v, as the builders size it."""
+        tables = [_coefficient_table(d) for d in range(81)]
+        cells = 0
+        for u in range(41):
+            for v in range(41):
+                for i, j_max in _admitted_columns(u, v):
+                    for j in range(1, j_max + 1):
+                        expected = coefficient_c(u, v, i, j)
+                        assert _kernel(tables[u + v], u, v, i, j) == expected, (u, v, i, j)
+                        cells += 1
+        assert cells > 200_000
+
+
+def cone_cells(k):
+    """The cone of row k = rho(U, V), from its definition."""
+    top_u, top_v = rho_inv(k)
+    cells = {(top_u, top_v)}
+    for t in range(top_u):
+        cells.update((top_u - 2 * t, j) for j in range(1, top_v - t + 1) if top_u - 2 * t >= 1)
+    return {rho(i, j) for i, j in cells}
+
+
+class TestSolveCone:
+    def test_holds_exactly_the_cone(self):
+        for k in (0, 3, 4, 5, 24, 100, boundary_index(21, 4, 0), boundary_index(21, 0, 6)):
+            assert set(solve_cone(k)) == cone_cells(k), k
+
+    def test_matches_solve_forward_on_every_boundary_target(self):
+        """Every reachable axis target with m <= 40: the cone of its unknown
+        holds the prefix solution's values, and every unknown the solve
+        pipeline reads for it."""
+        targets = [
+            (m, n1, n2)
+            for m in range(41)
+            for a in range(1, m + 1)
+            for n1, n2 in ((a, 0), (0, a))
+            if reachable(m, n1, n2)
+        ] + [(m, 0, 0) for m in range(0, 41, 2)]
+        full = solve_forward(max(boundary_index(m + 1, n1, n2) for m, n1, n2 in targets)).x
+        for m, n1, n2 in targets:
+            k = boundary_index(m + 1, n1, n2)
+            cone = solve_cone(k)
+            reads = {boundary_index(m + 1, 0, j) for j in range(n2 + 1)} if n2 else {k}
+            assert reads <= set(cone), (m, n1, n2)
+            assert all(full[n] == x for n, x in cone.items()), (m, n1, n2)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            solve_cone(-1)
+
+
+class TestSparseWindows:
+    def test_minors_match_the_dense_window(self):
+        for n in range(12):
+            k = origin_index(n)
+            assert window_minors(k) == hessenberg_minors(hessenberg_for(k)), n
+
+    def test_small_and_refused_windows(self):
+        assert window_minors(RHS_INDEX) == [1]
+        assert window_minors(RHS_INDEX + 1) == [1, hessenberg_for(RHS_INDEX + 1).entry(0, 0)]
+        with pytest.raises(ValueError, match=r"rho\(1,1\)"):
+            window_minors(RHS_INDEX - 1)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_dump_prints_the_dense_window(self, capsys, n):
+        """``hessenberg --dump`` in each format against the window built cell
+        by cell from coefficient_c."""
+        k = origin_index(n)
+        rows = [[str(e) for e in row] for row in dense_hessenberg(k)]
+        csv_text = "".join(",".join(row) + "\r\n" for row in rows)
+        expected = {
+            "text": csv_text,
+            "csv": csv_text,
+            "json": json.dumps({"n": n, "k": k, "size": k - RHS_INDEX, "entries": rows}) + "\n",
+        }
+        for fmt, out in expected.items():
+            assert cli.main(["hessenberg", "--n", str(n), "--dump", "--format", fmt]) == 0
+            assert capsys.readouterr().out == out, fmt
