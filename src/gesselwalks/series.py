@@ -240,21 +240,46 @@ def x_of_yz(caps: Caps) -> TruncSeries3:
     return TruncSeries3((0, dy, dz), items)
 
 
+def _horner(series: TruncSeries3, caps: Caps, times_x) -> TruncSeries3:
+    """Horner over the x-grouped parts of ``series``; ``times_x`` multiplies by x."""
+    parts: dict[int, dict[Mono, int]] = {}
+    for (ex, ey, ez), c in series.coeffs.items():
+        parts.setdefault(ex, {})[(0, ey, ez)] = c
+    acc = TruncSeries3(caps, {})
+    for m in range(series.caps[0], -1, -1):
+        acc = times_x(acc)
+        if m in parts:
+            acc = series_add(acc, make_series(caps, parts[m]))
+    return acc
+
+
 def substitute_x(series: TruncSeries3, x_series: TruncSeries3) -> TruncSeries3:
     """Substitute x_series (no constant term, no x dependence) for the x
     variable, by Horner over the x-grouped parts of ``series``."""
     if x_series.coeff((0, 0, 0)):
         raise ValueError("substitution needs a series with zero constant term")
-    caps2: Caps = (0, x_series.caps[1], x_series.caps[2])
-    parts: dict[int, dict[Mono, int]] = {}
-    for (ex, ey, ez), c in series.coeffs.items():
-        parts.setdefault(ex, {})[(0, ey, ez)] = c
-    acc = TruncSeries3(caps2, {})
-    for m in range(series.caps[0], -1, -1):
-        acc = series_mul(acc, x_series)
-        if m in parts:
-            acc = series_add(acc, make_series(caps2, parts[m]))
-    return acc
+    if any(ex for ex, _, _ in x_series.coeffs):
+        raise ValueError("substitution needs a series with no x dependence")
+    caps2: Caps = (0, *x_series.caps[1:])
+    return _horner(series, caps2, lambda acc: series_mul(acc, x_series))
+
+
+def _times_root(acc: TruncSeries3) -> TruncSeries3:
+    """acc times the kernel root yz/((1+z)(1+y^2 z)) in acc's caps: a shift by
+    yz, then one running division per unit.  Each output coefficient reads
+    only lower exponents, so this is the truncated product with ``x_of_yz``."""
+    _, dy, dz = acc.caps
+    c = [[0] * (dz + 1) for _ in range(dy + 1)]
+    for (_, ey, ez), v in acc.coeffs.items():
+        if ey < dy and ez < dz:
+            c[ey + 1][ez + 1] = v
+    for ey, row in enumerate(c):  # after the shift, row 0 and column 0 are zero
+        for ez in range(2, dz + 1):
+            row[ez] -= row[ez - 1]  # divide by 1+z
+        for ez in range(2, dz + 1) if ey >= 2 else ():
+            row[ez] -= c[ey - 2][ez - 1]  # divide by 1+y^2 z
+    out = {(0, ey, ez): v for ey, row in enumerate(c) for ez, v in enumerate(row) if v}
+    return TruncSeries3(acc.caps, out)
 
 
 def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
@@ -265,11 +290,12 @@ def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckRepo
 
     Every monomial of the root carries at least one power of z, so x^m
     contributes z-order >= m and the composition is exact for ez up to the
-    x cap; that bound is the z window.
+    x cap; that bound is the z window.  Each Horner step multiplies by the
+    root's rational form (``_times_root``), not by its expansion.
     """
     H = build_H(caps, G)
     dx, dy, dz = H.caps
     wz = min(dx, dz)
-    lhs = substitute_x(_on_axes(H), x_of_yz((0, dy, wz)))
+    lhs = _horner(_on_axes(H), (0, dy, wz), _times_root)
     target = monomial((0, dy, wz), 0, 1, 1)
     return _compare(lhs, target, (0, dy, wz))

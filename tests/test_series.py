@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gesselwalks.series import (
+    _times_root,
     build_G,
     build_H,
     build_K,
@@ -42,6 +43,16 @@ monos = st.tuples(
 series_st = st.dictionaries(monos, st.integers(min_value=-9, max_value=9), max_size=8).map(
     lambda d: make_series((3, 3, 3), d)
 )
+
+
+@st.composite
+def yz_series_st(draw):
+    """A series with x cap 0 and random y and z caps up to 8."""
+    dy = draw(st.integers(min_value=0, max_value=8))
+    dz = draw(st.integers(min_value=0, max_value=8))
+    yz = st.tuples(st.just(0), st.integers(0, dy), st.integers(0, dz))
+    terms = draw(st.dictionaries(yz, st.integers(min_value=-9, max_value=9), max_size=20))
+    return make_series((0, dy, dz), terms)
 
 
 class TestSeriesRing:
@@ -229,9 +240,10 @@ class TestRoot:
         assert via_compose == acc
 
     def test_root_identity_holds(self):
-        report = verify_root_identity((10, 10, 10))
-        assert report
-        assert report.window == (0, 10, 10)
+        for c in (10, 40):
+            report = verify_root_identity((c, c, c))
+            assert report
+            assert report.window == (0, c, c)
 
     def test_root_identity_lhs_coefficients(self):
         # passing means the left side is exactly the monomial y*z
@@ -241,10 +253,29 @@ class TestRoot:
 
     @pytest.mark.parametrize("mono", AXIS_BUMPS, ids=bump_id)
     def test_root_identity_mutated_fails(self, mono):
-        caps = (8, 8, 8)
-        bad = bump_coeff(build_G(caps), mono)
-        assert not verify_root_identity(caps, bad)
+        for caps in ((8, 8, 8), (24, 24, 24)):
+            report = verify_root_identity(caps, bump_coeff(build_G(caps), mono))
+            assert not report
+            assert report.first_mismatch is not None
 
     def test_substitution_requires_zero_constant(self):
         with pytest.raises(ValueError):
             substitute_x(build_G(CAPS), monomial((0, 2, 2), 0, 0, 0))
+
+    def test_substitution_requires_no_x_dependence(self):
+        # the product's x cap 0 would otherwise drop the x term silently
+        x_series = make_series((1, 3, 3), {(0, 1, 1): 1, (1, 1, 1): 5})
+        with pytest.raises(ValueError, match="no x dependence"):
+            substitute_x(make_series((3, 3, 3), {(1, 0, 0): 1}), x_series)
+
+    @settings(max_examples=60, deadline=None)
+    @given(acc=yz_series_st())
+    def test_root_step_is_product_with_expansion(self, acc):
+        assert _times_root(acc) == series_mul(acc, x_of_yz(acc.caps))
+
+    def test_expansion_is_the_rational_form(self):
+        # x_of_yz * (1+z)(1+y^2 z) == yz ties the expansion to the form the
+        # root step divides by
+        caps = (0, 12, 12)
+        units = make_series(caps, {(0, 0, 0): 1, (0, 0, 1): 1, (0, 2, 1): 1, (0, 2, 2): 1})
+        assert series_mul(x_of_yz(caps), units) == monomial(caps, 0, 1, 1)
