@@ -1,13 +1,13 @@
 """Exact counting of quarter-plane walks with steps E, W, NE, SW.
 
-Four independent pipelines compute the same numbers: a dynamic program over
+Three independent computations give the same numbers: a dynamic program over
 the step recurrence (``walks``), hypergeometric and polynomial closed forms
-(``exact``), Hessenberg determinant windows and a multiple-sum inversion of
-a triangular system (``triangular``); ``pipelines.count`` picks one by name
-and knows which targets each covers.  Truncated trivariate series checks
-of the functional equations live in ``series`` and the conjecture fits in
-``conjectures``.  Everything is integer or rational arithmetic; nothing is
-floating point.
+(``exact``), and a triangular system solved, read as determinants or inverted
+by multiple sums (``triangular``); ``pipelines.count`` picks one of these
+five methods by name and knows which targets each covers.  Truncated
+trivariate series checks of the functional equations live in ``series`` and
+the conjecture fits in ``conjectures``.  Everything is integer or rational
+arithmetic; nothing is floating point.
 
 Each public name below is imported from its submodule on first use, so a
 caller that needs one pipeline loads only the modules behind it.

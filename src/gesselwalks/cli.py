@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands cover the four counting pipelines (``count``), the verification
+Subcommands cover the five counting methods (``count``), the verification
 suites (``verify``), the universal row segments (``universal``), the
 polynomial family fits (``fit``), bulk table export (``table``) and the
 determinant windows (``hessenberg``).  ``verify`` always prints JSON.  The
@@ -224,8 +224,7 @@ def cmd_hessenberg(args: argparse.Namespace) -> int:
                        "entries": [[str(v) for v in row] for row in h.entries]},
               h.entries)
     else:
-        minors = triangular.window_minors(k)
-        det, size = minors[-1], len(minors) - 1
+        det, size = triangular.gessel_via_determinant(args.n), k - triangular.RHS_INDEX
         _emit(args.format, f"det={det} size={size} k={k}",
               {"n": args.n, "k": k, "size": size, "det": str(det)})
     return 0

@@ -6,13 +6,14 @@ target, so it runs a two-layer cone pass (``walks.counts_along``); the
 memo table behind ``walks.count_walks`` serves the callers that read many
 cells, such as ``verify_cross_pipeline``.  Likewise a ``solve`` count
 solves only the rows its target depends on (``triangular.solve_cone``),
-while ``verify_cross_pipeline`` solves every row of the prefix it checks;
-every determinant here comes from a window's nonzero cells
-(``triangular.window_minors``), never from the dense window.  Other modules
-are called through their module attributes, never imported by name, so a
-wrapper installed on, say, ``walks.count_walks`` sees every call made from
-here.  ``exact`` and ``triangular`` are imported by the functions that call
-them, so a ``dp`` count loads neither.
+while ``verify_cross_pipeline`` solves every row of the prefix it checks.
+A ``det`` count reads its target's cone solve too, and the dets that
+``verify_cross_pipeline`` checks come from ``coefficient_c`` instead
+(``triangular.window_minors``).  Other modules are called through their
+module attributes, never imported by name, so a wrapper installed on, say,
+``walks.count_walks`` sees every call made from here.  ``exact`` and
+``triangular`` are imported by the functions that call them, so a ``dp``
+count loads neither.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@ ordering, forward substitution, Hessenberg determinant windows, chain-sum
 inversion, and the universal row segments.
 
 ``coefficient_c`` defines each coefficient and ``_admitted_columns`` states
-where it is nonzero.  The builders visit only those cells and read each
-value from one table of binomials, built once per call (``_kernel``).
-``solve_forward`` substitutes every row of a prefix; ``solve_cone`` only the
-rows that one row depends on.  ``_window_rows`` gives a determinant window's
-nonzero cells row by row, so ``window_minors`` and ``gessel_via_determinant``
-never build the dense window that ``hessenberg_for`` returns.
+where it is nonzero.  ``_substitute``, the one solving recursion, visits
+only those cells and reads each value from one table of binomials
+(``_kernel``); ``solve_forward`` runs it on every row of a prefix,
+``solve_cone`` on the rows that one row depends on.  By Cramer's rule
+``gessel_via_determinant`` reads a window's determinant from ``solve_cone``,
+while the windows (``_window_rows``) read ``coefficient_c``, so their minors
+check the solve against the definition.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "solve_cone",
     "HessenbergMatrix",
     "hessenberg_for",
-    "hessenberg_minors",
     "window_minors",
     "hessenberg_det",
     "gessel_via_determinant",
@@ -244,11 +244,11 @@ def _window_rows(k: int):
     """The nonzero cells left of the superdiagonal of the window for index
     k, row by row: for each row n = RHS_INDEX+1 .. k, the list of (c, value)
     over the cells ``_admitted_columns`` admits other than the diagonal,
-    with c = rho(i, j) - RHS_INDEX the window column.
+    with c = rho(i, j) - RHS_INDEX the window column and value
+    ``coefficient_c(u, v, i, j)``, the reference definition.
     """
     if k < RHS_INDEX:
         raise ValueError(f"k must be at least rho(1,1) = {RHS_INDEX}, got {k}")
-    table = _coefficient_table(sum(rho_inv(k)))
     for n in range(RHS_INDEX + 1, k + 1):
         u, v = rho_inv(n)
         cells = []
@@ -256,7 +256,7 @@ def _window_rows(k: int):
             if i == u:
                 j_max -= 1  # (u, v) is the unit diagonal: the window's superdiagonal
             for j in range(1, j_max + 1):
-                cells.append((rho(i, j) - RHS_INDEX, _kernel(table, u, v, i, j)))
+                cells.append((rho(i, j) - RHS_INDEX, coefficient_c(u, v, i, j)))
         yield cells
 
 
@@ -305,32 +305,26 @@ def _leading_minors(rows) -> list[int]:
     return minors
 
 
-def hessenberg_minors(h: HessenbergMatrix) -> list[int]:
-    """Leading minors d_0, ..., d_size of ``h``, from its nonzero cells left
-    of the superdiagonal.  The window of a smaller index is a leading block
-    of a larger one, so one window holds the dets of both."""
-    return _leading_minors(
-        [(c, e) for c, e in enumerate(row[: r + 1]) if e]
-        for r, row in enumerate(h.entries)
-    )
-
-
 def window_minors(k: int) -> list[int]:
-    """``hessenberg_minors(hessenberg_for(k))`` read from the window's
-    nonzero cells alone, without building the window."""
+    """Leading minors of ``hessenberg_for(k)``, read from its nonzero cells
+    without building it; a smaller origin window is a leading block of it."""
     return _leading_minors(_window_rows(k))
 
 
 def hessenberg_det(h: HessenbergMatrix) -> int:
     """Determinant, the last leading minor (1 for the empty matrix)."""
-    return hessenberg_minors(h)[-1]
+    return _leading_minors(
+        [(c, e) for c, e in enumerate(row[: r + 1]) if e]
+        for r, row in enumerate(h.entries)
+    )[-1]
 
 
 def gessel_via_determinant(n: int) -> int:
     """Origin count F(2n; 0, 0) as the Hessenberg determinant of the window
-    at index ``origin_index(n)``.  n = 0 gives the empty window,
-    determinant 1."""
-    return window_minors(origin_index(n))[-1]
+    at k = ``origin_index(n)``, which is x(k) (see ``hessenberg_for``), read
+    from ``solve_cone(k)``.  n = 0 gives the empty window, determinant 1."""
+    k = origin_index(n)
+    return solve_cone(k)[k]
 
 
 def inverse_entry_multisum(

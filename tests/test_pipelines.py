@@ -104,16 +104,51 @@ def test_solve_never_substitutes_the_whole_prefix(monkeypatch):
 
 
 def test_det_paths_never_build_the_dense_window(monkeypatch, capsys):
-    def refuse(k):
-        raise AssertionError("hessenberg_for called")
+    def refuse(name):
+        def call(k):
+            raise AssertionError(f"{name} called")
+        return call
 
-    monkeypatch.setattr(triangular, "hessenberg_for", refuse)
-    assert count(16, 0, 0, "det") == GESSEL_NUMBERS[8]
+    monkeypatch.setattr(triangular, "hessenberg_for", refuse("hessenberg_for"))
     report = verify_cross_pipeline(1195)
     assert report["ok"] and report["entries_checked"] == 1196
     assert [row["det"] for row in report["gessel_indices"]] == [
         str(value) for value in GESSEL_NUMBERS[:12]]
+    # a det count and hessenberg --n read the determinant from the cone solve
+    monkeypatch.setattr(triangular, "window_minors", refuse("window_minors"))
+    assert count(16, 0, 0, "det") == GESSEL_NUMBERS[8]
     k = triangular.origin_index(7)
     assert cli.main(["hessenberg", "--n", "7"]) == 0
     assert capsys.readouterr().out == (
         f"det={GESSEL_NUMBERS[7]} size={k - triangular.RHS_INDEX} k={k}\n")
+
+
+def flipped_at_a_3(coefficient):
+    """``coefficient`` with the sign of each cell (i, j), min(i, j) = 3,
+    flipped; i and j are its last two arguments."""
+    def flipped(*args):
+        c = coefficient(*args)
+        return -c if min(args[-2:]) == 3 else c
+    return flipped
+
+
+def test_a_kernel_fault_splits_det_from_solve(monkeypatch):
+    """The windows read coefficient_c, not the solve's ``_kernel``, so a sign
+    fault in the kernel moves solve but not det."""
+    monkeypatch.setattr(triangular, "_kernel", flipped_at_a_3(triangular._kernel))
+    k = triangular.origin_index(6)
+    det, solved = triangular.window_minors(k)[-1], triangular.solve_cone(k)[k]
+    assert det == GESSEL_NUMBERS[6]
+    assert det != solved
+    assert not verify_cross_pipeline(400)["ok"]
+
+
+def test_a_coefficient_c_fault_fails_the_det_column(monkeypatch):
+    """The converse: a fault in the reference definition leaves solve equal
+    to the boundary matrix, and cross_pipeline reports det against solve."""
+    monkeypatch.setattr(triangular, "coefficient_c",
+                        flipped_at_a_3(triangular.coefficient_c))
+    report = verify_cross_pipeline(400)
+    assert not report["ok"] and report["entries_checked"] == 401
+    first = report["first_mismatch"]
+    assert first["dp"] == first["solve"] != first["det"]

@@ -17,7 +17,6 @@ from gesselwalks.triangular import (
     gessel_via_determinant,
     hessenberg_det,
     hessenberg_for,
-    hessenberg_minors,
     inverse_entry_multisum,
     origin_index,
     rho,
@@ -197,7 +196,7 @@ class TestHessenberg:
 
     def test_minors_of_one_window_hold_every_origin_det(self):
         # origin_index(11) = 1104; every smaller origin window is a leading block
-        minors = hessenberg_minors(hessenberg_for(origin_index(11)))
+        minors = window_minors(origin_index(11))
         assert len(minors) == origin_index(11) - RHS_INDEX + 1
         for n in range(12):
             assert minors[origin_index(n) - RHS_INDEX] == gessel_via_determinant(n), n
@@ -213,6 +212,11 @@ class TestGesselViaDeterminant:
     def test_matches_dp(self):
         for n in range(5):
             assert gessel_via_determinant(n) == count_walks(2 * n, 0, 0)
+
+    def test_matches_the_dense_window_det(self):
+        for n in range(7):
+            window = hessenberg_for(origin_index(n))
+            assert gessel_via_determinant(n) == hessenberg_det(window), n
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -442,7 +446,21 @@ class TestSparseWindows:
     def test_minors_match_the_dense_window(self):
         for n in range(12):
             k = origin_index(n)
-            assert window_minors(k) == hessenberg_minors(hessenberg_for(k)), n
+            assert window_minors(k)[-1] == hessenberg_det(hessenberg_for(k)), n
+        h = hessenberg_for(origin_index(2))
+        blocks = [HessenbergMatrix(size, tuple(row[:size] for row in h.entries[:size]))
+                  for size in range(h.size + 1)]
+        assert window_minors(origin_index(2)) == [hessenberg_det(b) for b in blocks]
+
+    def test_minors_are_signed_solved_unknowns(self):
+        """Cramer's rule, which gessel_via_determinant relies on: minor c of
+        a window is (-1)^c x(RHS_INDEX + c), here for all 361 at n = 6."""
+        k = origin_index(6)
+        minors = window_minors(k)
+        x = solve_forward(k).x
+        assert len(minors) == 361
+        for c, minor in enumerate(minors):
+            assert minor == (-1) ** c * x[c + RHS_INDEX], c
 
     def test_small_and_refused_windows(self):
         assert window_minors(RHS_INDEX) == [1]
