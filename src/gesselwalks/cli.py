@@ -17,12 +17,8 @@ runs one subcommand loads no others.
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
-import json
 import sys
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from . import pipelines
@@ -40,8 +36,10 @@ def _emit(fmt: str, text: str | None, record: dict | Callable[[], dict],
     function building it is called only then), or as csv ``rows``, by default
     the record's keys over its values; with no ``text``, text prints the rows."""
     if fmt == "json":
+        import json
         print(json.dumps(record() if callable(record) else record, indent=indent))
     elif fmt == "csv" or text is None:
+        import csv
         if rows is None:
             rows = [list(record), list(record.values())]
         csv.writer(sys.stdout).writerows(rows)
@@ -155,6 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         where = f" for suite {args.suite}" if flag == "--N" else ""
         raise UsageError(f"{flag} must be {rule}{where}")
     report = run(size)
+    import json
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -199,16 +198,22 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.m_max < 0:
         raise UsageError("--m-max must be nonnegative")
     from . import walks
-    table = walks.WalkTable(args.m_max)
-    # one f-string per record and one write per layer; the bytes are those of
-    # csv.writer rows (\r\n line ends) and of json.dumps lines
-    if args.format == "csv":
-        sys.stdout.write("m,n1,n2,F\r\n")
-        line = "{},{},{},{}\r\n".format
-    else:
-        line = '{{"m": {}, "n1": {}, "n2": {}, "F": "{}"}}\n'.format
-    for _, records in itertools.groupby(table.nonzero_records(), itemgetter(0)):
-        sys.stdout.write("".join([line(*record) for record in records]))
+    write = sys.stdout.write
+    # one prefix per column, one f-string per count and one write per layer;
+    # the bytes are those of csv.writer rows (\r\n line ends) and of
+    # json.dumps lines, and every slot of a column is a nonzero count
+    as_csv = args.format == "csv"
+    if as_csv:
+        write("m,n1,n2,F\r\n")
+    mid, end = (",", "\r\n") if as_csv else (', "F": "', '"}\n')
+    layer, chunks = 0, []
+    for m, n1, counts in walks.WalkTable(args.m_max).columns():
+        if m != layer:
+            write("".join(chunks))
+            layer, chunks = m, []
+        head = f"{m},{n1}," if as_csv else f'{{"m": {m}, "n1": {n1}, "n2": '
+        chunks += [f"{head}{n2}{mid}{v}{end}" for n2, v in enumerate(counts)]
+    write("".join(chunks))
     return 0
 
 

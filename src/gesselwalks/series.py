@@ -135,10 +135,13 @@ def _on_axes(a: TruncSeries3) -> TruncSeries3:
 
 
 def build_G(caps: Caps) -> TruncSeries3:
-    """Walk-count generating series up to the caps, read from the nonzero
-    records of a dp table with dx layers."""
-    records = walks.WalkTable(caps[0]).nonzero_records()
-    return make_series(caps, (((m, n1, n2), v) for m, n1, n2, v in records))
+    """Walk-count generating series up to the caps, read column by column
+    from a dp table with dx layers."""
+    columns = walks.WalkTable(caps[0]).columns()
+    return make_series(
+        caps,
+        (((m, n1, n2), v) for m, n1, counts in columns for n2, v in enumerate(counts)),
+    )
 
 
 def build_K(caps: Caps) -> TruncSeries3:
@@ -286,16 +289,24 @@ def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckRepo
     """Substitute the kernel root for x in the boundary-transform sections
     and check that H(x(y,z),0,z) + H(x(y,z),y,0) - H(x(y,z),0,0) collapses
     to the single monomial yz.  The three sections add up to the axis
-    terms of H, and substitution is linear, so the root is substituted once.
+    terms of H = K*G + yz, and substitution is linear, so the root is
+    substituted once.
+
+    The axis terms of H are those of K*G, since yz is off the axes.  They
+    read only the axis terms of G: a product term has ey = 0 (or ez = 0)
+    only if both factors do.  So the check multiplies K by the axis terms
+    of G alone and never builds the rest of H.
 
     Every monomial of the root carries at least one power of z, so x^m
     contributes z-order >= m and the composition is exact for ez up to the
     x cap; that bound is the z window.  Each Horner step multiplies by the
     root's rational form (``_times_root``), not by its expansion.
     """
-    H = build_H(caps, G)
-    dx, dy, dz = H.caps
+    if G is None:
+        G = build_G(caps)
+    axes = _on_axes(series_mul(build_K(G.caps), _on_axes(G)))
+    dx, dy, dz = axes.caps
     wz = min(dx, dz)
-    lhs = _horner(_on_axes(H), (0, dy, wz), _times_root)
+    lhs = _horner(axes, (0, dy, wz), _times_root)
     target = monomial((0, dy, wz), 0, 1, 1)
     return _compare(lhs, target, (0, dy, wz))

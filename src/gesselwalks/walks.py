@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 __all__ = [
@@ -72,10 +73,8 @@ def _unpack(column: int, width: int) -> list[int]:
     nonzero slot."""
     size = width // 8
     data = column.to_bytes(-(-column.bit_length() // 8), "little")
-    return [
-        int.from_bytes(data[at:at + size], "little")
-        for at in range(0, len(data), size)
-    ]
+    chunks = [data[at:at + size] for at in range(0, len(data), size)]
+    return list(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _pack(slots: list[int], width: int) -> int:
@@ -129,6 +128,10 @@ class WalkTable:
     call repacks O(log m) times, and every layer keeps the width it was
     built with, at most about 25% wider than it needs.
 
+    Whole-table readers (``table`` export, ``series.build_G``) take
+    ``columns()``, each nonzero column unpacked into its list of counts at
+    once; ``nonzero_records()`` flattens that into one record per cell.
+
     Construction is single-writer; a built table may be read from any
     number of threads.
     """
@@ -162,13 +165,20 @@ class WalkTable:
             return 0
         return (columns[n1] >> (width * n2)) & ((1 << width) - 1)
 
-    def nonzero_records(self) -> Iterator[tuple[int, int, int, int]]:
-        """Yield (m, n1, n2, count) for every nonzero entry, sorted."""
+    def columns(self) -> Iterator[tuple[int, int, list[int]]]:
+        """Yield (m, n1, counts) for every nonzero column, sorted, where
+        counts[n2] = F(m; n1, n2).  The columns are those with m = n1 (mod 2),
+        and counts runs over n2 = 0..(n1 + m) // 2, every slot nonzero."""
         for m, (width, columns) in enumerate(self._layers):
             for n1, column in enumerate(columns):
-                for n2, count in enumerate(_unpack(column, width)):
-                    if count:
-                        yield m, n1, n2, count
+                if column:
+                    yield m, n1, _unpack(column, width)
+
+    def nonzero_records(self) -> Iterator[tuple[int, int, int, int]]:
+        """Yield (m, n1, n2, count) for every nonzero entry, sorted."""
+        for m, n1, counts in self.columns():
+            for n2, count in enumerate(counts):
+                yield m, n1, n2, count
 
 
 def counts_along(m: int, n1: int, n2: int) -> list[int]:

@@ -42,7 +42,7 @@ def run_fresh(code: str):
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["count", "--m", "40", "--n1", "2"], BEYOND_DP),
+        (["count", "--m", "40", "--n1", "2"], BEYOND_DP | {"csv"}),
         (["count", "--m", "6", "--method", "det"], BEYOND_DETERMINANT),
         (["hessenberg", "--n", "1"], BEYOND_DETERMINANT),
         (["count", "--m", "6", "--method", "closed"], {"dataclasses"}),
@@ -52,8 +52,9 @@ def run_fresh(code: str):
         (["verify", "--suite", "cross_pipeline", "--k-max", "24"], {"dataclasses"}),
         (["verify", "--suite", "families"], {"dataclasses"}),
         (["universal", "--i", "2"], {"dataclasses"}),
-        (["fit", "--family", "r", "--k", "1"], {"dataclasses"}),
-        (["table", "--m-max", "3"], {"dataclasses"}),
+        (["fit", "--family", "r", "--k", "1"], {"dataclasses", "csv"}),
+        (["table", "--m-max", "3"], {"dataclasses", "csv"}),
+        (["table", "--m-max", "3", "--format", "csv"], {"csv"}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, absent):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gesselwalks.series import (
+    _on_axes,
     _times_root,
     build_G,
     build_H,
@@ -250,6 +251,16 @@ class TestRoot:
         report = verify_root_identity((8, 8, 8))
         assert report.ok
         assert report.first_mismatch is None
+
+    @pytest.mark.parametrize(
+        "caps", [(6, 6, 6), (24, 24, 24), (10, 4, 7), (3, 9, 2), (12, 20, 6), (1, 5, 3)]
+    )
+    def test_axis_terms_of_H_read_only_the_axis_terms_of_G(self, caps):
+        # what the root check builds in place of all of H
+        G = build_G(caps)
+        axes = _on_axes(series_mul(build_K(caps), _on_axes(G)))
+        assert axes == _on_axes(build_H(caps))
+        assert axes.coeffs
 
     @pytest.mark.parametrize("mono", AXIS_BUMPS, ids=bump_id)
     def test_root_identity_mutated_fails(self, mono):

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from gesselwalks.exact import catalan, gessel_closed_form
 from gesselwalks.walks import (
     WalkTable,
+    _pack,
+    _unpack,
     build_f_matrix,
     count_walks,
     counts_along,
@@ -136,6 +138,30 @@ class TestWalkTable:
         assert count_walks(220, 0, 0).bit_length() > 200
         for n in range(111):
             assert count_walks(2 * n, 0, 0) == gessel_closed_form(n)
+
+    @pytest.mark.parametrize("m_max", [40, 37])
+    def test_columns_hold_every_reachable_cell_and_nothing_else(self, m_max):
+        # the whole-table readers print every slot of a column as a record
+        t = WalkTable(m_max)
+        seen = []
+        for m, n1, counts in t.columns():
+            seen.append((m, n1))
+            assert (m - n1) % 2 == 0
+            assert len(counts) == (n1 + m) // 2 + 1
+            for n2, v in enumerate(counts):
+                assert v and v == t.value(m, n1, n2)
+        assert seen == [
+            (m, n1) for m in range(m_max + 1) for n1 in range(m % 2, m + 1, 2)
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(width=st.sampled_from([8, 16, 24, 48, 72]), data=st.data())
+    def test_unpack_inverts_pack(self, width, data):
+        slots = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
+        trimmed = list(slots)
+        while trimmed and not trimmed[-1]:
+            trimmed.pop()
+        assert _unpack(_pack(slots, width), width) == trimmed
 
     def test_value_outside_columns_is_zero(self):
         t = WalkTable(5)
