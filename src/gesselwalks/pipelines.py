@@ -8,12 +8,13 @@ cells, such as ``verify_cross_pipeline``.  Likewise a ``solve`` count
 solves only the rows its target depends on (``triangular.solve_cone``),
 while ``verify_cross_pipeline`` solves every row of the prefix it checks.
 A ``det`` count reads its target's cone solve too, and the dets that
-``verify_cross_pipeline`` checks come from ``coefficient_c`` instead
-(``triangular.window_minors``).  Other modules are called through their
-module attributes, never imported by name, so a wrapper installed on, say,
-``walks.count_walks`` sees every call made from here.  ``exact`` and
-``triangular`` are imported by the functions that call them, so a ``dp``
-count loads neither.
+``verify_cross_pipeline`` checks come from ``coefficient_c`` instead: the
+leading minors of one window (``triangular.window_minors``), which read it
+only at the cells that multiply a nonzero minor.  Other modules are called
+through their module attributes, never imported by name, so a wrapper
+installed on, say, ``walks.count_walks`` sees every call made from here.
+``exact`` and ``triangular`` are imported by the functions that call them,
+so a ``dp`` count loads neither.
 """
 
 from __future__ import annotations

@@ -136,8 +136,9 @@ def _on_axes(a: TruncSeries3) -> TruncSeries3:
 
 def build_G(caps: Caps) -> TruncSeries3:
     """Walk-count generating series up to the caps, read column by column
-    from a dp table with dx layers."""
-    columns = walks.WalkTable(caps[0]).columns()
+    from a dp table with dx layers, each column cut to n1 <= dy and
+    n2 <= dz before it is unpacked."""
+    columns = walks.WalkTable(caps[0]).columns(caps[1], caps[2])
     return make_series(
         caps,
         (((m, n1, n2), v) for m, n1, counts in columns for n2, v in enumerate(counts)),

@@ -8,8 +8,10 @@ only those cells and reads each value from one table of binomials
 (``_kernel``); ``solve_forward`` runs it on every row of a prefix,
 ``solve_cone`` on the rows that one row depends on.  By Cramer's rule
 ``gessel_via_determinant`` reads a window's determinant from ``solve_cone``,
-while the windows (``_window_rows``) read ``coefficient_c``, so their minors
-check the solve against the definition.
+while the windows read ``coefficient_c``, so their minors check the solve
+against the definition: ``_window_rows`` reads every window cell for the
+dense window, and ``window_minors`` reads only the cells that multiply a
+nonzero leading minor.
 """
 
 from __future__ import annotations
@@ -306,9 +308,37 @@ def _leading_minors(rows) -> list[int]:
 
 
 def window_minors(k: int) -> list[int]:
-    """Leading minors of ``hessenberg_for(k)``, read from its nonzero cells
-    without building it; a smaller origin window is a leading block of it."""
-    return _leading_minors(_window_rows(k))
+    """Leading minors d_0, ..., d_size of ``hessenberg_for(k)``, zeros
+    included, without building it; a smaller origin window is a leading
+    block of it.
+
+    Minor d_c belongs to the cell (i, j) = rho_inv(RHS_INDEX + c), and
+    ``found`` maps i -> [(j, c, d_c)], the nonzero minors so far in
+    ascending j.  Row r of the window, the equation (u, v), walks
+    ``found[i]`` up to j_max for each column i that ``_admitted_columns``
+    admits, as ``_substitute`` does, and gives the Hessenberg recursion of
+    ``_leading_minors``.  A cell whose minor is zero adds nothing to it, so
+    ``coefficient_c`` is read only at cells that multiply a nonzero minor.
+    The diagonal (u, v), the window's unit superdiagonal, is not in
+    ``found`` yet when its row is read.
+    """
+    if k < RHS_INDEX:
+        raise ValueError(f"k must be at least rho(1,1) = {RHS_INDEX}, got {k}")
+    minors = [1]
+    found: dict[int, list[tuple[int, int, int]]] = {1: [(1, 0, 1)]}
+    for r, n in enumerate(range(RHS_INDEX + 1, k + 1)):
+        u, v = rho_inv(n)
+        acc = 0
+        for i, j_max in _admitted_columns(u, v):
+            for j, c, d in found.get(i, ()):
+                if j > j_max:
+                    break
+                term = coefficient_c(u, v, i, j) * d
+                acc += term if (r - c) % 2 == 0 else -term
+        minors.append(acc)
+        if acc and v:  # the rule admits 1 <= j only
+            found.setdefault(u, []).append((v, r + 1, acc))
+    return minors
 
 
 def hessenberg_det(h: HessenbergMatrix) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterator, NamedTuple
 
 __all__ = [
@@ -130,7 +130,8 @@ class WalkTable:
 
     Whole-table readers (``table`` export, ``series.build_G``) take
     ``columns()``, each nonzero column unpacked into its list of counts at
-    once; ``nonzero_records()`` flattens that into one record per cell.
+    once, ``build_G`` with its caps on n1 and n2 as bounds;
+    ``nonzero_records()`` flattens that into one record per cell.
 
     Construction is single-writer; a built table may be read from any
     number of threads.
@@ -165,12 +166,25 @@ class WalkTable:
             return 0
         return (columns[n1] >> (width * n2)) & ((1 << width) - 1)
 
-    def columns(self) -> Iterator[tuple[int, int, list[int]]]:
+    def columns(
+        self, n1_max: int | None = None, n2_max: int | None = None
+    ) -> Iterator[tuple[int, int, list[int]]]:
         """Yield (m, n1, counts) for every nonzero column, sorted, where
         counts[n2] = F(m; n1, n2).  The columns are those with m = n1 (mod 2),
-        and counts runs over n2 = 0..(n1 + m) // 2, every slot nonzero."""
-        for m, (width, columns) in enumerate(self._layers):
-            for n1, column in enumerate(columns):
+        and counts runs over n2 = 0..(n1 + m) // 2, every slot nonzero.
+
+        Bounds, where given, keep only the columns n1 <= n1_max and the
+        slots n2 <= n2_max of each.  A column taller than n2_max is masked
+        before it is unpacked; one that already fits is unpacked as it is.
+        """
+        if min(n1_max or 0, n2_max or 0) < 0:
+            return  # a negative bound admits no cell
+        stop = None if n1_max is None else n1_max + 1
+        for m, (width, layer) in enumerate(self._layers):
+            keep = None if n2_max is None else width * (n2_max + 1)
+            for n1, column in enumerate(islice(layer, stop)):
+                if keep is not None and column.bit_length() > keep:
+                    column &= (1 << keep) - 1
                 if column:
                     yield m, n1, _unpack(column, width)
 

@@ -20,7 +20,7 @@ from gesselwalks.series import (
     verify_root_identity,
     x_of_yz,
 )
-from gesselwalks.walks import count_walks, f_tilde
+from gesselwalks.walks import WalkTable, count_walks, f_tilde
 
 CAPS = (6, 6, 6)
 
@@ -135,6 +135,13 @@ class TestBuildG:
             if count_walks(m, n1, n2)
         }
         assert build_G(caps) == make_series(caps, expected)
+
+    @pytest.mark.parametrize("caps", [(80, 10, 10), (12, 20, 6), (20, 6, 12), (5, 5, 30)])
+    def test_unequal_caps_equal_the_full_build_cut(self, caps):
+        """build_G cuts each column before it unpacks it; the full table's
+        records, cut by make_series, are the reference."""
+        full = WalkTable(caps[0]).nonzero_records()
+        assert build_G(caps) == make_series(caps, (((m, n1, n2), v) for m, n1, n2, v in full))
 
 
 class TestKernel:

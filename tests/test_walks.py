@@ -154,6 +154,18 @@ class TestWalkTable:
             (m, n1) for m in range(m_max + 1) for n1 in range(m % 2, m + 1, 2)
         ]
 
+    def test_bounded_columns_are_the_columns_cut(self):
+        t = WalkTable(21)
+        full = list(t.columns())
+        for n1_max, n2_max in [(None, 4), (3, None), (5, 0), (30, 30), (0, 11)]:
+            expected = [
+                (m, n1, counts if n2_max is None else counts[: n2_max + 1])
+                for m, n1, counts in full
+                if n1_max is None or n1 <= n1_max
+            ]
+            assert list(t.columns(n1_max, n2_max)) == expected, (n1_max, n2_max)
+        assert list(t.columns(-1, 5)) == list(t.columns(5, -1)) == []
+
     @settings(max_examples=80, deadline=None)
     @given(width=st.sampled_from([8, 16, 24, 48, 72]), data=st.data())
     def test_unpack_inverts_pack(self, width, data):
