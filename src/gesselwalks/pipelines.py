@@ -7,14 +7,14 @@ memo table behind ``walks.count_walks`` serves the callers that read many
 cells, such as ``verify_cross_pipeline``.  Likewise a ``solve`` count
 solves only the rows its target depends on (``triangular.solve_cone``),
 while ``verify_cross_pipeline`` solves every row of the prefix it checks.
-A ``det`` count reads its target's cone solve too, and the dets that
-``verify_cross_pipeline`` checks come from ``coefficient_c`` instead: the
-leading minors of one window (``triangular.window_minors``), which read it
-only at the cells that multiply a nonzero minor.  Other modules are called
-through their module attributes, never imported by name, so a wrapper
-installed on, say, ``walks.count_walks`` sees every call made from here.
-``exact`` and ``triangular`` are imported by the functions that call them,
-so a ``dp`` count loads neither.
+A ``det`` count reads its target's cone solve too; the dets that
+``verify_cross_pipeline`` checks are the leading minors of one window
+(``triangular.window_minors``), the same recursion over the other
+coefficient source, ``coefficient_c``, read only under nonzero unknowns.
+Other modules are called through their module attributes, never imported
+by name, so a wrapper installed on, say, ``walks.count_walks`` sees every
+call made from here.  ``exact`` and ``triangular`` are imported by the
+functions that call them, so a ``dp`` count loads neither.
 """
 
 from __future__ import annotations

@@ -3,22 +3,24 @@ ordering, forward substitution, Hessenberg determinant windows, chain-sum
 inversion, and the universal row segments.
 
 ``coefficient_c`` defines each coefficient and ``_admitted_columns`` states
-where it is nonzero.  ``_substitute``, the one solving recursion, visits
-only those cells and reads each value from one table of binomials
-(``_kernel``); ``solve_forward`` runs it on every row of a prefix,
-``solve_cone`` on the rows that one row depends on.  By Cramer's rule
-``gessel_via_determinant`` reads a window's determinant from ``solve_cone``,
-while the windows read ``coefficient_c``, so their minors check the solve
-against the definition: ``_window_rows`` reads every window cell for the
-dense window, and ``window_minors`` reads only the cells that multiply a
-nonzero leading minor.
+where it is nonzero.  ``_solve`` is the one recursion: forward substitution
+that visits only those cells, with two sources for their values.  The
+solves (``solve_forward`` on every row of a prefix, ``solve_cone`` on the
+rows that one row depends on) read one table of binomials (``_kernel``).
+By Cramer's rule the leading minors of a window are the signed unknowns
+(see ``hessenberg_for``), so ``window_minors`` solves over
+``coefficient_c`` itself, reading it only under nonzero unknowns, and its
+minors check the solve against the definition.  ``gessel_via_determinant``
+reads a window's determinant from ``solve_cone``, and ``hessenberg_for``
+builds the dense window cell by cell from ``coefficient_c``.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from types import MethodType
+from typing import Callable, Iterable, NamedTuple
 
 from .exact import binom_general
 from .walks import f_entry
@@ -165,28 +167,34 @@ def _kernel(table: list[list[int]], u: int, v: int, i: int, j: int) -> int:
     return -c if (v - j) % 2 else c
 
 
-def _substitute(table: list[list[int]], n: int, u: int, v: int,
-                found: dict[int, list[tuple[int, int]]]) -> int:
-    """x(n) for row n = rho(u, v) by forward substitution; a nonzero x(n) is
-    then added to ``found``.
+def _solve(rows: Iterable[int],
+           coefficient: Callable[[int, int, int, int], int]) -> dict[int, int]:
+    """n -> x(n) for each row n of ``rows``, in ascending packed order, by
+    forward substitution, each coefficient read as ``coefficient(u, v, i, j)``.
 
     ``found`` maps i -> [(j, x(i, j))], the nonzero unknowns solved so far
-    in ascending j.  For each column i that ``_admitted_columns`` admits, the
-    row walks ``found[i]`` up to j_max, so it visits only the nonzero
-    coefficients and assumes nothing about where the solution is nonzero.
-    Unknowns at or after n are not in ``found`` yet, so the diagonal
-    (i, j) = (u, v) is never visited.
+    in ascending j, j >= 1.  For each column i that ``_admitted_columns``
+    admits, row (u, v) walks ``found[i]`` up to j_max, so it reads only the
+    coefficients that multiply a nonzero unknown and assumes nothing about
+    where the solution is nonzero.  Unknowns at or after n are not in
+    ``found`` yet, so the diagonal (i, j) = (u, v) is never read.  A row
+    left out of ``rows`` counts as a zero unknown, so ``rows`` must hold
+    every nonzero unknown that its rows read, as a prefix or a cone does.
     """
-    acc = system_rhs(n)
-    for i, j_max in _admitted_columns(u, v):
-        for j, x in found.get(i, ()):
-            if j > j_max:
-                break
-            if j:  # the rule admits 1 <= j only
-                acc -= _kernel(table, u, v, i, j) * x
-    if acc:
-        found.setdefault(u, []).append((v, acc))
-    return acc
+    x: dict[int, int] = {}
+    found: dict[int, list[tuple[int, int]]] = {}
+    for n in rows:
+        u, v = rho_inv(n)
+        acc = system_rhs(n)
+        for i, j_max in _admitted_columns(u, v):
+            for j, x_ij in found.get(i, ()):
+                if j > j_max:
+                    break
+                acc -= coefficient(u, v, i, j) * x_ij
+        x[n] = acc
+        if acc and v:  # the rule admits 1 <= j only
+            found.setdefault(u, []).append((v, acc))
+    return x
 
 
 def solve_forward(k_max: int) -> TriSystem:
@@ -194,11 +202,10 @@ def solve_forward(k_max: int) -> TriSystem:
     row up to ``k_max``."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    table = _coefficient_table(sum(rho_inv(k_max)))
-    found: dict[int, list[tuple[int, int]]] = {}
-    return TriSystem(k_max, tuple(
-        _substitute(table, n, *rho_inv(n), found) for n in range(k_max + 1)
-    ))
+    # the table bound as _kernel's first argument: a bound method calls as
+    # fast as _kernel itself, where functools.partial adds a step per call
+    kernel = MethodType(_kernel, _coefficient_table(sum(rho_inv(k_max))))
+    return TriSystem(k_max, tuple(_solve(range(k_max + 1), kernel).values()))
 
 
 def solve_cone(k: int) -> dict[int, int]:
@@ -213,15 +220,11 @@ def solve_cone(k: int) -> dict[int, int]:
     if k < 0:
         raise ValueError("k must be nonnegative")
     top_u, top_v = rho_inv(k)
-    cells = {(top_u, top_v)}
+    rows = {k}
     for i, j_max in _admitted_columns(top_u, top_v):
-        cells.update((i, j) for j in range(1, j_max + 1))
-    table = _coefficient_table(top_u + top_v)
-    found: dict[int, list[tuple[int, int]]] = {}
-    return {
-        n: _substitute(table, n, u, v, found)
-        for n, u, v in sorted((rho(i, j), i, j) for i, j in cells)
-    }
+        rows.update(rho(i, j) for j in range(1, j_max + 1))
+    kernel = MethodType(_kernel, _coefficient_table(top_u + top_v))
+    return _solve(sorted(rows), kernel)
 
 
 class HessenbergMatrix(NamedTuple):
@@ -242,26 +245,6 @@ class HessenbergMatrix(NamedTuple):
         return True
 
 
-def _window_rows(k: int):
-    """The nonzero cells left of the superdiagonal of the window for index
-    k, row by row: for each row n = RHS_INDEX+1 .. k, the list of (c, value)
-    over the cells ``_admitted_columns`` admits other than the diagonal,
-    with c = rho(i, j) - RHS_INDEX the window column and value
-    ``coefficient_c(u, v, i, j)``, the reference definition.
-    """
-    if k < RHS_INDEX:
-        raise ValueError(f"k must be at least rho(1,1) = {RHS_INDEX}, got {k}")
-    for n in range(RHS_INDEX + 1, k + 1):
-        u, v = rho_inv(n)
-        cells = []
-        for i, j_max in _admitted_columns(u, v):
-            if i == u:
-                j_max -= 1  # (u, v) is the unit diagonal: the window's superdiagonal
-            for j in range(1, j_max + 1):
-                cells.append((rho(i, j) - RHS_INDEX, coefficient_c(u, v, i, j)))
-        yield cells
-
-
 def hessenberg_for(k: int) -> HessenbergMatrix:
     """The determinant window for solution entry k: rows RHS_INDEX+1 .. k
     and columns RHS_INDEX .. k-1 of the packed matrix, a square block of
@@ -273,17 +256,21 @@ def hessenberg_for(k: int) -> HessenbergMatrix:
     used for the origin counts, since those k are even.
 
     Each row is the unit superdiagonal (the unit diagonal of the packed
-    matrix) plus the cells of ``_window_rows``; every other cell is zero.
+    matrix) plus the other cells that ``_admitted_columns`` admits, read
+    from ``coefficient_c``, the reference definition; every other cell is 0.
     """
+    if k < RHS_INDEX:
+        raise ValueError(f"k must be at least rho(1,1) = {RHS_INDEX}, got {k}")
     width = k - RHS_INDEX
     rows = []
-    for r, cells in enumerate(_window_rows(k)):
-        row = [0] * width
-        if r + 1 < width:
-            row[r + 1] = 1
-        for c, e in cells:
-            row[c] = e
-        rows.append(tuple(row))
+    for n in range(RHS_INDEX + 1, k + 1):
+        u, v = rho_inv(n)
+        row = [0] * (width + 1)  # + column k, the last row's diagonal
+        row[n - RHS_INDEX] = 1  # the unit diagonal: the window's superdiagonal
+        for i, j_max in _admitted_columns(u, v):
+            for j in range(1, j_max + 1 - (i == u)):
+                row[rho(i, j) - RHS_INDEX] = coefficient_c(u, v, i, j)
+        rows.append(tuple(row[:width]))
     return HessenbergMatrix(width, tuple(rows))
 
 
@@ -312,33 +299,16 @@ def window_minors(k: int) -> list[int]:
     included, without building it; a smaller origin window is a leading
     block of it.
 
-    Minor d_c belongs to the cell (i, j) = rho_inv(RHS_INDEX + c), and
-    ``found`` maps i -> [(j, c, d_c)], the nonzero minors so far in
-    ascending j.  Row r of the window, the equation (u, v), walks
-    ``found[i]`` up to j_max for each column i that ``_admitted_columns``
-    admits, as ``_substitute`` does, and gives the Hessenberg recursion of
-    ``_leading_minors``.  A cell whose minor is zero adds nothing to it, so
-    ``coefficient_c`` is read only at cells that multiply a nonzero minor.
-    The diagonal (u, v), the window's unit superdiagonal, is not in
-    ``found`` yet when its row is read.
+    Minor d_c is the determinant of the window for RHS_INDEX + c, so by the
+    sign of ``hessenberg_for`` it is (-1)^c x(RHS_INDEX + c), with x solved
+    over ``coefficient_c``: the rows below RHS_INDEX are all zero, so the
+    solve starts there, and it reads ``coefficient_c`` only at cells that
+    multiply a nonzero minor.
     """
     if k < RHS_INDEX:
         raise ValueError(f"k must be at least rho(1,1) = {RHS_INDEX}, got {k}")
-    minors = [1]
-    found: dict[int, list[tuple[int, int, int]]] = {1: [(1, 0, 1)]}
-    for r, n in enumerate(range(RHS_INDEX + 1, k + 1)):
-        u, v = rho_inv(n)
-        acc = 0
-        for i, j_max in _admitted_columns(u, v):
-            for j, c, d in found.get(i, ()):
-                if j > j_max:
-                    break
-                term = coefficient_c(u, v, i, j) * d
-                acc += term if (r - c) % 2 == 0 else -term
-        minors.append(acc)
-        if acc and v:  # the rule admits 1 <= j only
-            found.setdefault(u, []).append((v, r + 1, acc))
-    return minors
+    x = _solve(range(RHS_INDEX, k + 1), coefficient_c)
+    return [-x_c if c % 2 else x_c for c, x_c in enumerate(x.values())]
 
 
 def hessenberg_det(h: HessenbergMatrix) -> int:

@@ -152,3 +152,21 @@ def test_a_coefficient_c_fault_fails_the_det_column(monkeypatch):
     assert not report["ok"] and report["entries_checked"] == 401
     first = report["first_mismatch"]
     assert first["dp"] == first["solve"] != first["det"]
+
+
+def test_a_recursion_fault_is_caught_by_the_boundary_matrix(monkeypatch):
+    """det and solve share one recursion, so a fault in its zero rule moves
+    both alike; the solve against the boundary matrix and dp catch it."""
+    admitted = triangular._admitted_columns
+
+    def without_t_1(u, v):
+        return ((i, j_max) for i, j_max in admitted(u, v) if u < 5 or i != u - 2)
+
+    monkeypatch.setattr(triangular, "_admitted_columns", without_t_1)
+    report = verify_cross_pipeline(400)
+    assert not report["ok"] and report["entries_checked"] == 39
+    assert report["first_mismatch"] == {"k": 39, "i": 5, "j": 3, "solved": -1, "direct": 1}
+    assert count(40, 0, 0, "solve") != count(40, 0, 0, "dp")
+    k = triangular.origin_index(6)
+    det, solved = triangular.window_minors(k)[-1], triangular.solve_cone(k)[k]
+    assert det == solved != GESSEL_NUMBERS[6]

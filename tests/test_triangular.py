@@ -13,7 +13,6 @@ from gesselwalks.triangular import (
     _coefficient_table,
     _kernel,
     _leading_minors,
-    _window_rows,
     boundary_index,
     coefficient_c,
     gessel_via_determinant,
@@ -458,7 +457,8 @@ class TestSparseWindows:
         """The window reads coefficient_c only at cells that multiply a
         nonzero minor: 10,770 reads at origin n = 11, where every cell of
         the window would be 65,813.  Every minor, zeros included, is the
-        one of the recursion over every cell."""
+        one of the Hessenberg recursion over every nonzero cell of the
+        dense window."""
         calls = 0
 
         def counted(*args):
@@ -471,17 +471,23 @@ class TestSparseWindows:
         assert calls < 15_000
         for n in range(12):
             k = origin_index(n)
-            assert window_minors(k) == _leading_minors(_window_rows(k)), n
+            every_cell = _leading_minors(
+                [(c, e) for c, e in enumerate(row[: r + 1]) if e]
+                for r, row in enumerate(hessenberg_for(k).entries)
+            )
+            assert window_minors(k) == every_cell, n
 
     def test_minors_are_signed_solved_unknowns(self):
         """Cramer's rule, which gessel_via_determinant relies on: minor c of
-        a window is (-1)^c x(RHS_INDEX + c), here for all 361 at n = 6."""
-        k = origin_index(6)
-        minors = window_minors(k)
-        x = solve_forward(k).x
-        assert len(minors) == 361
-        for c, minor in enumerate(minors):
-            assert minor == (-1) ** c * x[c + RHS_INDEX], c
+        a window is (-1)^c x(RHS_INDEX + c), here for all 361 at n = 6 and
+        all 1,101 at n = 11."""
+        for n, size in ((6, 361), (11, 1101)):
+            k = origin_index(n)
+            minors = window_minors(k)
+            x = solve_forward(k).x
+            assert len(minors) == size, n
+            for c, minor in enumerate(minors):
+                assert minor == (-1) ** c * x[c + RHS_INDEX], (n, c)
 
     def test_small_and_refused_windows(self):
         assert window_minors(RHS_INDEX) == [1]
