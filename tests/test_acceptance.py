@@ -116,6 +116,7 @@ def test_criterion_06_functional_equations():
             report = verify(caps, G)
             assert report.ok, verify.__name__
             assert report.compared > 0
+            assert report.nonzero > 0
         for verify, mono in (
             (verify_kernel_equation, (4, 2, 1)),
             (verify_H_equation, (4, 2, 1)),

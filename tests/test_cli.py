@@ -150,7 +150,8 @@ class TestVerify:
         report = json.loads(out)
         assert report["ok"] is True
         assert report["window"] == [5, 4, 4]
-        assert report["compared"] > 0
+        assert report["compared"] == 6 * 5 * 5
+        assert report["nonzero"] > 0
 
     def test_hkernel(self, capsys):
         code, out, _ = run_cli(

@@ -20,7 +20,7 @@ from gesselwalks.series import (
     verify_root_identity,
     x_of_yz,
 )
-from gesselwalks.walks import WalkTable, count_walks, f_tilde
+from gesselwalks.walks import columns, count_walks, f_tilde
 
 CAPS = (6, 6, 6)
 
@@ -140,8 +140,14 @@ class TestBuildG:
     def test_unequal_caps_equal_the_full_build_cut(self, caps):
         """build_G cuts each column before it unpacks it; the full table's
         records, cut by make_series, are the reference."""
-        full = WalkTable(caps[0]).nonzero_records()
-        assert build_G(caps) == make_series(caps, (((m, n1, n2), v) for m, n1, n2, v in full))
+        full = columns(caps[0])
+        assert build_G(caps) == make_series(
+            caps, (((m, n1, n2), v) for m, n1, counts in full for n2, v in enumerate(counts))
+        )
+
+    @pytest.mark.parametrize("caps", [(-1, 3, 3), (3, -1, 3), (3, 3, -1)])
+    def test_negative_cap_gives_the_empty_series(self, caps):
+        assert build_G(caps) == make_series(caps, {})
 
 
 class TestKernel:
@@ -159,14 +165,15 @@ class TestKernel:
         report = verify_kernel_equation((8, 8, 8))
         assert report
         assert report.window == (7, 6, 6)
-        assert report.compared > 0
+        assert report.compared == 8 * 7 * 7 == 392
+        assert report.nonzero > 0
         assert report.first_mismatch is None
 
     def test_kernel_equation_degenerate_caps(self):
         # nothing lies in the window, so the check must not pass
         report = verify_kernel_equation((1, 1, 1))
         assert not report
-        assert report.compared == 0
+        assert report.compared == report.nonzero == 0
         assert report.first_mismatch is None
 
     @pytest.mark.parametrize("mono", [INTERIOR_BUMP, *AXIS_BUMPS], ids=bump_id)
@@ -252,6 +259,14 @@ class TestRoot:
             report = verify_root_identity((c, c, c))
             assert report
             assert report.window == (0, c, c)
+
+    def test_root_identity_compares_the_whole_window(self):
+        # every exponent of the window is compared; only yz is nonzero
+        report = verify_root_identity((24, 24, 24))
+        assert report
+        assert report.window == (0, 24, 24)
+        assert report.compared == 625
+        assert report.nonzero == 1
 
     def test_root_identity_lhs_coefficients(self):
         # passing means the left side is exactly the monomial y*z

@@ -9,6 +9,7 @@ from gesselwalks.walks import (
     _pack,
     _unpack,
     build_f_matrix,
+    columns,
     count_walks,
     counts_along,
     f_entry,
@@ -86,8 +87,7 @@ class TestWalkTable:
         assert t.value(0, 1, 0) == 0
 
     def test_values_nonnegative(self):
-        t = WalkTable(12)
-        assert all(v >= 0 for _, _, _, v in t.nonzero_records())
+        assert all(v > 0 for _, _, counts in columns(12) for v in counts)
 
     def test_extend_is_idempotent(self):
         t = WalkTable(6)
@@ -111,13 +111,14 @@ class TestWalkTable:
             for n1 in range(m + 2):
                 for n2 in range((n1 + m) // 2 + 2):
                     assert grown.value(m, n1, n2) == whole.value(m, n1, n2)
-        assert list(grown.nonzero_records()) == list(whole.nonzero_records())
+        assert grown._layers == whole._layers
 
     def test_matches_dict_recurrence(self):
         # the unpacked step recurrence, cell by cell, as the reference
         by_layer: dict[int, dict] = {}
-        for m, n1, n2, v in WalkTable(40).nonzero_records():
-            by_layer.setdefault(m, {})[(n1, n2)] = v
+        for m, n1, counts in columns(40):
+            for n2, v in enumerate(counts):
+                by_layer.setdefault(m, {})[(n1, n2)] = v
         layer = {(0, 0): 1}
         for m in range(1, 41):
             layer = {
@@ -144,7 +145,7 @@ class TestWalkTable:
         # the whole-table readers print every slot of a column as a record
         t = WalkTable(m_max)
         seen = []
-        for m, n1, counts in t.columns():
+        for m, n1, counts in columns(m_max):
             seen.append((m, n1))
             assert (m - n1) % 2 == 0
             assert len(counts) == (n1 + m) // 2 + 1
@@ -154,17 +155,31 @@ class TestWalkTable:
             (m, n1) for m in range(m_max + 1) for n1 in range(m % 2, m + 1, 2)
         ]
 
+    def test_stream_equals_memo_across_repacks(self):
+        # slots widen at m = 3, 7, 11, 15, 19, 27, 35, 47 and 59 up to m = 60;
+        # every cell of the support box, and the cells just beyond it, agree
+        t = WalkTable(60)
+        cells = {(m, n1, n2): v for m, n1, counts in columns(60) for n2, v in enumerate(counts)}
+        for m in range(61):
+            for n1 in range(m + 2):
+                for n2 in range((n1 + m) // 2 + 2):
+                    assert cells.get((m, n1, n2), 0) == t.value(m, n1, n2), (m, n1, n2)
+
     def test_bounded_columns_are_the_columns_cut(self):
-        t = WalkTable(21)
-        full = list(t.columns())
+        full = list(columns(21))
         for n1_max, n2_max in [(None, 4), (3, None), (5, 0), (30, 30), (0, 11)]:
             expected = [
                 (m, n1, counts if n2_max is None else counts[: n2_max + 1])
                 for m, n1, counts in full
                 if n1_max is None or n1 <= n1_max
             ]
-            assert list(t.columns(n1_max, n2_max)) == expected, (n1_max, n2_max)
-        assert list(t.columns(-1, 5)) == list(t.columns(5, -1)) == []
+            assert list(columns(21, n1_max, n2_max)) == expected, (n1_max, n2_max)
+        assert list(columns(21, -1, 5)) == list(columns(21, 5, -1)) == []
+        assert list(columns(-1)) == list(columns(-1, 3, 3)) == []
+
+    def test_nothing_is_built_up_front(self):
+        # a pass to m = 10^6 would not end; its first column comes at once
+        assert next(columns(10**6)) == (0, 0, [1])
 
     @settings(max_examples=80, deadline=None)
     @given(width=st.sampled_from([8, 16, 24, 48, 72]), data=st.data())
