@@ -2,7 +2,8 @@
 
 A method that does not cover a target raises ``NotCovered``; that refusal
 is the coverage rule, stated nowhere else.  A ``dp`` count asks for one
-target, so it runs a two-layer cone pass (``walks.counts_along``); the
+target, so it runs two half-depth passes, one from the origin and one back
+from the target, that meet at layer m // 2 (``walks.count_meet``); the
 memo table behind ``walks.count_walks`` serves the callers that read many
 cells, such as ``verify_cross_pipeline``.  Likewise a ``solve`` count
 solves only the rows its target depends on (``triangular.solve_cone``),
@@ -52,7 +53,7 @@ def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN
     if max_span < 1:
         raise ValueError("max_span must be at least 1")
     if method == "dp":
-        return walks.counts_along(m, n1, n2)[-1] if walks.reachable(m, n1, n2) else 0
+        return walks.count_meet(m, n1, n2)
     if method == "closed":
         return _count_closed(m, n1, n2)
     if method == "solve":

@@ -13,15 +13,19 @@ any count of layer m (at most 4^m), so the four-term step becomes four
 big-int operations per column with no carry between slots.  Layer m holds
 about 0.9*m^3 bits.
 
-Three shapes of dp share that one step; the first two also share one rule
-for widening slots (``_grow``).  The memo, the ``WalkTable`` behind
-``count_walks``, keeps every layer for the callers that read cells back.
-The stream, ``columns``, holds two layers and yields each nonzero column
-unpacked, for the whole-table readers (``table`` export, ``build_G``).
-The cone, ``counts_along``, answers one target (n1, n2) from two layers at
-one width, computing only the cells that can still reach it, and returns
-F(t; n1, n2) for every t up to m.  Also here: the shortest-walk closed
-forms and the packed boundary-count matrix of the triangular pipeline.
+Four shapes of dp share that one step; the first two also share one rule
+for widening slots (``_grow``), the last two one statement of the cone of
+cells that can still reach a goal (``_cone``).  The memo, the
+``WalkTable`` behind ``count_walks``, keeps every layer for the callers
+that read cells back.  The stream, ``columns``, holds two layers and
+yields each nonzero column unpacked, for the whole-table readers (``table``
+export, ``build_G``).  The cone, ``counts_along``, follows one target
+(n1, n2) from two layers at one width and returns F(t; n1, n2) for every t
+up to m, for the suites that read every t.  The meet, ``count_meet``,
+answers F(m; n1, n2) alone from two passes of half the depth and half the
+slot width, one from the origin and one back from the target.  Also here:
+the shortest-walk closed forms and the packed boundary-count matrix of the
+triangular pipeline.
 """
 
 from __future__ import annotations
@@ -29,12 +33,14 @@ from __future__ import annotations
 import math
 import threading
 from itertools import chain, count, islice, repeat
+from operator import mul
 from typing import Iterator, NamedTuple
 
 __all__ = [
     "reachable",
     "count_walks",
     "counts_along",
+    "count_meet",
     "columns",
     "shortest_walk",
     "f_tilde",
@@ -135,8 +141,9 @@ class WalkTable:
     callers that read cells back bound the memo's growth, and all of them
     stay at small m: the cross-pipeline suite reaches m = 61 at k_max =
     8000 (m <= about sqrt(k_max / 2)), a universal row i reaches m = 2i - 2,
-    and the family suite m = 26.  One-target counts take ``counts_along``
-    and whole-table readers ``columns``; neither touches the memo.
+    and the family suite m = 26.  One-target counts take ``count_meet``,
+    the suites that read one target at every t ``counts_along``, and
+    whole-table readers ``columns``; none of them touches the memo.
 
     Construction is single-writer under ``count_walks``'s lock, since the
     library can be called from threads; a built table may be read from any
@@ -189,37 +196,85 @@ def columns(
                 yield m, n1, _unpack(column, width)
 
 
-def counts_along(m: int, n1: int, n2: int) -> list[int]:
-    """[F(t; n1, n2) for t = 0..m] from one pass that holds two layers.
+def _cone(
+    m: int, start: tuple[int, int], goal: tuple[int, int], width: int
+) -> Iterator[list[int]]:
+    """Layers t = 0..m of the step recurrence from one walk at ``start``,
+    each computed only on the cells that can still reach ``goal`` by step m.
 
     A step moves n1 by exactly 1 and n2 by at most 1, and a step down (SW)
     also moves one column left.  So a cell (c, r) of layer t can reach
-    (n1, n2) by step m only if |c - n1| <= m - t and
-    r - n2 <= (m - t + c - n1) / 2.  Those cells form a cone, and the cells
-    any cone cell reads lie in the cone of the layer before.  The pass holds
-    two layers at the slot width of layer m.  In each it computes only the
-    columns within m - t of n1, and cuts them all at the row bound of the
-    rightmost one.  Every cone cell is then exact, and the target lies in
-    the cone at every t.  Targets no walk of at most m steps reaches give
-    zeros without a pass.
+    (g1, g2) by step m only if |c - g1| <= m - t and
+    r - g2 <= (m - t + c - g1) / 2.  Those cells form a cone, and the cells
+    any cone cell reads lie in the cone of the layer before.  Each layer
+    computes only the columns within m - t of g1 that the start reaches, and
+    cuts them all at the row bound of the rightmost one.  Every cone cell is
+    then exact; a cell outside the cone is at most its true count, so it is
+    nonzero only where the start reaches it.  Walks read backwards are walks
+    again (the steps are closed under negation), so the same bounds prune a
+    pass from the target toward the origin.
+    """
+    (s1, s2), (g1, g2) = start, goal
+    layer = [0] * s1 + [1 << (width * s2)]
+    yield layer
+    for t in range(1, m + 1):
+        left = m - t
+        lo = max(0, s1 - t, g1 - left)
+        lo += (lo - s1 - t) % 2  # columns of the wrong parity are 0
+        hi = min(s1 + t, g1 + left)
+        top = g2 + (left + hi - g1) // 2
+        cut = top + 1 if top < s2 + (t + hi - s1) // 2 else None
+        layer = _step(layer, width, range(lo, hi + 1, 2), cut)
+        yield layer
+
+
+def counts_along(m: int, n1: int, n2: int) -> list[int]:
+    """[F(t; n1, n2) for t = 0..m] from one pass that holds two layers.
+
+    The pass runs from the origin at the slot width of layer m over the
+    cells that can still reach (n1, n2) by step m (``_cone``), so the
+    target lies in the cone at every t.  Targets no walk of at most m steps
+    reaches give zeros without a pass.
     """
     if not (reachable(m, n1, n2) or reachable(m - 1, n1, n2)):
         return [0] * (m + 1)
     width = _slot_width(m)
     slot = (1 << width) - 1
-    layer = [1]
-    counts = [int(n1 == n2 == 0)]
-    for t in range(1, m + 1):
-        left = m - t
-        lo = max(0, n1 - left)
-        lo += (lo - t) % 2  # columns of the wrong parity are 0
-        hi = min(t, n1 + left)
-        # every step down is a SW step, which also moves one column left
-        top = n2 + (left + hi - n1) // 2
-        cut = top + 1 if top < (hi + t) // 2 else None
-        layer = _step(layer, width, range(lo, hi + 1, 2), cut)
-        counts.append((layer[n1] >> (width * n2)) & slot if n1 <= t else 0)
-    return counts
+    return [
+        (layer[n1] >> (width * n2)) & slot if n1 < len(layer) else 0
+        for layer in _cone(m, (0, 0), (n1, n2), width)
+    ]
+
+
+def count_meet(m: int, n1: int, n2: int) -> int:
+    """F(m; n1, n2) from two passes of half the depth that meet at layer
+    h = m // 2.
+
+    Reading a walk backwards gives a walk again, so
+    F(m; T) = sum over c of F(h; c) * R(m - h; c), where R(s; c) counts the
+    s-step quadrant walks from T to c, and at the origin
+    F(2h; 0, 0) = sum over c of F(h; c)^2.  The forward pass runs h steps
+    from the origin over the cells that can still reach T by step m, the
+    backward pass m - h steps from T over the cells the origin reaches by
+    step m (both ``_cone``), and the count is the per-column dot product of
+    their last layers.  Every product is exact: a cell that one pass leaves
+    nonzero is reached from its start, so it lies in the other pass's cone,
+    where that pass is exact.  Both use the slot width of layer
+    max(h, m - h), half that of a one-pass count.  Targets outside the
+    support give 0 without a pass.
+    """
+    if not reachable(m, n1, n2):
+        return 0
+    h = m // 2
+    width = _slot_width(m - h)  # the wider half: m - h >= h
+    ahead = next(islice(_cone(m, (0, 0), (n1, n2), width), h, None))
+    if n1 == n2 == 0:
+        return sum(v * v for column in ahead for v in _unpack(column, width))
+    back = next(islice(_cone(m, (n1, n2), (0, 0), width), m - h, None))
+    return sum(
+        sum(map(mul, _unpack(a, width), _unpack(b, width)))
+        for a, b in zip(ahead, back) if a and b
+    )
 
 
 _shared = WalkTable(0)

@@ -43,6 +43,20 @@ def test_dp_cone_pass_against_closed_forms(m, n1, n2):
     assert walks.shared_table().m_max == before
 
 
+def test_dp_count_never_runs_the_full_depth_cone(monkeypatch, capsys):
+    """A dp count meets two half-depth passes; the one-pass cone stays for
+    the suites that read every t."""
+    def refuse(m, n1, n2):
+        raise AssertionError("counts_along called")
+
+    targets = ((0, 0, 0), (1, 1, 0), (7, 3, 2), (140, 0, 0), (141, 9, 30), (9, 11, 0))
+    expected = [walks.counts_along(*target)[-1] for target in targets]
+    monkeypatch.setattr(walks, "counts_along", refuse)
+    assert [count(*target, "dp") for target in targets] == expected
+    assert cli.main(["count", "--m", "40", "--n1", "2", "--n2", "5"]) == 0
+    assert capsys.readouterr().out == f"{walks.count_walks(40, 2, 5)}  method=dp\n"
+
+
 def test_multisum_span_refusal_is_not_covered():
     with pytest.raises(NotCovered, match="chain explosion"):
         count(8, 0, 0, "multisum")

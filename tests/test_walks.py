@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 from gesselwalks.exact import catalan, gessel_closed_form
 from gesselwalks.walks import (
     WalkTable,
+    _cone,
     _pack,
+    _slot_width,
     _unpack,
     build_f_matrix,
     columns,
+    count_meet,
     count_walks,
     counts_along,
     f_entry,
@@ -231,6 +234,62 @@ class TestCountsAlong:
         assert counts_along(4, -1, 0) == [0] * 5
         assert counts_along(-1, 0, 0) == []
         assert counts_along(0, 0, 0) == [1]
+
+
+class TestCountMeet:
+    def test_against_brute_enumeration(self):
+        # every target in and just beyond the support box for m <= 7, then
+        # axis and interior targets up to m = 12 (the origin has its own test)
+        for m in range(8):
+            for n1 in range(m + 2):
+                for n2 in range(m + 2):
+                    assert count_meet(m, n1, n2) == brute_count(m, n1, n2), (m, n1, n2)
+        for target in ((8, 2, 3), (9, 1, 0), (10, 0, 3), (11, 3, 2), (12, 2, 1)):
+            assert count_meet(*target) == brute_count(*target), target
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_cone_pass(self, data):
+        # odd and even m, targets of the wrong parity, n1 past m and n2 past
+        # the cone bound 2*n2 <= n1 + m
+        m = data.draw(st.integers(min_value=0, max_value=40), label="m")
+        n1 = data.draw(st.integers(min_value=0, max_value=m + 3), label="n1")
+        n2 = data.draw(st.integers(min_value=0, max_value=(n1 + m) // 2 + 3), label="n2")
+        assert count_meet(m, n1, n2) == counts_along(m, n1, n2)[-1]
+
+    def test_origin_sum_of_squares_against_closed_form(self):
+        for n in range(101):
+            assert count_meet(2 * n, 0, 0) == gessel_closed_form(n), n
+
+    def test_out_of_reach(self):
+        assert count_meet(9, 10, 0) == 0
+        assert count_meet(9, 2, 6) == 0
+        assert count_meet(9, 0, 0) == 0
+        assert count_meet(0, 0, 0) == 1
+        assert count_meet(-1, 0, 0) == 0
+
+    @pytest.mark.parametrize(
+        "m, start, goal",
+        [
+            (41, (0, 0), (13, 4)),  # forward half toward an interior target
+            (40, (0, 0), (30, 0)),  # toward a far axis target
+            (40, (0, 0), (0, 20)),  # toward the top of the cone
+            (41, (13, 4), (0, 0)),  # backward halves toward the origin
+            (40, (30, 0), (0, 0)),
+            (40, (0, 20), (0, 0)),
+        ],
+    )
+    def test_passes_stay_in_the_goal_cone(self, m, start, goal):
+        # a pass computes only the goal's cone: every nonzero column of layer
+        # t lies within m - t columns of the goal, and no nonzero slot above
+        # the cone's row bound at the layer's rightmost nonzero column
+        (g1, g2), width = goal, _slot_width(m)
+        for t, layer in enumerate(_cone(m, start, goal, width)):
+            nonzero = [c for c, column in enumerate(layer) if column]
+            assert nonzero, t
+            assert all(abs(c - g1) <= m - t for c in nonzero), t
+            top = g2 + (m - t + nonzero[-1] - g1) // 2
+            assert all(len(_unpack(layer[c], width)) <= top + 1 for c in nonzero), t
 
 
 class TestShortestWalk:
