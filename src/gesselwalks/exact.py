@@ -2,14 +2,19 @@
 
 Everything here is pure and exact: integers are Python ints, rationals are
 ``fractions.Fraction`` values kept in lowest terms.  Floating point never
-appears anywhere in the package.
+appears anywhere in the package.  ``fractions`` is imported by the three
+functions that build rationals, so ``binom_general``'s callers, the integer
+pipelines, start without it (and without ``decimal`` and ``numbers``).
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "binom_general",
@@ -47,6 +52,7 @@ def pochhammer(q: Fraction | int, n: int) -> Fraction:
     For q = p/d this is (p)(p+d)...(p+(n-1)d) / d^n: one integer product
     and a single normalisation.
     """
+    from fractions import Fraction
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
     q = Fraction(q)
@@ -68,6 +74,7 @@ def gessel_closed_form(n: int) -> Fraction:
     The value always reduces to an integer; a non-integral result would mean
     the evaluation itself is broken, so that case raises instead of rounding.
     """
+    from fractions import Fraction
     if n < 0:
         raise ValueError("gessel_closed_form needs n >= 0")
     value = (
@@ -96,6 +103,7 @@ def conjectured_value(family: ClosedFormFamily, k: int | None, n: int) -> Fracti
     the printed range 0..3; the F201 family takes k=None.  Combinations
     without a printed formula raise ValueError.
     """
+    from fractions import Fraction
     if n < 0:
         raise ValueError("conjectured_value needs n >= 0")
     if family is ClosedFormFamily.F201:

@@ -15,7 +15,10 @@ coefficient source, ``coefficient_c``, read only under nonzero unknowns.
 Other modules are called through their module attributes, never imported
 by name, so a wrapper installed on, say, ``walks.count_walks`` sees every
 call made from here.  ``exact`` and ``triangular`` are imported by the
-functions that call them, so a ``dp`` count loads neither.
+functions that call them, so a ``dp`` count loads neither.  A ``det``,
+``solve`` or ``multisum`` count loads both, but not ``fractions``: its
+entries are integers, and ``exact`` imports ``fractions`` only in the
+closed forms, which a ``closed`` count past its shortest walk evaluates.
 """
 
 from __future__ import annotations
@@ -85,12 +88,12 @@ def _as_int(value: Fraction, what: str) -> int:
 
 def _count_closed(m: int, n1: int, n2: int) -> int:
     """Walk count from a proven or printed closed form, when one applies."""
-    from . import exact
     if not walks.reachable(m, n1, n2):
         return 0
     length, ways = walks.shortest_walk(n1, n2)
     if m == length:
         return ways
+    from . import exact
     if n1 == 0 and n2 == 0:
         return _as_int(exact.gessel_closed_form(m // 2), "origin closed form")
     if n1 == 0 and n2 == 1 and m % 2 == 0:

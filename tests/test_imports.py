@@ -19,12 +19,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SUBMODULES = ("walks", "exact", "series", "triangular", "conjectures", "pipelines")
 
+# rationals: only the closed forms, fits and families build them
+RATIONALS = {"fractions", "decimal", "numbers"}
 # modules that only other subcommands need
-BEYOND_DP = {
-    "dataclasses", "inspect", "fractions", "gesselwalks.exact",
+BEYOND_DP = RATIONALS | {
+    "dataclasses", "inspect", "gesselwalks.exact",
     "gesselwalks.triangular", "gesselwalks.series", "gesselwalks.conjectures",
 }
-BEYOND_DETERMINANT = {"dataclasses", "gesselwalks.series", "gesselwalks.conjectures"}
+# the integer pipelines: det, solve, multisum and the windows
+BEYOND_INTEGER = RATIONALS | {
+    "dataclasses", "gesselwalks.series", "gesselwalks.conjectures",
+}
 
 
 def run_fresh(code: str):
@@ -43,18 +48,24 @@ def run_fresh(code: str):
     "argv, absent",
     [
         (["count", "--m", "40", "--n1", "2"], BEYOND_DP | {"csv"}),
-        (["count", "--m", "6", "--method", "det"], BEYOND_DETERMINANT),
-        (["hessenberg", "--n", "1"], BEYOND_DETERMINANT),
+        (["count", "--m", "6", "--method", "det"], BEYOND_INTEGER),
+        (["hessenberg", "--n", "1"], BEYOND_INTEGER),
         (["count", "--m", "6", "--method", "closed"], {"dataclasses"}),
-        (["count", "--m", "6", "--method", "solve"], {"dataclasses"}),
+        (["count", "--m", "6", "--method", "solve"], BEYOND_INTEGER),
         (["verify", "--suite", "gessel", "--N", "5"], {"dataclasses"}),
         (["verify", "--suite", "kernel", "--caps", "4,4,4"], {"dataclasses"}),
-        (["verify", "--suite", "cross_pipeline", "--k-max", "24"], {"dataclasses"}),
+        (["verify", "--suite", "cross_pipeline", "--k-max", "24"], BEYOND_INTEGER),
         (["verify", "--suite", "families"], {"dataclasses"}),
         (["universal", "--i", "2"], {"dataclasses"}),
         (["fit", "--family", "r", "--k", "1"], {"dataclasses", "csv"}),
         (["table", "--m-max", "3"], {"dataclasses", "csv"}),
         (["table", "--m-max", "3", "--format", "csv"], {"csv"}),
+        (["count", "--m", "24", "--n2", "1", "--method", "solve"], BEYOND_INTEGER),
+        (["count", "--m", "4", "--method", "multisum", "--max-span", "56"],
+         BEYOND_INTEGER),
+        # a target at its shortest walk is answered without a closed form
+        (["count", "--m", "15", "--n1", "15", "--method", "closed"],
+         RATIONALS | {"dataclasses", "gesselwalks.exact"}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, absent):
@@ -72,6 +83,26 @@ def test_subcommand_loads_only_what_it_runs(argv, absent):
     assert status == 0
     assert "gesselwalks.cli" in new
     assert absent.isdisjoint(new), sorted(absent.intersection(new))
+
+
+def test_library_integer_calls_load_no_rationals():
+    """The library's integer entry points start without ``fractions``; the
+    closed forms still import it and return ``Fraction`` values."""
+    integers, loaded, rationals = run_fresh(f"""
+        import json, sys
+        import gesselwalks as g
+        integers = [g.gessel_via_determinant(3), g.binom_general(-3, 4)]
+        loaded = sorted({sorted(RATIONALS)!r} & sys.modules.keys())
+        from fractions import Fraction
+        rationals = [
+            g.pochhammer(3, 2), g.gessel_closed_form(4),
+            g.conjectured_value(g.ClosedFormFamily.HOR, 1, 2),
+        ]
+        print(json.dumps([integers, loaded, [[type(v) is Fraction, str(v)] for v in rationals]]))
+    """)
+    assert integers == [85, 15]
+    assert loaded == []
+    assert rationals == [[True, "12"], [True, "782"], [True, "9"]]
 
 
 def test_star_import_binds_each_name_to_its_home():
