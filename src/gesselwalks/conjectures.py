@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .exact import ClosedFormFamily, conjectured_value, gessel_closed_form, pochhammer
-from .walks import count_walks, counts_along, f_tilde
+from .exact import _poly_at  # Horner's rule, shared with the printed forms
+from .walks import count_meet, count_walks, counts_along, f_tilde
 
 __all__ = [
     "FitError",
@@ -72,16 +73,9 @@ G_RECURRENCE_POLYS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def _poly_at(coeffs: Sequence[int | Fraction], n: int | Fraction) -> int | Fraction:
-    """Horner's rule for ascending coefficients."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * n + c
-    return acc
-
-
 def default_g(n: int) -> int:
-    return count_walks(2 * n + 1, 1, 0)
+    """g(n) = F(2n+1; 1, 0) from one two-pass count, which keeps no memo."""
+    return count_meet(2 * n + 1, 1, 0)
 
 
 def recurrence_residual(n: int, g: Callable[[int], int] | None = None) -> int:
@@ -313,9 +307,8 @@ def verify_family_claims(fit: PolyFit) -> FamilyClaims:
     )
 
 
-def fit_report(fit: PolyFit, claims: FamilyClaims | None = None) -> dict:
-    """JSON-ready report for one fit."""
-    claims = claims or verify_family_claims(fit)
+def fit_report(fit: PolyFit, claims: FamilyClaims) -> dict:
+    """JSON-ready report for one fit and its ``verify_family_claims``."""
     return {
         "family": fit.family.value,
         "k": fit.k,
@@ -364,16 +357,16 @@ def verify_families() -> dict:
         ok = ok and claims.ok
         fits.append(entry)
     closed = {}
-    for label, family, ks, n_max, target in (
-        ("f201", ClosedFormFamily.F201, (None,), 12, lambda k, n: (2 * n, 0, 1)),
-        ("vert", ClosedFormFamily.VERT, range(4), 10, lambda k, n: (2 * (n + k), 0, n)),
-        ("hor", ClosedFormFamily.HOR, range(4), 10, lambda k, n: (n + 2 * k, n, 0)),
+    for family, ks, n_max, target in (
+        (ClosedFormFamily.F201, (None,), 12, lambda k, n: (2 * n, 0, 1)),
+        (ClosedFormFamily.VERT, range(4), 10, lambda k, n: (2 * (n + k), 0, n)),
+        (ClosedFormFamily.HOR, range(4), 10, lambda k, n: (n + 2 * k, n, 0)),
     ):
         good = all(
             conjectured_value(family, k, n) == count_walks(*target(k, n))
             for k in ks
             for n in range(n_max + 1)
         )
-        closed[label] = {"n_max": n_max, "ok": good}
+        closed[family.value] = {"n_max": n_max, "ok": good}
         ok = ok and good
     return {"suite": "families", "fits": fits, "closed_forms": closed, "ok": ok}

@@ -5,13 +5,15 @@ Everything here is pure and exact: integers are Python ints, rationals are
 appears anywhere in the package.  ``fractions`` is imported by the three
 functions that build rationals, so ``binom_general``'s callers, the integer
 pipelines, start without it (and without ``decimal`` and ``numbers``).
+The printed forms past excess k = 0 are rows of one table, ``_PRINTED``,
+and ``conjectured_value`` refuses what has no row: the printed range.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -89,11 +91,33 @@ def gessel_closed_form(n: int) -> Fraction:
 
 
 class ClosedFormFamily(Enum):
-    """Families of walk counts with a printed closed form for small excess."""
+    """Families of walk counts with a printed closed form for small excess
+    k.  Past k = 0 each VERT and HOR form is one row of ``_PRINTED``."""
 
-    F201 = "f201"  # F(2n; 0, 1)
-    VERT = "vert"  # F(2n+2k; 0, n), k = 0..3
-    HOR = "hor"    # F(n+2k; n, 0), k = 0..3
+    F201 = "f201"  # F(2n; 0, 1), one form of its own
+    VERT = "vert"  # F(2n+2k; 0, n): Catalan at k = 0, rows k = 1..3
+    HOR = "hor"    # F(n+2k; n, 0): 1 at k = 0, rows k = 1..3
+
+
+def _poly_at(coeffs: Sequence[int | Fraction], n: int | Fraction) -> int | Fraction:
+    """Horner's rule for ascending coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    return acc
+
+
+# (family, k) -> (P_k, c_k) for the printed forms with k = 1..3: the form is
+# (n+1) P_k(n) / c_k, times 4^n (3/2)_n / (k+2)_n in the vertical family.
+# P_k has ascending coefficients.
+_PRINTED: dict[tuple[ClosedFormFamily, int], tuple[tuple[int, ...], int]] = {
+    (ClosedFormFamily.VERT, 1): ((2,), 1),
+    (ClosedFormFamily.VERT, 2): ((33, 32, 8), 3),
+    (ClosedFormFamily.VERT, 3): ((3060, 4641, 2648, 672, 64), 36),
+    (ClosedFormFamily.HOR, 1): ((4, 1), 2),
+    (ClosedFormFamily.HOR, 2): ((132, 74, 15, 1), 12),
+    (ClosedFormFamily.HOR, 3): ((12240, 8604, 2620, 407, 32, 1), 144),
+}
 
 
 def conjectured_value(family: ClosedFormFamily, k: int | None, n: int) -> Fraction:
@@ -117,38 +141,14 @@ def conjectured_value(family: ClosedFormFamily, k: int | None, n: int) -> Fracti
             * pochhammer(Fraction(5, 6), n)
             / pochhammer(Fraction(8, 3), n)
         )
+    if k == 0 and family is ClosedFormFamily.VERT:
+        return 4**n * pochhammer(Fraction(1, 2), n) / pochhammer(2, n)
+    if k == 0 and family is ClosedFormFamily.HOR:
+        return Fraction(1)
+    if (family, k) not in _PRINTED:
+        raise ValueError(f"formula not displayed for ({family.name}, k={k})")
+    poly, c = _PRINTED[family, k]
+    value = Fraction((n + 1) * _poly_at(poly, n), c)
     if family is ClosedFormFamily.VERT:
-        if k == 0:
-            return 4**n * pochhammer(Fraction(1, 2), n) / pochhammer(2, n)
-        if k == 1:
-            return 2 * 4**n * (n + 1) * pochhammer(Fraction(3, 2), n) / pochhammer(3, n)
-        if k == 2:
-            return (
-                4**n
-                * (n + 1)
-                * (8 * n * n + 32 * n + 33)
-                * pochhammer(Fraction(3, 2), n)
-                / (3 * pochhammer(4, n))
-            )
-        if k == 3:
-            quartic = 64 * n**4 + 672 * n**3 + 2648 * n**2 + 4641 * n + 3060
-            return (
-                Fraction(4) ** (n - 1)
-                * (n + 1)
-                * quartic
-                * pochhammer(Fraction(3, 2), n)
-                / (9 * pochhammer(5, n))
-            )
-        raise ValueError(f"formula not displayed for (VERT, k={k})")
-    if family is ClosedFormFamily.HOR:
-        if k == 0:
-            return Fraction(1)
-        if k == 1:
-            return Fraction((n + 1) * (n + 4), 2)
-        if k == 2:
-            return Fraction((n + 1) * (n**3 + 15 * n**2 + 74 * n + 132), 12)
-        if k == 3:
-            quintic = n**5 + 32 * n**4 + 407 * n**3 + 2620 * n**2 + 8604 * n + 12240
-            return Fraction((n + 1) * quintic, 144)
-        raise ValueError(f"formula not displayed for (HOR, k={k})")
-    raise ValueError(f"unknown family {family!r}")
+        value *= 4**n * pochhammer(Fraction(3, 2), n) / pochhammer(k + 2, n)
+    return value

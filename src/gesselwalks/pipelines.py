@@ -96,24 +96,22 @@ def _count_closed(m: int, n1: int, n2: int) -> int:
     from . import exact
     if n1 == 0 and n2 == 0:
         return _as_int(exact.gessel_closed_form(m // 2), "origin closed form")
-    if n1 == 0 and n2 == 1 and m % 2 == 0:
-        return _as_int(
-            exact.conjectured_value(exact.ClosedFormFamily.F201, None, m // 2),
-            "F(2n; 0, 1) closed form",
-        )
-    if n1 == 0 and (m - 2 * n2) % 2 == 0 and 0 <= (m - 2 * n2) // 2 <= 3:
-        return _as_int(
-            exact.conjectured_value(
-                exact.ClosedFormFamily.VERT, (m - 2 * n2) // 2, n2
-            ),
-            "vertical family closed form",
-        )
-    if n2 == 0 and (m - n1) % 2 == 0 and 0 <= (m - n1) // 2 <= 3:
-        return _as_int(
-            exact.conjectured_value(exact.ClosedFormFamily.HOR, (m - n1) // 2, n1),
-            "horizontal family closed form",
-        )
-    raise NotCovered(f"no closed form covers F({m}; {n1}, {n2})")
+    families = exact.ClosedFormFamily
+    uncovered = NotCovered(f"no closed form covers F({m}; {n1}, {n2})")
+    # the target is reachable, so each excess k below is a whole number >= 0
+    if n1 == 0 and n2 == 1:
+        shape = (families.F201, None, m // 2)
+    elif n1 == 0:
+        shape = (families.VERT, m // 2 - n2, n2)
+    elif n2 == 0:
+        shape = (families.HOR, (m - n1) // 2, n1)
+    else:
+        raise uncovered
+    try:
+        value = exact.conjectured_value(*shape)
+    except ValueError:  # no printed form at this excess
+        raise uncovered from None
+    return _as_int(value, f"{shape[0].value} closed form")
 
 
 def _count_solve(m: int, n1: int, n2: int) -> int:

@@ -197,35 +197,43 @@ def _compare(lhs: TruncSeries3, rhs: TruncSeries3, window: Caps) -> CheckReport:
     return CheckReport(bool(keys), window, size, len(keys), None)
 
 
-def verify_kernel_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
-    """Check K*G = x(1+z)G(x,0,z) + xG(x,y,0) - xG(x,0,0) - yz, whose right
-    side is x times the axis terms of G, plus xzG(x,0,z), minus yz.
+def _kernel_check(caps: Caps, G: TruncSeries3 | None, sides) -> CheckReport:
+    """Compare the two series ``sides(G)`` over the kernel window.
 
     The kernel has degree 1 in x and 2 in both y (through y^2) and z, so
     the window drops that much from each cap; inside it both sides are
-    determined exactly by the truncated data.
+    determined exactly by the truncated data.  A window with a negative
+    extent holds no exponent, so it is reported before G is built.
     """
-    if G is None:
-        G = build_G(caps)
-    caps = G.caps
-    dx, dy, dz = caps
-    lhs = series_mul(build_K(caps), G)
-    rhs = series_sub(
-        series_add(
-            series_mul(monomial(caps, 1, 0, 0), _on_axes(G)),
-            series_mul(monomial(caps, 1, 0, 1), section_y0(G)),
-        ),
-        monomial(caps, 0, 1, 1),
-    )
-    return _compare(lhs, rhs, (dx - 1, dy - 2, dz - 2))
+    dx, dy, dz = caps if G is None else G.caps
+    window = (dx - 1, dy - 2, dz - 2)
+    if min(window) < 0:
+        return CheckReport(False, window, 0, 0, None)  # as _compare reports it
+    return _compare(*sides(build_G(caps) if G is None else G), window)
+
+
+def verify_kernel_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
+    """Check K*G = x(1+z)G(x,0,z) + xG(x,y,0) - xG(x,0,0) - yz, whose right
+    side is x times the axis terms of G, plus xzG(x,0,z), minus yz."""
+
+    def sides(G: TruncSeries3) -> tuple[TruncSeries3, TruncSeries3]:
+        x_axes = series_add(series_mul(monomial(G.caps, 1, 0, 0), _on_axes(G)),
+                            series_mul(monomial(G.caps, 1, 0, 1), section_y0(G)))
+        rhs = series_sub(x_axes, monomial(G.caps, 0, 1, 1))
+        return series_mul(build_K(G.caps), G), rhs
+
+    return _kernel_check(caps, G, sides)
 
 
 def verify_H_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
     """Check H(x,y,z) = H(x,0,z) + H(x,y,0) - H(x,0,0), i.e. that every
     mixed monomial of H (positive y and z exponents) vanishes."""
-    H = build_H(caps, G)
-    dx, dy, dz = H.caps
-    return _compare(H, _on_axes(H), (dx - 1, dy - 2, dz - 2))
+
+    def sides(G: TruncSeries3) -> tuple[TruncSeries3, TruncSeries3]:
+        H = build_H(G.caps, G)
+        return H, _on_axes(H)
+
+    return _kernel_check(caps, G, sides)
 
 
 def x_of_yz(caps: Caps) -> TruncSeries3:

@@ -328,10 +328,7 @@ def gessel_via_determinant(n: int) -> int:
 
 
 def inverse_entry_multisum(
-    k: int,
-    m: int,
-    entries: Callable[[int, int], int],
-    max_span: int = 16,
+    k: int, m: int, entries: Callable[[int, int], int], max_span: int
 ) -> int:
     """Entry (k, m), k > m, of the inverse of a unit-lower-triangular matrix
     as a signed sum over strictly increasing index chains from m to k:

@@ -137,13 +137,14 @@ class WalkTable:
     yields, so a table grown one layer per call holds the same layers as
     one built in a single call.
 
-    Keeping every layer up to m_max costs about m_max^4/4 bits, so the
-    callers that read cells back bound the memo's growth, and all of them
-    stay at small m: the cross-pipeline suite reaches m = 61 at k_max =
-    8000 (m <= about sqrt(k_max / 2)), a universal row i reaches m = 2i - 2,
-    and the family suite m = 26.  One-target counts take ``count_meet``,
-    the suites that read one target at every t ``counts_along``, and
-    whole-table readers ``columns``; none of them touches the memo.
+    Keeping every layer up to m_max costs about m_max^4/4 bits.  The
+    cross-pipeline suite reaches m = 61 at k_max = 8000 (m <= about
+    sqrt(k_max / 2)) and the family suite m = 26, but a universal row i
+    reaches m = 2i - 2 and nothing bounds i: ``universal --i`` peaks at
+    about 17, 63 and 260 MiB at i = 50, 100 and 150, end to end on Linux.
+    One-target counts take ``count_meet``, the suites that read one target
+    at every t ``counts_along``, and whole-table readers ``columns``; none
+    of them touches the memo.
 
     Construction is single-writer under ``count_walks``'s lock, since the
     library can be called from threads; a built table may be read from any

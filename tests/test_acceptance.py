@@ -159,7 +159,7 @@ def test_criterion_08_multisum_inversion():
             inverse = unit_lower_inverse(rows)
             for i in range(size):
                 for j in range(i):
-                    got = inverse_entry_multisum(i, j, lambda r, c: rows[r][c])
+                    got = inverse_entry_multisum(i, j, lambda r, c: rows[r][c], max_span=16)
                     assert got == inverse[i][j], (i, j)
         assert inverse_entry_multisum(24, 4, system_entry, max_span=20) == 2
 

@@ -240,6 +240,17 @@ class TestVerify:
         err = self.refused(capsys, "--suite", "kernel", "--caps", "1,1,1")
         assert "nothing to compare" in err
 
+    @pytest.mark.parametrize("suite", ["kernel", "hkernel"])
+    def test_negative_window_refused_before_g_is_built(self, capsys, monkeypatch, suite):
+        def refuse(caps):
+            raise AssertionError("build_G called")
+
+        from gesselwalks import series
+        monkeypatch.setattr(series, "build_G", refuse)
+        err = self.refused(capsys, "--suite", suite, "--caps", "600,1,1")
+        assert err == (f"error: --caps 600,1,1 leave the {suite} check nothing "
+                       "to compare (window 599,-1,-1)\n")
+
     def test_root_empty_window_refused(self, capsys):
         err = self.refused(capsys, "--suite", "root", "--caps", "0,0,0")
         assert "nothing to compare" in err

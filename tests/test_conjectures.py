@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gesselwalks import conjectures
+from gesselwalks import conjectures, walks
 from gesselwalks.conjectures import (
     FitError,
     FitFamily,
@@ -134,6 +134,16 @@ class TestRecurrence:
     def test_rejects_zero_range(self):
         with pytest.raises(ValueError):
             verify_recurrence_g(0)
+
+    def test_default_g_keeps_no_memo(self, monkeypatch):
+        # g(n) is one two-pass count, so the residual never reads the memo
+        def refuse(m, n1, n2):
+            raise AssertionError("count_walks called")
+
+        monkeypatch.setattr(conjectures, "count_walks", refuse)
+        before = walks.shared_table().m_max
+        assert recurrence_residual(40) == 0
+        assert walks.shared_table().m_max == before
 
 
 class TestSolveLinearExact:
@@ -267,7 +277,7 @@ class TestClaims:
 
     def test_report_shape(self):
         fit = fit_family(FitFamily.S_K, 1)
-        report = fit_report(fit)
+        report = fit_report(fit, verify_family_claims(fit))
         assert report["family"] == "s"
         assert report["k"] == 1
         assert report["degree"] == 2

@@ -25,6 +25,33 @@ def test_every_method_agrees_with_dp_or_refuses():
     assert all(answered.values()), answered
 
 
+def test_closed_covers_exactly_the_printed_range():
+    """Over every target with m <= 40 and n1, n2 <= m, ``closed`` answers
+    off the support, at the origin, at shortest walks, at F(2n; 0, 1) and
+    in the vertical and horizontal families with excess k <= 3, each time
+    the dp's count, and refuses every other target."""
+    answered = refused = 0
+    for m in range(41):
+        for n1 in range(m + 1):
+            for n2 in range(m + 1):
+                expected = walks.count_walks(m, n1, n2)
+                covered = (
+                    not expected
+                    or m == max(n1, 2 * n2 - n1)  # the shortest walks
+                    or (n1, n2) in ((0, 0), (0, 1))
+                    or (n1 == 0 and m - 2 * n2 <= 6)  # F(2n+2k; 0, n)
+                    or (n2 == 0 and m - n1 <= 6)  # F(n+2k; n, 0)
+                )
+                if covered:
+                    assert count(m, n1, n2, "closed") == expected, (m, n1, n2)
+                    answered += expected != 0
+                else:
+                    with pytest.raises(NotCovered, match=r"^no closed form covers"):
+                        count(m, n1, n2, "closed")
+                    refused += 1
+    assert (answered, refused) == (1459, 7802)
+
+
 @pytest.mark.parametrize(
     "m, n1, n2",
     [

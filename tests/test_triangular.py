@@ -236,13 +236,13 @@ def random_unit_lower(rng, size):
 class TestMultisum:
     def test_single_link(self):
         rows = [[1, 0], [7, 1]]
-        assert inverse_entry_multisum(1, 0, lambda r, c: rows[r][c]) == -7
+        assert inverse_entry_multisum(1, 0, lambda r, c: rows[r][c], max_span=16) == -7
 
     def test_system_anchor(self):
         assert inverse_entry_multisum(24, 4, system_entry, max_span=20) == 2
 
     def test_small_system_entry(self):
-        assert inverse_entry_multisum(8, 4, system_entry) == 1
+        assert inverse_entry_multisum(8, 4, system_entry, max_span=16) == 1
 
     def test_matches_forward_substitution(self):
         rng = random.Random(99173)
@@ -253,11 +253,11 @@ class TestMultisum:
             entries = lambda r, c: rows[r][c]
             for k in range(size):
                 for m in range(k):
-                    assert inverse_entry_multisum(k, m, entries) == inv[k][m]
+                    assert inverse_entry_multisum(k, m, entries, max_span=16) == inv[k][m]
 
     def test_span_limit(self):
         with pytest.raises(ValueError, match="chain explosion"):
-            inverse_entry_multisum(24, 4, system_entry)
+            inverse_entry_multisum(24, 4, system_entry, max_span=16)
         with pytest.raises(ValueError, match="chain explosion"):
             inverse_entry_multisum(60, 4, system_entry, max_span=30)
 
@@ -277,9 +277,9 @@ class TestMultisum:
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
-            inverse_entry_multisum(4, 4, system_entry)
+            inverse_entry_multisum(4, 4, system_entry, max_span=16)
         with pytest.raises(ValueError):
-            inverse_entry_multisum(3, -1, system_entry)
+            inverse_entry_multisum(3, -1, system_entry, max_span=16)
 
 
 @settings(max_examples=25, deadline=None)
@@ -290,7 +290,7 @@ def test_multisum_inverse_property(seed, size):
     inv = unit_lower_inverse(rows)
     k = rng.randrange(1, size)
     m = rng.randrange(k)
-    assert inverse_entry_multisum(k, m, lambda r, c: rows[r][c]) == inv[k][m]
+    assert inverse_entry_multisum(k, m, lambda r, c: rows[r][c], max_span=16) == inv[k][m]
 
 
 class TestUniversalSequences:
