@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
+from operator import add
 from typing import Callable, Sequence
 
 from . import pipelines
@@ -199,20 +200,21 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise UsageError("--m-max must be nonnegative")
     from . import walks
     write = sys.stdout.write
-    # one prefix per column, one f-string per count and one write per layer;
-    # the bytes are those of csv.writer rows (\r\n line ends) and of
-    # json.dumps lines, and every slot of a column is a nonzero count
+    # one join per column over shared n2 keys and one write per layer; the
+    # bytes are those of csv.writer rows (\r\n line ends) and of json.dumps
+    # lines, and every slot of a column is a nonzero count
     as_csv = args.format == "csv"
     if as_csv:
         write("m,n1,n2,F\r\n")
     mid, end = (",", "\r\n") if as_csv else (', "F": "', '"}\n')
+    keys = [f"{n2}{mid}" for n2 in range(args.m_max + 1)]
     layer, chunks = 0, []
     for m, n1, counts in walks.columns(args.m_max):
         if m != layer:
             write("".join(chunks))
             layer, chunks = m, []
         head = f"{m},{n1}," if as_csv else f'{{"m": {m}, "n1": {n1}, "n2": '
-        chunks += [f"{head}{n2}{mid}{v}{end}" for n2, v in enumerate(counts)]
+        chunks += [head, (end + head).join(map(add, keys, map(str, counts))), end]
     write("".join(chunks))
     return 0
 

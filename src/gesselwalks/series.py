@@ -98,31 +98,31 @@ def series_mul(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
 
     Within the shared caps the product coefficients are exact, because a
     contribution to exponent e only involves operand exponents at most e.
+    Each in-cap exponent is one integer in a mixed radix whose y and z
+    fields are 2*cap + 1 wide, so adding two keys adds the exponents with
+    no carry between fields; out-of-cap sums and zeros are dropped at the end.
     """
-    dx = min(a.caps[0], b.caps[0])
-    dy = min(a.caps[1], b.caps[1])
-    dz = min(a.caps[2], b.caps[2])
-    out: dict[Mono, int] = {}
-    for (ax, ay, az), ac in a.coeffs.items():
-        if ax > dx or ay > dy or az > dz:
-            continue
-        for (bx, by, bz), bc in b.coeffs.items():
-            ex = ax + bx
-            if ex > dx:
-                continue
-            ey = ay + by
-            if ey > dy:
-                continue
-            ez = az + bz
-            if ez > dz:
-                continue
-            key = (ex, ey, ez)
-            acc = out.get(key, 0) + ac * bc
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return TruncSeries3((dx, dy, dz), out)
+    dx, dy, dz = caps = tuple(map(min, a.caps, b.caps))
+    ry, rz = 2 * dy + 1, 2 * dz + 1
+
+    def keyed(s: TruncSeries3) -> list[tuple[int, int]]:
+        return [((ex * ry + ey) * rz + ez, c) for (ex, ey, ez), c in s.coeffs.items()
+                if ex <= dx and ey <= dy and ez <= dz]
+
+    outer, inner = sorted((keyed(a), keyed(b)), key=len)
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in outer:
+        for kb, cb in inner:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    coeffs: dict[Mono, int] = {}
+    for k, c in out.items():
+        exy, ez = divmod(k, rz)
+        ex, ey = divmod(exy, ry)
+        if c and ex <= dx and ey <= dy and ez <= dz:
+            coeffs[ex, ey, ez] = c
+    return TruncSeries3(caps, coeffs)
 
 
 def section_y0(a: TruncSeries3) -> TruncSeries3:
@@ -138,11 +138,12 @@ def _on_axes(a: TruncSeries3) -> TruncSeries3:
 def build_G(caps: Caps) -> TruncSeries3:
     """Walk-count generating series up to the caps, read column by column
     from a dp pass over dx layers, each column cut to n1 <= dy and
-    n2 <= dz before it is unpacked."""
+    n2 <= dz before it is unpacked; every slot the stream yields is a
+    nonzero count within the caps."""
     columns = walks.columns(*caps)
-    return make_series(
+    return TruncSeries3(
         caps,
-        (((m, n1, n2), v) for m, n1, counts in columns for n2, v in enumerate(counts)),
+        {(m, n1, n2): v for m, n1, counts in columns for n2, v in enumerate(counts)},
     )
 
 
@@ -197,19 +198,28 @@ def _compare(lhs: TruncSeries3, rhs: TruncSeries3, window: Caps) -> CheckReport:
     return CheckReport(bool(keys), window, size, len(keys), None)
 
 
+def _nothing(window: Caps) -> CheckReport:
+    """The report of a window that holds no nonzero term, made without G."""
+    empty = TruncSeries3(window, {})
+    return _compare(empty, empty, window)
+
+
 def _kernel_check(caps: Caps, G: TruncSeries3 | None, sides) -> CheckReport:
     """Compare the two series ``sides(G)`` over the kernel window.
 
     The kernel has degree 1 in x and 2 in both y (through y^2) and z, so
     the window drops that much from each cap; inside it both sides are
-    determined exactly by the truncated data.  A window with a negative
-    extent holds no exponent, so it is reported before G is built.
+    determined exactly by the truncated data.  A term of either side
+    inside the window reads only terms of G inside it, so G is built, or
+    cut, to the window alone.  A window with a negative extent holds no
+    exponent, so it is reported before G is built.
     """
     dx, dy, dz = caps if G is None else G.caps
     window = (dx - 1, dy - 2, dz - 2)
     if min(window) < 0:
-        return CheckReport(False, window, 0, 0, None)  # as _compare reports it
-    return _compare(*sides(build_G(caps) if G is None else G), window)
+        return _nothing(window)
+    G = build_G(window) if G is None else make_series(window, G.coeffs)
+    return _compare(*sides(G), window)
 
 
 def verify_kernel_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
@@ -313,12 +323,17 @@ def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckRepo
     contributes z-order >= m and the composition is exact for ez up to the
     x cap; that bound is the z window.  Each Horner step multiplies by the
     root's rational form (``_times_root``), not by its expansion.
+
+    Every term of the substituted series has ey >= 1 and ez >= 1, so a
+    window whose y or z extent is below 1 holds no nonzero term; it is
+    reported before G is built.
     """
+    dx, dy, dz = caps if G is None else G.caps
+    window = (0, dy, min(dx, dz))
+    if min(window[1:]) < 1:
+        return _nothing(window)
     if G is None:
         G = build_G(caps)
     axes = _on_axes(series_mul(build_K(G.caps), _on_axes(G)))
-    dx, dy, dz = axes.caps
-    wz = min(dx, dz)
-    lhs = _horner(axes, (0, dy, wz), _times_root)
-    target = monomial((0, dy, wz), 0, 1, 1)
-    return _compare(lhs, target, (0, dy, wz))
+    lhs = _horner(axes, window, _times_root)
+    return _compare(lhs, monomial(window, 0, 1, 1), window)

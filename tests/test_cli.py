@@ -255,6 +255,16 @@ class TestVerify:
         err = self.refused(capsys, "--suite", "root", "--caps", "0,0,0")
         assert "nothing to compare" in err
 
+    def test_root_window_without_yz_refused_before_g_is_built(self, capsys, monkeypatch):
+        def refuse(caps):
+            raise AssertionError("build_G called")
+
+        from gesselwalks import series
+        monkeypatch.setattr(series, "build_G", refuse)
+        err = self.refused(capsys, "--suite", "root", "--caps", "600,0,0")
+        assert err == ("error: --caps 600,0,0 leave the root check nothing "
+                       "to compare (window 0,0,0)\n")
+
     def test_n_refused_outside_gessel_and_recurrence(self, capsys):
         err = self.refused(capsys, "--suite", "kernel", "--N", "100")
         assert "--N does not apply to suite kernel" in err

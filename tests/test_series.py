@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gesselwalks.series import (
+    CheckReport,
+    TruncSeries3,
+    _compare,
     _on_axes,
     _times_root,
     build_G,
@@ -20,6 +23,7 @@ from gesselwalks.series import (
     verify_root_identity,
     x_of_yz,
 )
+from gesselwalks import series
 from gesselwalks.walks import columns, count_walks, f_tilde
 
 CAPS = (6, 6, 6)
@@ -54,6 +58,27 @@ def yz_series_st(draw):
     yz = st.tuples(st.just(0), st.integers(0, dy), st.integers(0, dz))
     terms = draw(st.dictionaries(yz, st.integers(min_value=-9, max_value=9), max_size=20))
     return make_series((0, dy, dz), terms)
+
+
+def naive_mul(a, b):
+    """The truncated product term by term over exponent triples."""
+    caps = tuple(map(min, a.caps, b.caps))
+    out = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            e = tuple(map(sum, zip(ea, eb)))
+            if all(v <= cap for v, cap in zip(e, caps)):
+                out[e] = out.get(e, 0) + ca * cb
+    return TruncSeries3(caps, {e: c for e, c in out.items() if c})
+
+
+@st.composite
+def capped_series_st(draw):
+    """A sparse series with its own caps, each 0 to 4, and coefficients of
+    either sign."""
+    caps = draw(st.tuples(*[st.integers(0, 4)] * 3))
+    terms = st.tuples(*[st.integers(0, cap) for cap in caps])
+    return make_series(caps, draw(st.dictionaries(terms, st.integers(-9, 9), max_size=12)))
 
 
 class TestSeriesRing:
@@ -99,6 +124,27 @@ class TestSeriesRing:
     @given(a=series_st, b=series_st)
     def test_multiplication_commutative(self, a, b):
         assert series_mul(a, b) == series_mul(b, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=capped_series_st(), b=capped_series_st())
+    def test_product_matches_the_naive_product(self, a, b):
+        assert series_mul(a, b) == naive_mul(a, b)
+
+    def test_product_keeps_sums_on_the_caps_and_drops_sums_past_them(self):
+        # a sum one past a cap must not carry into the next exponent
+        caps = (3, 2, 4)
+        a = make_series(caps, {(1, 1, 2): 2, (1, 0, 3): -3, (0, 2, 4): 5, (3, 0, 0): 1})
+        b = make_series(caps, {(2, 1, 2): 7, (2, 0, 2): 1, (1, 1, 0): -1, (0, 0, 1): 4})
+        prod = series_mul(a, b)
+        assert prod.coeff((3, 2, 4)) == 2 * 7  # lands exactly on every cap
+        assert prod.coeff((3, 1, 0)) == 0  # (1,0,3)*(2,0,2) lands at ez = 5
+        assert prod == naive_mul(a, b)
+
+    @pytest.mark.parametrize("caps", [(6, 6, 6), (9, 3, 5), (4, 0, 4), (0, 4, 4)])
+    def test_product_with_a_bare_operand(self, caps):
+        # _on_axes builds its series without make_series
+        K, axes = build_K(caps), _on_axes(build_G(caps))
+        assert series_mul(K, axes) == series_mul(axes, K) == naive_mul(K, axes)
 
     @settings(max_examples=40, deadline=None)
     @given(a=series_st, b=series_st, c=series_st)
@@ -290,6 +336,21 @@ class TestRoot:
             report = verify_root_identity(caps, bump_coeff(build_G(caps), mono))
             assert not report
             assert report.first_mismatch is not None
+
+    @pytest.mark.parametrize("caps", [(0, 0, 0), (5, 0, 5), (5, 5, 0), (0, 5, 5), (8, 0, 8)])
+    def test_root_window_without_yz_is_reported_before_g_is_built(self, monkeypatch, caps):
+        dx, dy, dz = caps
+        window = (0, dy, min(dx, dz))
+        H = build_H(caps)
+        lhs = substitute_x(_on_axes(H), x_of_yz(window))
+        computed = _compare(lhs, monomial(window, 0, 1, 1), window)
+        assert computed == CheckReport(False, window, (dy + 1) * (min(dx, dz) + 1), 0, None)
+
+        def refuse(caps):
+            raise AssertionError("build_G called")
+
+        monkeypatch.setattr(series, "build_G", refuse)
+        assert verify_root_identity(caps) == computed
 
     def test_substitution_requires_zero_constant(self):
         with pytest.raises(ValueError):

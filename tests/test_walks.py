@@ -180,6 +180,27 @@ class TestWalkTable:
         assert list(columns(21, -1, 5)) == list(columns(21, 5, -1)) == []
         assert list(columns(-1)) == list(columns(-1, 3, 3)) == []
 
+    @pytest.mark.parametrize(
+        "bounds", [(30, None, None), (30, 30, 30), (30, 12, 5), (29, 7, 0), (30, 0, 9), (0, 0, 0)]
+    )
+    def test_bounded_columns_yield_only_nonzero_slots_within_the_bounds(self, bounds):
+        # build_G stores every slot as it comes, with no filter of its own
+        m_max, n1_max, n2_max = bounds
+        n1_cap = m_max if n1_max is None else n1_max
+        n2_cap = m_max if n2_max is None else n2_max
+        cells = set()
+        for m, n1, counts in columns(*bounds):
+            assert m <= m_max and n1 <= n1_cap and len(counts) <= n2_cap + 1
+            assert all(counts), (m, n1)
+            cells.update((m, n1, n2) for n2 in range(len(counts)))
+        assert cells == {
+            (m, n1, n2)
+            for m in range(m_max + 1)
+            for n1 in range(n1_cap + 1)
+            for n2 in range(n2_cap + 1)
+            if reachable(m, n1, n2)
+        }
+
     def test_nothing_is_built_up_front(self):
         # a pass to m = 10^6 would not end; its first column comes at once
         assert next(columns(10**6)) == (0, 0, [1])
