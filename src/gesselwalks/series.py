@@ -4,11 +4,25 @@ functional-equation checks built on them.
 A series is a sparse map from exponent triples (ex, ey, ez) to nonzero int
 coefficients, truncated at per-variable caps.  x marks the step count, y the
 horizontal coordinate, z the vertical coordinate of the walk series.
+
+The kernel and H checks build no series.  They compare their two sides one
+(m, n1) z-column at a time, each column one int whose W-bit slot b holds
+the coefficient of x^m y^n1 z^b, as the dp packs its layers (``walks``).
+A product by z is then a shift by W, so the five kernel terms cost a few
+shifts and adds per column, and a column matches when the difference of
+its two sides, masked to the window's z slots, is 0.  Slots are signed, so
+W must keep every slot of either side within +-2^(W-1), and so of their
+difference within +-2^W, which the masked test needs: with G read from
+the dp, W = ``walks._slot_width(wx + 1)`` for a window of x extent wx
+(counts of layer m are at most 4^m, a slot of K*G at most 2*4^m); a given
+G is packed at 4 bits above its largest coefficient's bit length, since a
+slot of either side sums at most five of its coefficients, plus one.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 from typing import Iterable, Mapping, NamedTuple
 
 from . import walks
@@ -21,7 +35,6 @@ __all__ = [
     "series_add",
     "series_sub",
     "series_mul",
-    "section_y0",
     "build_G",
     "build_K",
     "build_H",
@@ -125,14 +138,23 @@ def series_mul(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
     return TruncSeries3(caps, coeffs)
 
 
-def section_y0(a: TruncSeries3) -> TruncSeries3:
-    """The y = 0 section, kept in the same ring."""
-    return TruncSeries3(a.caps, {k: c for k, c in a.coeffs.items() if k[1] == 0})
-
-
 def _on_axes(a: TruncSeries3) -> TruncSeries3:
     """The terms with ey = 0 or ez = 0: a(x,0,z) + a(x,y,0) - a(x,0,0)."""
     return TruncSeries3(a.caps, {k: c for k, c in a.coeffs.items() if 0 in k[1:]})
+
+
+def _axis_terms(caps: Caps) -> TruncSeries3:
+    """The terms of the walk series G up to the caps with n1 = 0 or n2 = 0,
+    read off the packed layers of a dp pass over dx layers."""
+    dx, dy, dz = caps
+    coeffs: dict[Mono, int] = {}
+    for m, (width, layer) in enumerate(walks.layers(dx)):
+        slot = (1 << width) - 1
+        column = walks._unpack(layer[0] & ((1 << width * (dz + 1)) - 1), width)
+        coeffs.update(((m, 0, n2), v) for n2, v in enumerate(column) if v)
+        coeffs.update(((m, n1, 0), c & slot)
+                      for n1, c in enumerate(layer[1:dy + 1], 1) if c & slot)
+    return TruncSeries3(caps, coeffs)
 
 
 def build_G(caps: Caps) -> TruncSeries3:
@@ -204,44 +226,118 @@ def _nothing(window: Caps) -> CheckReport:
     return _compare(empty, empty, window)
 
 
+def _packed(G: TruncSeries3, window: Caps) -> tuple[int, list[list[int]]]:
+    """G cut to the window as layers of packed z-columns: slot b of column
+    (m, n1) holds the coefficient of x^m y^n1 z^b, signed, Horner-packed at
+    a width 4 bits above the largest coefficient's bit length."""
+    wx, wy, wz = window
+    cells: dict[tuple[int, int], dict[int, int]] = {}
+    for (m, n1, n2), c in G.coeffs.items():
+        if m <= wx and n1 <= wy and n2 <= wz:
+            cells.setdefault((m, n1), {})[n2] = c
+    width = 4 + max((abs(c).bit_length() for col in cells.values() for c in col.values()),
+                    default=0)
+
+    def pack(col: dict[int, int]) -> int:
+        v = 0
+        for n2 in range(max(col, default=-1), -1, -1):
+            v = (v << width) + col.get(n2, 0)
+        return v
+
+    return width, [[pack(cells.get((m, n1), {})) for n1 in range(wy + 1)]
+                   for m in range(wx + 1)]
+
+
 def _kernel_check(caps: Caps, G: TruncSeries3 | None, sides) -> CheckReport:
-    """Compare the two series ``sides(G)`` over the kernel window.
+    """Compare the two sides ``sides`` builds over the kernel window, one
+    (m, n1) z-column at a time on packed ints.
 
     The kernel has degree 1 in x and 2 in both y (through y^2) and z, so
     the window drops that much from each cap; inside it both sides are
     determined exactly by the truncated data.  A term of either side
-    inside the window reads only terms of G inside it, so G is built, or
-    cut, to the window alone.  A window with a negative extent holds no
-    exponent, so it is reported before G is built.
+    inside the window reads only terms of G inside it, so G is read to
+    the window alone.  A window with a negative extent holds no exponent,
+    so it is reported before any dp.
+
+    G(m, n1) below is the packed column of layer m.  Column (m, n1) of
+    x(1+z)G is G(m-1, n1)(1+z), and that of K*G adds
+    G(m-1, n1-2)(z + z^2) - z G(m, n1-1); a product by z is a shift by one
+    slot.  ``sides(n1, xg, kg, yz, axes)`` gets those two columns and that
+    of yz (z in column (0, 1), else 0), and returns the column of each
+    side; ``axes(n1, v)`` keeps the axis terms of column n1: all of column
+    0, slot 0 of the others.
     """
     dx, dy, dz = caps if G is None else G.caps
-    window = (dx - 1, dy - 2, dz - 2)
+    window = wx, wy, wz = (dx - 1, dy - 2, dz - 2)
     if min(window) < 0:
         return _nothing(window)
-    G = build_G(window) if G is None else make_series(window, G.coeffs)
-    return _compare(*sides(G), window)
+    if G is None:
+        width = walks._slot_width(wx + 1)
+        stream = (layer for _, layer in walks.layers(wx, width))
+    else:
+        width, stream = _packed(G, window)
+    z = 1 << width
+    slot, half = z - 1, z >> 1
+    mask = (1 << width * (wz + 1)) - 1
+
+    def low(v: int) -> int:
+        """Slot 0 of v, signed."""
+        s = v & slot
+        return s - z if s >= half else s
+
+    def axes(n1: int, v: int) -> int:
+        return v if n1 == 0 else low(v)
+
+    def values(v: int) -> list[int]:
+        """The signed slots of v in the window, up to its top nonzero one."""
+        out: list[int] = []
+        while v and len(out) <= wz:
+            out.append(low(v))
+            v = (v - out[-1]) >> width
+        return out
+
+    nonzero, first = 0, None
+    prev: list[int] = []
+    for m, layer in enumerate(stream):
+        for n1 in range(min(wy, len(layer)) + 1):
+            g = prev[n1] if n1 < len(prev) else 0
+            g2 = prev[n1 - 2] if 2 <= n1 < len(prev) + 2 else 0
+            g1 = layer[n1 - 1] if n1 else 0
+            xg = g + (g << width)
+            kg = xg + ((g2 + (g2 << width) - g1) << width)
+            lhs, rhs = sides(n1, xg, kg, z if m == 0 and n1 == 1 else 0, axes)
+            if (lhs - rhs) & mask:
+                pairs = list(zip_longest(values(lhs), values(rhs), fillvalue=0))
+                nonzero += sum(1 for pair in pairs if any(pair))
+                if first is None:
+                    n2 = next(n2 for n2, (lv, rv) in enumerate(pairs) if lv != rv)
+                    first = ((m, n1, n2), *pairs[n2])
+            elif -half < rhs < half:  # slot 0 alone, as off column 0
+                nonzero += rhs != 0
+            else:
+                nonzero += sum(map(bool, values(rhs)))
+        prev = layer
+    size = math.prod(w + 1 for w in window)
+    return CheckReport(nonzero > 0 and first is None, window, size, nonzero, first)
 
 
 def verify_kernel_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
     """Check K*G = x(1+z)G(x,0,z) + xG(x,y,0) - xG(x,0,0) - yz, whose right
-    side is x times the axis terms of G, plus xzG(x,0,z), minus yz."""
+    side is the axis terms of x(1+z)G, minus yz."""
 
-    def sides(G: TruncSeries3) -> tuple[TruncSeries3, TruncSeries3]:
-        x_axes = series_add(series_mul(monomial(G.caps, 1, 0, 0), _on_axes(G)),
-                            series_mul(monomial(G.caps, 1, 0, 1), section_y0(G)))
-        rhs = series_sub(x_axes, monomial(G.caps, 0, 1, 1))
-        return series_mul(build_K(G.caps), G), rhs
+    def sides(n1, xg, kg, yz, axes):
+        return kg, axes(n1, xg) - yz
 
     return _kernel_check(caps, G, sides)
 
 
 def verify_H_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
     """Check H(x,y,z) = H(x,0,z) + H(x,y,0) - H(x,0,0), i.e. that every
-    mixed monomial of H (positive y and z exponents) vanishes."""
+    mixed monomial of H = K*G + yz (positive y and z exponents) vanishes."""
 
-    def sides(G: TruncSeries3) -> tuple[TruncSeries3, TruncSeries3]:
-        H = build_H(G.caps, G)
-        return H, _on_axes(H)
+    def sides(n1, xg, kg, yz, axes):
+        h = kg + yz
+        return h, axes(n1, h)
 
     return _kernel_check(caps, G, sides)
 
@@ -324,16 +420,19 @@ def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckRepo
     x cap; that bound is the z window.  Each Horner step multiplies by the
     root's rational form (``_times_root``), not by its expansion.
 
+    Without a G given, its axis terms are read off the dp's packed layer
+    stream (``walks.layers``): column 0 of each layer, cut to the z cap,
+    and slot 0 of each column up to the y cap.  No other cell is unpacked.
+
     Every term of the substituted series has ey >= 1 and ez >= 1, so a
     window whose y or z extent is below 1 holds no nonzero term; it is
-    reported before G is built.
+    reported before any dp.
     """
     dx, dy, dz = caps if G is None else G.caps
     window = (0, dy, min(dx, dz))
     if min(window[1:]) < 1:
         return _nothing(window)
-    if G is None:
-        G = build_G(caps)
-    axes = _on_axes(series_mul(build_K(G.caps), _on_axes(G)))
+    G_axes = _axis_terms(caps) if G is None else _on_axes(G)
+    axes = _on_axes(series_mul(build_K(G_axes.caps), G_axes))
     lhs = _horner(axes, window, _times_root)
     return _compare(lhs, monomial(window, 0, 1, 1), window)

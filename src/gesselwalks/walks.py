@@ -17,8 +17,10 @@ Four shapes of dp share that one step; the first two also share one rule
 for widening slots (``_grow``), the last two one statement of the cone of
 cells that can still reach a goal (``_cone``).  The memo, the
 ``WalkTable`` behind ``count_walks``, keeps every layer for the callers
-that read cells back.  The stream, ``columns``, holds two layers and
-yields each nonzero column unpacked, for the whole-table readers (``table``
+that read cells back.  The stream, ``layers``, holds two layers and yields
+each one packed, at the widths ``_grow`` picks or at one fixed width; the
+series checks read its packed z-columns as they are, and ``columns``
+unpacks each nonzero column from it for the whole-table readers (``table``
 export, ``build_G``).  The cone, ``counts_along``, follows one target
 (n1, n2) from two layers at one width and returns F(t; n1, n2) for every t
 up to m, for the suites that read every t.  The meet, ``count_meet``,
@@ -41,6 +43,7 @@ __all__ = [
     "count_walks",
     "counts_along",
     "count_meet",
+    "layers",
     "columns",
     "shortest_walk",
     "f_tilde",
@@ -173,6 +176,18 @@ class WalkTable:
         return (layer[n1] >> (width * n2)) & ((1 << width) - 1)
 
 
+def layers(m_max: int, width: int | None = None) -> Iterator[Layer]:
+    """Layers 0..m_max of the step recurrence, each packed as (slot width,
+    columns), from a pass that holds two layers.
+
+    Without a width the slots widen as ``_grow`` rules.  A width of at
+    least ``_slot_width(m_max)`` is never widened, so every layer comes at
+    that width.
+    """
+    first = (_slot_width(0) if width is None else width, [1])
+    return chain([first], islice(_grow(*first, 0), m_max))
+
+
 def columns(
     m_max: int, n1_max: int | None = None, n2_max: int | None = None
 ) -> Iterator[tuple[int, int, list[int]]]:
@@ -187,8 +202,7 @@ def columns(
     if min(m_max, n1_max or 0, n2_max or 0) < 0:
         return
     stop = None if n1_max is None else n1_max + 1
-    first = (_slot_width(0), [1])
-    for m, (width, layer) in enumerate(chain([first], islice(_grow(*first, 0), m_max))):
+    for m, (width, layer) in enumerate(layers(m_max)):
         keep = None if n2_max is None else width * (n2_max + 1)
         for n1, column in enumerate(islice(layer, stop)):
             if keep is not None and column.bit_length() > keep:

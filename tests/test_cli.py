@@ -240,27 +240,44 @@ class TestVerify:
         err = self.refused(capsys, "--suite", "kernel", "--caps", "1,1,1")
         assert "nothing to compare" in err
 
+    @staticmethod
+    def refuse_dp(monkeypatch):
+        """Make ``series.build_G`` and the dp's layer stream raise when called."""
+        from gesselwalks import series
+
+        def refuse(*args):
+            raise AssertionError("dp started")
+
+        monkeypatch.setattr(series, "build_G", refuse)
+        monkeypatch.setattr(walks, "layers", refuse)
+
     @pytest.mark.parametrize("suite", ["kernel", "hkernel"])
     def test_negative_window_refused_before_g_is_built(self, capsys, monkeypatch, suite):
-        def refuse(caps):
-            raise AssertionError("build_G called")
-
-        from gesselwalks import series
-        monkeypatch.setattr(series, "build_G", refuse)
+        self.refuse_dp(monkeypatch)
         err = self.refused(capsys, "--suite", suite, "--caps", "600,1,1")
         assert err == (f"error: --caps 600,1,1 leave the {suite} check nothing "
                        "to compare (window 599,-1,-1)\n")
+
+    @pytest.mark.parametrize("suite", ["kernel", "hkernel"])
+    def test_kernel_checks_build_no_series(self, capsys, monkeypatch, suite):
+        # the packed z-columns come from walks.layers, which stays live here
+        from gesselwalks import series
+
+        def refuse(*args):
+            raise AssertionError("series built")
+
+        monkeypatch.setattr(series, "series_mul", refuse)
+        monkeypatch.setattr(series, "build_G", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--caps", "20,20,20")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
     def test_root_empty_window_refused(self, capsys):
         err = self.refused(capsys, "--suite", "root", "--caps", "0,0,0")
         assert "nothing to compare" in err
 
     def test_root_window_without_yz_refused_before_g_is_built(self, capsys, monkeypatch):
-        def refuse(caps):
-            raise AssertionError("build_G called")
-
-        from gesselwalks import series
-        monkeypatch.setattr(series, "build_G", refuse)
+        self.refuse_dp(monkeypatch)
         err = self.refused(capsys, "--suite", "root", "--caps", "600,0,0")
         assert err == ("error: --caps 600,0,0 leave the root check nothing "
                        "to compare (window 0,0,0)\n")

@@ -53,19 +53,21 @@ def run_fresh(code: str):
         (["count", "--m", "6", "--method", "closed"], {"dataclasses"}),
         (["count", "--m", "6", "--method", "solve"], BEYOND_INTEGER),
         (["verify", "--suite", "gessel", "--N", "5"], {"dataclasses"}),
-        (["verify", "--suite", "kernel", "--caps", "4,4,4"], {"dataclasses"}),
+        (["verify", "--suite", "kernel", "--caps", "4,4,4"], RATIONALS | {"dataclasses"}),
         (["verify", "--suite", "cross_pipeline", "--k-max", "24"], BEYOND_INTEGER),
         (["verify", "--suite", "families"], {"dataclasses"}),
         (["universal", "--i", "2"], {"dataclasses"}),
         (["fit", "--family", "r", "--k", "1"], {"dataclasses", "csv"}),
-        (["table", "--m-max", "3"], {"dataclasses", "csv"}),
-        (["table", "--m-max", "3", "--format", "csv"], {"csv"}),
+        (["table", "--m-max", "3"], RATIONALS | {"dataclasses", "csv"}),
+        (["table", "--m-max", "3", "--format", "csv"], RATIONALS | {"csv"}),
         (["count", "--m", "24", "--n2", "1", "--method", "solve"], BEYOND_INTEGER),
         (["count", "--m", "4", "--method", "multisum", "--max-span", "56"],
          BEYOND_INTEGER),
         # a target at its shortest walk is answered without a closed form
         (["count", "--m", "15", "--n1", "15", "--method", "closed"],
          RATIONALS | {"dataclasses", "gesselwalks.exact"}),
+        (["verify", "--suite", "hkernel", "--caps", "4,4,4"], RATIONALS | {"dataclasses"}),
+        (["verify", "--suite", "root", "--caps", "4,4,4"], RATIONALS | {"dataclasses"}),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, absent):

@@ -13,7 +13,6 @@ from gesselwalks.series import (
     bump_coeff,
     make_series,
     monomial,
-    section_y0,
     series_add,
     series_mul,
     series_sub,
@@ -23,7 +22,7 @@ from gesselwalks.series import (
     verify_root_identity,
     x_of_yz,
 )
-from gesselwalks import series
+from gesselwalks import series, walks
 from gesselwalks.walks import columns, count_walks, f_tilde
 
 CAPS = (6, 6, 6)
@@ -253,7 +252,7 @@ class TestBuildH:
         H = build_H((7, 7, 7))
         for m in range(7):
             for n2 in range(6):
-                assert section_y0(H).coeff((m, 0, n2)) == f_tilde(m, 0, n2)
+                assert H.coeff((m, 0, n2)) == f_tilde(m, 0, n2)
             for n1 in range(6):
                 assert H.coeff((m, n1, 0)) == f_tilde(m, n1, 0)
 
@@ -267,6 +266,91 @@ class TestBuildH:
         caps = (8, 8, 8)
         bad = bump_coeff(build_G(caps), mono)
         assert not verify_H_equation(caps, bad)
+
+
+class TestPackedChecks:
+    """The kernel and H checks compare packed z-columns; the reference here
+    builds both sides term by term with ``naive_mul`` and compares them with
+    ``_compare``, over the same window."""
+
+    @staticmethod
+    def reference(check, caps, G=None):
+        dx, dy, dz = caps if G is None else G.caps
+        window = (dx - 1, dy - 2, dz - 2)
+        if min(window) < 0:
+            return _compare(make_series(window, {}), make_series(window, {}), window)
+        G = build_G(window) if G is None else make_series(window, G.coeffs)
+        K, yz = build_K(window), monomial(window, 0, 1, 1)
+        if check is verify_kernel_equation:
+            x_1z = make_series(window, {(1, 0, 0): 1, (1, 0, 1): 1})
+            rhs = series_sub(_on_axes(naive_mul(x_1z, G)), yz)
+            return _compare(naive_mul(K, G), rhs, window)
+        H = series_add(naive_mul(K, G), yz)
+        return _compare(H, _on_axes(H), window)
+
+    CHECKS = [verify_kernel_equation, verify_H_equation]
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_equal_caps(self, check):
+        for c in range(15):
+            assert check((c, c, c)) == self.reference(check, (c, c, c)), c
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize(
+        "caps", [(9, 3, 5), (12, 20, 6), (20, 6, 12), (5, 5, 30), (3, 9, 2), (14, 2, 2),
+                 (2, 14, 14), (1, 2, 2), (30, 2, 3)]
+    )
+    def test_unequal_caps(self, check, caps):
+        assert check(caps) == self.reference(check, caps)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("mono", [INTERIOR_BUMP, *AXIS_BUMPS], ids=bump_id)
+    def test_bumps_give_the_reference_mismatch(self, check, mono):
+        caps = (8, 8, 8)
+        bad = bump_coeff(build_G(caps), mono)
+        report = check(caps, bad)
+        assert report == self.reference(check, caps, bad)
+        assert report.first_mismatch is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        caps=st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+        bumps=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 9)] * 3),
+                st.one_of(
+                    st.integers(-9, 9),
+                    st.sampled_from([-(10**30), 10**40]),
+                    st.integers(2**70, 2**90).flatmap(lambda d: st.sampled_from([d, -d])),
+                ),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_signed_bumps_give_the_reference_report(self, caps, bumps):
+        G = build_G(caps)
+        for mono, delta in bumps:
+            G = bump_coeff(G, mono, delta)
+        for check in self.CHECKS:
+            assert check(caps, G) == self.reference(check, caps, G)
+
+    @pytest.mark.parametrize("bits", [3, 8, 70])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_slot_of_five_coefficients_decodes(self, bits, sign):
+        """Slot 2 of column (2, 3) of K*G adds five coefficients of size
+        t = 2^bits - 1 in one sign, above 2^(bits+2), and slot 3 sums to 0.
+        A slot one bit narrower than the packing rule would decode slot 2
+        with a carry into slot 3 and count that slot as nonzero."""
+        t = sign * (2**bits - 1)
+        caps = (3, 5, 5)
+        G = make_series(caps, {
+            (1, 3, 0): t, (1, 3, 1): t, (1, 3, 2): t, (1, 3, 3): -t,
+            (1, 1, 0): t, (1, 1, 1): t, (1, 1, 2): -t, (2, 2, 1): -t,
+        })
+        assert naive_mul(build_K(caps), G).coeff((2, 3, 2)) == 5 * t
+        assert naive_mul(build_K(caps), G).coeff((2, 3, 3)) == 0
+        for check in self.CHECKS:
+            assert check(caps, G) == self.reference(check, caps, G)
 
 
 class TestRoot:
@@ -330,6 +414,17 @@ class TestRoot:
         assert axes == _on_axes(build_H(caps))
         assert axes.coeffs
 
+    def test_axis_terms_of_G_read_off_the_layer_stream(self):
+        for caps in [*((c, c, c) for c in range(0, 41, 4)), (10, 4, 7), (3, 9, 2),
+                     (12, 20, 6), (30, 0, 5), (30, 5, 0)]:
+            assert series._axis_terms(caps) == _on_axes(build_G(caps)), caps
+
+    def test_root_identity_reads_g_as_a_given_g_is_read(self):
+        # a given G takes the old path: the axis terms of G built whole
+        for caps in [*((c, c, c) for c in range(41)), (10, 4, 7), (12, 20, 6), (41, 13, 30)]:
+            given = verify_root_identity(caps, build_G(caps))
+            assert verify_root_identity(caps) == given, caps
+
     @pytest.mark.parametrize("mono", AXIS_BUMPS, ids=bump_id)
     def test_root_identity_mutated_fails(self, mono):
         for caps in ((8, 8, 8), (24, 24, 24)):
@@ -346,10 +441,11 @@ class TestRoot:
         computed = _compare(lhs, monomial(window, 0, 1, 1), window)
         assert computed == CheckReport(False, window, (dy + 1) * (min(dx, dz) + 1), 0, None)
 
-        def refuse(caps):
-            raise AssertionError("build_G called")
+        def refuse(*args):
+            raise AssertionError("dp started")
 
         monkeypatch.setattr(series, "build_G", refuse)
+        monkeypatch.setattr(walks, "layers", refuse)
         assert verify_root_identity(caps) == computed
 
     def test_substitution_requires_zero_constant(self):

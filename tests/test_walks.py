@@ -17,6 +17,7 @@ from gesselwalks.walks import (
     counts_along,
     f_entry,
     f_tilde,
+    layers,
     reachable,
     shortest_walk,
 )
@@ -167,6 +168,18 @@ class TestWalkTable:
             for n1 in range(m + 2):
                 for n2 in range((n1 + m) // 2 + 2):
                     assert cells.get((m, n1, n2), 0) == t.value(m, n1, n2), (m, n1, n2)
+
+    def test_layers_at_one_width_are_the_widening_layers(self):
+        # the kernel checks read the stream at the width of the layer after
+        # the last; no layer is repacked, and every slot agrees
+        m_max = 60
+        width = _slot_width(m_max + 1)
+        fixed = list(layers(m_max, width))
+        assert len(fixed) == m_max + 1
+        assert {w for w, _ in fixed} == {width}
+        for m, ((w, grown), (_, layer)) in enumerate(zip(layers(m_max), fixed)):
+            assert len(grown) == len(layer) == m + 1
+            assert [_unpack(c, w) for c in grown] == [_unpack(c, width) for c in layer], m
 
     def test_bounded_columns_are_the_columns_cut(self):
         full = list(columns(21))
