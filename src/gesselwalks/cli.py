@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from operator import add
 from typing import Callable, Sequence
 
 from . import pipelines
@@ -200,22 +199,20 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise UsageError("--m-max must be nonnegative")
     from . import walks
     write = sys.stdout.write
-    # one join per column over shared n2 keys and one write per layer; the
-    # bytes are those of csv.writer rows (\r\n line ends) and of json.dumps
-    # lines, and every slot of a column is a nonzero count
+    # one join and write per column, its records slice-assigned over shared n2
+    # keys; the bytes are those of csv.writer rows (\r\n line ends) and of
+    # json.dumps lines, and every slot of a column is a nonzero count
     as_csv = args.format == "csv"
     if as_csv:
         write("m,n1,n2,F\r\n")
     mid, end = (",", "\r\n") if as_csv else (', "F": "', '"}\n')
     keys = [f"{n2}{mid}" for n2 in range(args.m_max + 1)]
-    layer, chunks = 0, []
     for m, n1, counts in walks.columns(args.m_max):
-        if m != layer:
-            write("".join(chunks))
-            layer, chunks = m, []
         head = f"{m},{n1}," if as_csv else f'{{"m": {m}, "n1": {n1}, "n2": '
-        chunks += [head, (end + head).join(map(add, keys, map(str, counts))), end]
-    write("".join(chunks))
+        records = [head, None, None, end] * len(counts)
+        records[1::4] = keys[:len(counts)]
+        records[2::4] = map(str, counts)
+        write("".join(records))
     return 0
 
 

@@ -16,7 +16,9 @@ difference within +-2^W, which the masked test needs: with G read from
 the dp, W = ``walks._slot_width(wx + 1)`` for a window of x extent wx
 (counts of layer m are at most 4^m, a slot of K*G at most 2*4^m); a given
 G is packed at 4 bits above its largest coefficient's bit length, since a
-slot of either side sums at most five of its coefficients, plus one.
+slot of either side sums at most five of its coefficients, plus one.  The
+root check packs the other way: one row per z exponent ez, whose signed W-bit
+slot ey holds y^ey z^ez, at the W that ``verify_root_identity`` proves.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "monomial",
     "bump_coeff",
     "series_add",
-    "series_sub",
     "series_mul",
     "build_G",
     "build_K",
@@ -102,10 +103,6 @@ def series_add(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
     return make_series(a.caps, [*a.coeffs.items(), *b.coeffs.items()])
 
 
-def series_sub(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
-    return series_add(a, TruncSeries3(b.caps, {k: -c for k, c in b.coeffs.items()}))
-
-
 def series_mul(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
     """Truncated product; the result caps are the componentwise minimum.
 
@@ -135,25 +132,6 @@ def series_mul(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
         ex, ey = divmod(exy, ry)
         if c and ex <= dx and ey <= dy and ez <= dz:
             coeffs[ex, ey, ez] = c
-    return TruncSeries3(caps, coeffs)
-
-
-def _on_axes(a: TruncSeries3) -> TruncSeries3:
-    """The terms with ey = 0 or ez = 0: a(x,0,z) + a(x,y,0) - a(x,0,0)."""
-    return TruncSeries3(a.caps, {k: c for k, c in a.coeffs.items() if 0 in k[1:]})
-
-
-def _axis_terms(caps: Caps) -> TruncSeries3:
-    """The terms of the walk series G up to the caps with n1 = 0 or n2 = 0,
-    read off the packed layers of a dp pass over dx layers."""
-    dx, dy, dz = caps
-    coeffs: dict[Mono, int] = {}
-    for m, (width, layer) in enumerate(walks.layers(dx)):
-        slot = (1 << width) - 1
-        column = walks._unpack(layer[0] & ((1 << width * (dz + 1)) - 1), width)
-        coeffs.update(((m, 0, n2), v) for n2, v in enumerate(column) if v)
-        coeffs.update(((m, n1, 0), c & slot)
-                      for n1, c in enumerate(layer[1:dy + 1], 1) if c & slot)
     return TruncSeries3(caps, coeffs)
 
 
@@ -361,19 +339,6 @@ def x_of_yz(caps: Caps) -> TruncSeries3:
     return TruncSeries3((0, dy, dz), items)
 
 
-def _horner(series: TruncSeries3, caps: Caps, times_x) -> TruncSeries3:
-    """Horner over the x-grouped parts of ``series``; ``times_x`` multiplies by x."""
-    parts: dict[int, dict[Mono, int]] = {}
-    for (ex, ey, ez), c in series.coeffs.items():
-        parts.setdefault(ex, {})[(0, ey, ez)] = c
-    acc = TruncSeries3(caps, {})
-    for m in range(series.caps[0], -1, -1):
-        acc = times_x(acc)
-        if m in parts:
-            acc = series_add(acc, make_series(caps, parts[m]))
-    return acc
-
-
 def substitute_x(series: TruncSeries3, x_series: TruncSeries3) -> TruncSeries3:
     """Substitute x_series (no constant term, no x dependence) for the x
     variable, by Horner over the x-grouped parts of ``series``."""
@@ -381,26 +346,25 @@ def substitute_x(series: TruncSeries3, x_series: TruncSeries3) -> TruncSeries3:
         raise ValueError("substitution needs a series with zero constant term")
     if any(ex for ex, _, _ in x_series.coeffs):
         raise ValueError("substitution needs a series with no x dependence")
-    caps2: Caps = (0, *x_series.caps[1:])
-    return _horner(series, caps2, lambda acc: series_mul(acc, x_series))
+    caps: Caps = (0, *x_series.caps[1:])
+    acc = TruncSeries3(caps, {})
+    for m in range(series.caps[0], -1, -1):
+        part = [((0, ey, ez), c) for (ex, ey, ez), c in series.coeffs.items() if ex == m]
+        acc = make_series(caps, [*series_mul(acc, x_series).coeffs.items(), *part])
+    return acc
 
 
-def _times_root(acc: TruncSeries3) -> TruncSeries3:
-    """acc times the kernel root yz/((1+z)(1+y^2 z)) in acc's caps: a shift by
-    yz, then one running division per unit.  Each output coefficient reads
-    only lower exponents, so this is the truncated product with ``x_of_yz``."""
-    _, dy, dz = acc.caps
-    c = [[0] * (dz + 1) for _ in range(dy + 1)]
-    for (_, ey, ez), v in acc.coeffs.items():
-        if ey < dy and ez < dz:
-            c[ey + 1][ez + 1] = v
-    for ey, row in enumerate(c):  # after the shift, row 0 and column 0 are zero
-        for ez in range(2, dz + 1):
-            row[ez] -= row[ez - 1]  # divide by 1+z
-        for ez in range(2, dz + 1) if ey >= 2 else ():
-            row[ez] -= c[ey - 2][ez - 1]  # divide by 1+y^2 z
-    out = {(0, ey, ez): v for ey, row in enumerate(c) for ez, v in enumerate(row) if v}
-    return TruncSeries3(acc.caps, out)
+def _axis_terms(dy: int, wz: int, G: TruncSeries3 | None) -> list[tuple[list[int], list[int]]]:
+    """[(G(m; n1, 0) for n1 <= dy, G(m; 0, n2) for n2 <= wz)] for m < wz, as
+    lists that may stop short of their caps.  Without a G, slot 0 of each
+    column and column 0 of each layer of the dp stream (``walks.layers``),
+    decoded in bulk; no other cell is unpacked."""
+    if G is None:
+        return [([c & ~(-1 << width) for c in layer[:dy + 1]],
+                 walks._unpack(layer[0] & ~(-1 << width * (wz + 1)), width))
+                for width, layer in walks.layers(wz - 1)]
+    return [([G.coeff((m, n1, 0)) for n1 in range(dy + 1)],
+             [G.coeff((m, 0, n2)) for n2 in range(wz + 1)]) for m in range(wz)]
 
 
 def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
@@ -410,29 +374,57 @@ def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckRepo
     terms of H = K*G + yz, and substitution is linear, so the root is
     substituted once.
 
-    The axis terms of H are those of K*G, since yz is off the axes.  They
-    read only the axis terms of G: a product term has ey = 0 (or ez = 0)
-    only if both factors do.  So the check multiplies K by the axis terms
-    of G alone and never builds the rest of H.
+    The axis terms of H are those of K*G (yz is off the axes) and read only
+    the axis terms of G (``_axis_terms``): their x^m part A_m is G(m-1; n1, 0)
+    at z^0 and G(m-1; 0, ez) + G(m-1; 0, ez-1) at y^0 z^ez.  The root r
+    carries z in every term, so the sum of A_m r^m is exact for
+    ez <= wz = min(dx, dz), the z window, and needs m <= wz alone.
 
-    Every monomial of the root carries at least one power of z, so x^m
-    contributes z-order >= m and the composition is exact for ez up to the
-    x cap; that bound is the z window.  Each Horner step multiplies by the
-    root's rational form (``_times_root``), not by its expansion.
+    The sum is taken by Horner in x over rows: row ez is one int whose W-bit
+    slot ey holds the coefficient of y^ey z^ez, signed.  A step times
+    yz/((1+z)(1+y^2 z)) shifts row ez up a slot into row ez+1 (yz), divides
+    by 1+z by a running subtraction down the rows and by 1+y^2 z by
+    subtracting the quotient's row above shifted up two slots; then A_m's
+    row z^0 is added whole and its column y^0 into slot 0.  The quotient is
+    reduced modulo 2^(W(dy+1)), which drops the terms past y^dy and commutes
+    with shifts and sums, so rows are decoded once, at the end, with 2^(W-1)
+    added to each slot and taken off again to restore its sign.
 
-    Without a G given, its axis terms are read off the dp's packed layer
-    stream (``walks.layers``): column 0 of each layer, cut to the z cap,
-    and slot 0 of each column up to the y cap.  No other cell is unpacked.
+    That is exact if every coefficient met is below 2^(W-1) in size.  One of
+    A_k is at most 2B, B the largest axis term of G read; that of y^ey z^ez
+    in r^j is C(j-1+a, a) C(j-1+b, b) with ey = j+2b and ez = j+a+b, at most
+    2^(j+ez-2) <= 2^(dy+wz-2), or 1 for j = 0.  One of the sum adds at most
+    N = (wz+1)(dy+wz+1) such products (wz+1 values of k, dy+wz+1 terms of
+    A_k), so W = bits(2B) + bits(N) + dy + wz, in whole bytes, holds it.
 
     Every term of the substituted series has ey >= 1 and ez >= 1, so a
     window whose y or z extent is below 1 holds no nonzero term; it is
     reported before any dp.
     """
     dx, dy, dz = caps if G is None else G.caps
-    window = (0, dy, min(dx, dz))
+    wz = min(dx, dz)
+    window = (0, dy, wz)
     if min(window[1:]) < 1:
         return _nothing(window)
-    G_axes = _axis_terms(caps) if G is None else _on_axes(G)
-    axes = _on_axes(series_mul(build_K(G_axes.caps), G_axes))
-    lhs = _horner(axes, window, _times_root)
-    return _compare(lhs, monomial(window, 0, 1, 1), window)
+    terms = _axis_terms(dy, wz, G)
+    big = max((abs(v) for row, column in terms for v in (*row, *column)), default=0)
+    bits = (2 * big).bit_length() + ((wz + 1) * (dy + wz + 1)).bit_length() + dy + wz
+    width = -(-bits // 8) * 8
+    size, half = width // 8, 1 << (width - 1)
+    mask = (1 << width * (dy + 1)) - 1  # the window's slots
+    bias = int.from_bytes(half.to_bytes(size, "little") * (dy + 1), "little")
+
+    rows = [0] * (wz + 1)
+    for row, column in [*reversed(terms), ((), ())]:  # A_m for m = wz..0
+        data = b"".join((v + half).to_bytes(size, "little") for v in row)
+        out = [int.from_bytes(data, "little") - (bias & ~(-1 << 8 * len(data)))]
+        over = quotient = 0
+        for ez in range(1, wz + 1):
+            over = (rows[ez - 1] << width) - over  # yz * acc / (1+z)
+            quotient = (over - (quotient << 2 * width)) & mask  # / (1+y^2 z)
+            out.append(quotient + sum(column[ez - 1:ez + 1]))
+        rows = out
+    lhs = {(0, ey, ez): v - half
+           for ez, row in enumerate(rows)
+           for ey, v in enumerate(walks._unpack((row + bias) & mask, width)) if v != half}
+    return _compare(TruncSeries3(window, lhs), monomial(window, 0, 1, 1), window)

@@ -11,7 +11,8 @@ packs column n1 into one Python int with F(m; n1, n2) in the W-bit slot at
 offset W*n2 (Kronecker substitution); W >= 2*m + 4 exceeds the bit length of
 any count of layer m (at most 4^m), so the four-term step becomes four
 big-int operations per column with no carry between slots.  Layer m holds
-about 0.9*m^3 bits.
+about 0.9*m^3 bits.  Columns are decoded in bulk, by one ``struct.unpack`` and
+one ``map(int.from_bytes, ...)`` each (``_unpack``), and widened by ``_widen``.
 
 Four shapes of dp share that one step; the first two also share one rule
 for widening slots (``_grow``), the last two one statement of the cone of
@@ -33,6 +34,7 @@ triangular pipeline.
 from __future__ import annotations
 
 import math
+import struct
 import threading
 from itertools import chain, count, islice, repeat
 from operator import mul
@@ -80,20 +82,24 @@ def _slot_width(m: int) -> int:
     return (2 * m + 4 + 7) // 8 * 8
 
 
+def _chunks(column: int, size: int) -> tuple[bytes, ...]:
+    """The slots of a packed column as ``size``-byte little-endian chunks,
+    lowest first, up to its top nonzero one: one ``struct.unpack``."""
+    n = -(-column.bit_length() // (8 * size))
+    return struct.unpack("<" + f"{size}s" * n, column.to_bytes(n * size, "little"))
+
+
 def _unpack(column: int, width: int) -> list[int]:
     """The slots of a packed column, lowest n2 first, ending at its top
     nonzero slot."""
-    size = width // 8
-    data = column.to_bytes(-(-column.bit_length() // 8), "little")
-    chunks = [data[at:at + size] for at in range(0, len(data), size)]
-    return list(map(int.from_bytes, chunks, repeat("little")))
+    return list(map(int.from_bytes, _chunks(column, width // 8), repeat("little")))
 
 
-def _pack(slots: list[int], width: int) -> int:
-    size = width // 8
-    return int.from_bytes(
-        b"".join(v.to_bytes(size, "little") for v in slots), "little"
-    )
+def _widen(column: int, width: int, wider: int) -> int:
+    """A packed column repacked at a width of at least its own: ``struct``
+    pads each chunk with zero bytes, so no slot becomes an int."""
+    chunks = _chunks(column, width // 8)
+    return int.from_bytes(struct.pack("<" + f"{wider // 8}s" * len(chunks), *chunks), "little")
 
 
 def _step(
@@ -127,7 +133,7 @@ def _grow(width: int, layer: list[int], m: int) -> Iterator[Layer]:
     for t in count(m + 1):
         if width < 2 * t + 4:
             wider = _slot_width(t + t // 4)
-            layer = [_pack(_unpack(c, width), wider) for c in layer]
+            layer = [_widen(c, width, wider) for c in layer]
             width = wider
         layer = _step(layer, width, range(t % 2, t + 1, 2))
         yield width, layer

@@ -5,8 +5,6 @@ from gesselwalks.series import (
     CheckReport,
     TruncSeries3,
     _compare,
-    _on_axes,
-    _times_root,
     build_G,
     build_H,
     build_K,
@@ -15,14 +13,13 @@ from gesselwalks.series import (
     monomial,
     series_add,
     series_mul,
-    series_sub,
     substitute_x,
     verify_H_equation,
     verify_kernel_equation,
     verify_root_identity,
     x_of_yz,
 )
-from gesselwalks import series, walks
+from gesselwalks import cli, series, walks
 from gesselwalks.walks import columns, count_walks, f_tilde
 
 CAPS = (6, 6, 6)
@@ -57,6 +54,49 @@ def yz_series_st(draw):
     yz = st.tuples(st.just(0), st.integers(0, dy), st.integers(0, dz))
     terms = draw(st.dictionaries(yz, st.integers(min_value=-9, max_value=9), max_size=20))
     return make_series((0, dy, dz), terms)
+
+
+def on_axes(a):
+    """The terms with ey = 0 or ez = 0: a(x,0,z) + a(x,y,0) - a(x,0,0), as a
+    series built without make_series."""
+    return TruncSeries3(a.caps, {k: c for k, c in a.coeffs.items() if 0 in k[1:]})
+
+
+def series_sub(a, b):
+    """a - b, term by term, for series sharing their caps."""
+    return series_add(a, TruncSeries3(b.caps, {k: -c for k, c in b.coeffs.items()}))
+
+
+def times_root(acc):
+    """acc times the kernel root yz/((1+z)(1+y^2 z)) in acc's caps, term by
+    term: a shift by yz, then one running division per unit."""
+    _, dy, dz = acc.caps
+    c = [[0] * (dz + 1) for _ in range(dy + 1)]
+    for (_, ey, ez), v in acc.coeffs.items():
+        if ey < dy and ez < dz:
+            c[ey + 1][ez + 1] = v
+    for ey, row in enumerate(c):  # after the shift, row 0 and column 0 are zero
+        for ez in range(2, dz + 1):
+            row[ez] -= row[ez - 1]  # divide by 1+z
+        for ez in range(2, dz + 1) if ey >= 2 else ():
+            row[ez] -= c[ey - 2][ez - 1]  # divide by 1+y^2 z
+    out = {(0, ey, ez): v for ey, row in enumerate(c) for ez, v in enumerate(row) if v}
+    return TruncSeries3(acc.caps, out)
+
+
+def reference_root(caps, G=None):
+    """The root check as a series computation: the axis terms of K times the
+    axis terms of G, with the root substituted by Horner in x over dict
+    series, one ``times_root`` per step, from the x cap down."""
+    G = build_G(caps) if G is None else G
+    dx, dy, dz = G.caps
+    window = (0, dy, min(dx, dz))
+    axes = on_axes(naive_mul(build_K(G.caps), on_axes(G)))
+    acc = make_series(window, {})
+    for m in range(dx, -1, -1):
+        part = [((0, ey, ez), c) for (ex, ey, ez), c in axes.coeffs.items() if ex == m]
+        acc = make_series(window, [*times_root(acc).coeffs.items(), *part])
+    return _compare(acc, monomial(window, 0, 1, 1), window)
 
 
 def naive_mul(a, b):
@@ -141,8 +181,8 @@ class TestSeriesRing:
 
     @pytest.mark.parametrize("caps", [(6, 6, 6), (9, 3, 5), (4, 0, 4), (0, 4, 4)])
     def test_product_with_a_bare_operand(self, caps):
-        # _on_axes builds its series without make_series
-        K, axes = build_K(caps), _on_axes(build_G(caps))
+        # on_axes builds its series without make_series
+        K, axes = build_K(caps), on_axes(build_G(caps))
         assert series_mul(K, axes) == series_mul(axes, K) == naive_mul(K, axes)
 
     @settings(max_examples=40, deadline=None)
@@ -283,10 +323,10 @@ class TestPackedChecks:
         K, yz = build_K(window), monomial(window, 0, 1, 1)
         if check is verify_kernel_equation:
             x_1z = make_series(window, {(1, 0, 0): 1, (1, 0, 1): 1})
-            rhs = series_sub(_on_axes(naive_mul(x_1z, G)), yz)
+            rhs = series_sub(on_axes(naive_mul(x_1z, G)), yz)
             return _compare(naive_mul(K, G), rhs, window)
         H = series_add(naive_mul(K, G), yz)
-        return _compare(H, _on_axes(H), window)
+        return _compare(H, on_axes(H), window)
 
     CHECKS = [verify_kernel_equation, verify_H_equation]
 
@@ -410,14 +450,23 @@ class TestRoot:
     def test_axis_terms_of_H_read_only_the_axis_terms_of_G(self, caps):
         # what the root check builds in place of all of H
         G = build_G(caps)
-        axes = _on_axes(series_mul(build_K(caps), _on_axes(G)))
-        assert axes == _on_axes(build_H(caps))
+        axes = on_axes(series_mul(build_K(caps), on_axes(G)))
+        assert axes == on_axes(build_H(caps))
         assert axes.coeffs
 
     def test_axis_terms_of_G_read_off_the_layer_stream(self):
-        for caps in [*((c, c, c) for c in range(0, 41, 4)), (10, 4, 7), (3, 9, 2),
-                     (12, 20, 6), (30, 0, 5), (30, 5, 0)]:
-            assert series._axis_terms(caps) == _on_axes(build_G(caps)), caps
+        def trimmed(terms):
+            return [[v[:max((i + 1 for i, c in enumerate(v) if c), default=0)] for v in pair]
+                    for pair in terms]
+
+        # the root check reads them only for a z window of at least 1
+        for caps in [*((c, c, c) for c in range(1, 41, 4)), (10, 4, 7), (3, 9, 2),
+                     (12, 20, 6), (30, 0, 5), (30, 5, 1)]:
+            dx, dy, dz = caps
+            wz = min(dx, dz)
+            stream = series._axis_terms(dy, wz, None)
+            assert len(stream) == wz, caps
+            assert trimmed(stream) == trimmed(series._axis_terms(dy, wz, build_G(caps))), caps
 
     def test_root_identity_reads_g_as_a_given_g_is_read(self):
         # a given G takes the old path: the axis terms of G built whole
@@ -437,7 +486,7 @@ class TestRoot:
         dx, dy, dz = caps
         window = (0, dy, min(dx, dz))
         H = build_H(caps)
-        lhs = substitute_x(_on_axes(H), x_of_yz(window))
+        lhs = substitute_x(on_axes(H), x_of_yz(window))
         computed = _compare(lhs, monomial(window, 0, 1, 1), window)
         assert computed == CheckReport(False, window, (dy + 1) * (min(dx, dz) + 1), 0, None)
 
@@ -461,7 +510,7 @@ class TestRoot:
     @settings(max_examples=60, deadline=None)
     @given(acc=yz_series_st())
     def test_root_step_is_product_with_expansion(self, acc):
-        assert _times_root(acc) == series_mul(acc, x_of_yz(acc.caps))
+        assert times_root(acc) == series_mul(acc, x_of_yz(acc.caps))
 
     def test_expansion_is_the_rational_form(self):
         # x_of_yz * (1+z)(1+y^2 z) == yz ties the expansion to the form the
@@ -469,3 +518,65 @@ class TestRoot:
         caps = (0, 12, 12)
         units = make_series(caps, {(0, 0, 0): 1, (0, 0, 1): 1, (0, 2, 1): 1, (0, 2, 2): 1})
         assert series_mul(x_of_yz(caps), units) == monomial(caps, 0, 1, 1)
+
+
+class TestPackedRoot:
+    """The root check substitutes the root over packed rows; ``reference_root``
+    does it over dict series, and every report field must agree."""
+
+    def test_equal_caps(self):
+        for c in range(21):
+            assert verify_root_identity((c, c, c)) == reference_root((c, c, c)), c
+
+    @pytest.mark.parametrize(
+        "caps", [(9, 3, 5), (12, 20, 6), (20, 6, 12), (5, 5, 30), (3, 9, 2), (14, 1, 1),
+                 (2, 14, 14), (1, 2, 2), (30, 2, 3), (0, 6, 6), (6, 0, 6), (6, 6, 0),
+                 (0, 0, 0), (17, 11, 1), (1, 17, 11)]
+    )
+    def test_unequal_and_zero_caps(self, caps):
+        assert verify_root_identity(caps) == reference_root(caps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        caps=st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14)),
+        bumps=st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14)),
+                st.sampled_from([None, 1, 2]),
+                st.one_of(
+                    st.integers(-9, 9),
+                    st.sampled_from([-(10**30), 10**40, 2**70 + 3, -(2**71)]),
+                    st.integers(2**70, 2**90).flatmap(lambda d: st.sampled_from([d, -d])),
+                ),
+            ),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_signed_bumps_give_the_reference_report(self, caps, bumps):
+        # a bump lands on an axis (y or z exponent set to 0) unless axis is None
+        G = build_G(caps)
+        for mono, axis, delta in bumps:
+            mono = tuple(0 if i == axis else e for i, e in enumerate(mono))
+            G = bump_coeff(G, mono, delta)
+        assert verify_root_identity(caps, G) == reference_root(caps, G)
+
+    def test_large_axis_bumps_change_the_report(self):
+        # x^(m+1) r^(m+1) carries y^(m+1) z^(m+1), so each bump lands in the window
+        caps = (20, 20, 20)
+        for mono in [(19, 0, 0), (3, 0, 5), (5, 6, 0)]:
+            for delta in (2**70 + 3, -(2**71)):
+                G = bump_coeff(build_G(caps), mono, delta)
+                report = verify_root_identity(caps, G)
+                assert report == reference_root(caps, G)
+                assert not report and report.first_mismatch is not None
+
+    def test_cli_root_reads_the_dp_stream_alone(self, monkeypatch, capsys):
+        # the packed root check builds no series, G or table columns
+        def refuse(*args, **kwargs):
+            raise AssertionError("series path used")
+
+        monkeypatch.setattr(series, "series_mul", refuse)
+        monkeypatch.setattr(series, "build_G", refuse)
+        monkeypatch.setattr(walks, "columns", refuse)
+        assert cli.main(["verify", "--suite", "root", "--caps", "20,20,20"]) == 0
+        assert '"ok": true' in capsys.readouterr().out

@@ -7,9 +7,9 @@ from gesselwalks.exact import catalan, gessel_closed_form
 from gesselwalks.walks import (
     WalkTable,
     _cone,
-    _pack,
     _slot_width,
     _unpack,
+    _widen,
     build_f_matrix,
     columns,
     count_meet,
@@ -22,6 +22,23 @@ from gesselwalks.walks import (
     shortest_walk,
 )
 from oracles import F_MATRIX_14, GESSEL_NUMBERS, brute_count
+
+
+def pack(slots, width):
+    """Slots packed W bits apart, lowest first, by shifts."""
+    column = 0
+    for v in reversed(slots):
+        column = (column << width) | v
+    return column
+
+
+def unpack_by_shifts(column, width):
+    """The slots of a column up to its top nonzero one, by shift and mask."""
+    slots = []
+    while column:
+        slots.append(column & ((1 << width) - 1))
+        column >>= width
+    return slots
 
 
 class TestReachable:
@@ -225,7 +242,36 @@ class TestWalkTable:
         trimmed = list(slots)
         while trimmed and not trimmed[-1]:
             trimmed.pop()
-        assert _unpack(_pack(slots, width), width) == trimmed
+        assert _unpack(pack(slots, width), width) == trimmed
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 100).map(lambda b: 8 * b), data=st.data())
+    def test_unpack_is_the_shift_and_mask_decode(self, width, data):
+        # a column of up to 12 slots, or one whose top slot holds bit 0 alone
+        column = data.draw(st.one_of(
+            st.integers(0, (1 << width * data.draw(st.integers(0, 12))) - 1),
+            st.integers(0, 12).map(lambda k: 1 << width * k),
+        ))
+        assert _unpack(column, width) == unpack_by_shifts(column, width)
+
+    def test_unpack_at_the_slot_edges(self):
+        for width in range(8, 801, 8):
+            top = (1 << width) - 1
+            assert _unpack(0, width) == []
+            assert _unpack(1, width) == [1]
+            assert _unpack(1 << width, width) == [0, 1]
+            assert _unpack(1 << 3 * width, width) == [0, 0, 0, 1]
+            assert _unpack(top | top << 2 * width, width) == [top, 0, top]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_widen_is_pack_of_unpack_at_every_pair_of_widths(self, data):
+        widths = range(8, 129, 8)
+        for width in widths:
+            slots = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=6))
+            column = pack(slots, width)
+            for wider in widths[width // 8 - 1:]:
+                assert _widen(column, width, wider) == pack(_unpack(column, width), wider)
 
     def test_value_outside_columns_is_zero(self):
         t = WalkTable(5)
