@@ -188,8 +188,11 @@ def layers(m_max: int, width: int | None = None) -> Iterator[Layer]:
 
     Without a width the slots widen as ``_grow`` rules.  A width of at
     least ``_slot_width(m_max)`` is never widened, so every layer comes at
-    that width.
+    that width.  A negative m_max gives no layer, as ``columns`` gives no
+    column.
     """
+    if m_max < 0:
+        return iter(())
     first = (_slot_width(0) if width is None else width, [1])
     return chain([first], islice(_grow(*first, 0), m_max))
 

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gesselwalks import cli, triangular, walks
 from oracles import H24_ROWS
@@ -451,6 +452,111 @@ FROZEN = json.loads(Path(__file__).with_name("cli_frozen.json").read_text())
 def test_frozen_output(capsys, case):
     code, out, err = run_cli(capsys, *case["argv"])
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# Exit code, stdout and stderr of every help text and of argv that argparse
+# alone answers (a bad choice, a missing or unknown flag, an abbreviation, an
+# = joined value, a negative value), recorded byte for byte at COLUMNS=80
+# while argparse read every command line.
+PINNED = json.loads(Path(__file__).with_name("cli_usage_frozen.json").read_text())
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda case: " ".join(case["argv"]))
+def test_help_and_usage_bytes(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+class TestReader:
+    """``cli.read_args`` against argparse: where the reader accepts an argv it
+    gives argparse's namespace, and it accepts every well-formed one."""
+
+    PARSER = cli.build_parser()
+    FLAGS = sorted({flag[0] for _, _, flags in cli.GRAMMAR.values() for flag in flags})
+    # values the reader must leave to argparse, or pass on as argparse does
+    ODD = ["", "-4", "-1", "-0", "4.5", "x", " 4", "4_0", "+3", "--", "-", "-h",
+           "1,2,3", "-1,2,3", "count", "=4", "٣"]
+
+    @classmethod
+    @st.composite
+    def value(draw, cls, kind):
+        """A value for a flag of this kind, one in five of them odd."""
+        if draw(st.integers(0, 4)) == 4:
+            return draw(st.sampled_from(cls.ODD + cls.FLAGS) | st.text(max_size=3))
+        if kind is int:
+            return str(draw(st.integers(0, 300)))
+        if kind is str:
+            return draw(st.sampled_from(["6,6,6", "1,1", "a,b,c", "10,10,10"]))
+        return draw(st.sampled_from(list(kind)))
+
+    @classmethod
+    @st.composite
+    def argvs(draw, cls):
+        command = draw(st.sampled_from([*cli.GRAMMAR, *cli.GRAMMAR, "cou", "", "-h", "--help"]))
+        flags = cli.GRAMMAR[command][2] if command in cli.GRAMMAR else ()
+
+        def given_flag(name, kind):
+            return [name] if kind == "store_true" else [name, draw(cls.value(kind))]
+
+        chunks = []
+        if flags and draw(st.integers(0, 3)):
+            # every flag with a value, so that most such argv are well formed
+            chunks.append([t for name, kind, _, _ in flags for t in given_flag(name, kind)])
+        for _ in range(draw(st.integers(0, 3))):
+            shape = draw(st.sampled_from(["exact"] * 6 + ["other", "prefix", "joined", "stray"]))
+            if shape == "exact" and flags:
+                name, kind, _, _ = draw(st.sampled_from(flags))
+                chunks.append(given_flag(name, kind))
+            elif shape == "stray":
+                chunks.append([draw(st.sampled_from(cls.ODD + ["--help", "verify"]))])
+            else:
+                name = draw(st.sampled_from(cls.FLAGS))
+                value = draw(cls.value(draw(st.sampled_from([int, ("dp", "text", "r")]))))
+                if shape == "prefix":
+                    name = name[:draw(st.integers(2, len(name) - 1))]
+                chunks.append([f"{name}={value}"] if shape == "joined" else [name, value])
+        return [command, *(t for chunk in draw(st.permutations(chunks)) for t in chunk)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_accepted_argv_reads_as_argparse_parses(self, data):
+        argv = data.draw(self.argvs())
+        args = cli.read_args(argv)
+        if args is not None:
+            assert vars(args) == vars(self.PARSER.parse_args(argv))
+
+    @pytest.mark.parametrize("case", FROZEN, ids=lambda case: " ".join(case["argv"]))
+    def test_frozen_argv_without_negative_values_is_read(self, case):
+        argv = case["argv"]
+        args = cli.read_args(argv)
+        if any(t[:1] == "-" and t[1:2].isdigit() for t in argv):
+            assert args is None
+        else:
+            assert args is not None
+            assert vars(args) == vars(self.PARSER.parse_args(argv))
+
+    @pytest.mark.parametrize("case", PINNED, ids=lambda case: " ".join(case["argv"]))
+    def test_help_and_usage_argv_are_left_to_argparse(self, case):
+        assert cli.read_args(case["argv"]) is None
+
+    @pytest.mark.parametrize("argv", [
+        [], ["cou", "--m", "4"], ["count", "-h"], ["count", "--m", "4", "--help"],
+        ["count", "--m", "4", "--n1"], ["count", "--m", "4", "x"], ["count", "--m", "4", "--"],
+        ["count", "--m", "4", "--dump"], ["count", "--m", "4.0"], ["count", "--m", ""],
+        ["count", "--n1", "2"],
+        ["verify", "--suite", "kernel", "--caps", "-1,2,3"],
+        ["verify", "--suite", "kernel", "--caps", "--N"],
+        ["verify", "--suite", "kernel", "--caps", "-"],
+        ["verify", "--suite", "gessel", "--format", "json"],
+        ["hessenberg", "--n", "1", "--dump", "x"],
+    ])
+    def test_malformed_argv_are_left_to_argparse(self, argv):
+        assert cli.read_args(argv) is None
 
 
 class TestDeterminism:

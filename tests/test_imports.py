@@ -30,6 +30,9 @@ BEYOND_DP = RATIONALS | {
 BEYOND_INTEGER = RATIONALS | {
     "dataclasses", "gesselwalks.series", "gesselwalks.conjectures",
 }
+# the parser: argparse loads only for help and usage errors, and its first
+# message loads gettext and locale
+PARSER = {"argparse", "gettext", "locale"}
 
 
 def run_fresh(code: str):
@@ -71,8 +74,10 @@ def run_fresh(code: str):
     ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, absent):
-    """Modules loaded by the package are those of the subcommand; a module
-    already loaded at interpreter start-up is not the package's doing."""
+    """Modules loaded by the package are those of the subcommand, and a
+    well-formed command line loads no parser; a module already loaded at
+    interpreter start-up is not the package's doing."""
+    absent = absent | PARSER
     loaded = run_fresh(f"""
         import contextlib, io, json, sys
         before = set(sys.modules)
@@ -85,6 +90,30 @@ def test_subcommand_loads_only_what_it_runs(argv, absent):
     assert status == 0
     assert "gesselwalks.cli" in new
     assert absent.isdisjoint(new), sorted(absent.intersection(new))
+
+
+def test_usage_error_loads_argparse():
+    """A command line the reader declines goes to argparse, which prints its
+    own message and exits 2."""
+    status, err, new = run_fresh("""
+        import contextlib, io, json, sys
+        before = set(sys.modules)
+        from gesselwalks import cli
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                cli.main(["count", "--m", "4", "--method", "magic"])
+            except SystemExit as exc:
+                status = exc.code
+        print(json.dumps([status, err.getvalue(), sorted(set(sys.modules) - before)]))
+    """)
+    assert status == 2
+    assert err.startswith("usage: gessel-walks count [-h]")
+    assert err.endswith(
+        "gessel-walks count: error: argument --method: invalid choice: 'magic' "
+        "(choose from 'dp', 'closed', 'det', 'multisum', 'solve')\n"
+    )
+    assert "argparse" in new
 
 
 def test_library_integer_calls_load_no_rationals():

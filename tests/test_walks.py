@@ -198,6 +198,12 @@ class TestWalkTable:
             assert len(grown) == len(layer) == m + 1
             assert [_unpack(c, w) for c in grown] == [_unpack(c, width) for c in layer], m
 
+    @pytest.mark.parametrize("m_max", [-1, -2, -40])
+    def test_negative_m_max_gives_no_layer_and_no_column(self, m_max):
+        assert list(layers(m_max)) == []
+        assert list(layers(m_max, 8)) == []
+        assert list(columns(m_max)) == []
+
     def test_bounded_columns_are_the_columns_cut(self):
         full = list(columns(21))
         for n1_max, n2_max in [(None, 4), (3, None), (5, 0), (30, 30), (0, 11)]:
