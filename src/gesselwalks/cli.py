@@ -7,7 +7,8 @@ determinant windows (``hessenberg``).  ``verify`` always prints JSON.  The
 others take ``--format {text,json,csv}``; for ``text``, ``table`` prints
 JSON lines and ``hessenberg --dump`` prints csv rows.
 
-Exit codes: 0 success, 1 a verification or fit failed, 2 usage error.
+Exit codes: 0 success, 1 a verification or fit failed, 2 usage error, 141
+(``CLOSED_STDOUT``) when the reader closed stdout early, as ``| head`` does.
 
 Only ``pipelines`` is imported up front, for the grammar's choices; each
 subcommand imports the library modules it calls, so a child process that
@@ -16,18 +17,37 @@ and flag once.  ``read_args`` reads a well-formed command line from it, and
 argparse, which ``build_parser`` imports, answers only help and usage
 errors, so a well-formed run loads none of ``argparse``, ``gettext`` and
 ``locale``: about 5 ms of a cold child (2 vCPUs, Python 3.11.7).
+
+``console_main``, the entry point of ``gessel-walks`` and of ``python -m
+gesselwalks.cli``, ends a plain run without the interpreter's teardown,
+which frees every loaded module and runs a last garbage collection: it runs
+the ``atexit`` callbacks, flushes stdout and stderr, and calls
+``os._exit``.  That saves 10-12 ms a child (medians of 40 alternating
+children, 2 vCPUs, Python 3.11.7): 10.7 ms for ``count --m 0``, 12.2 ms for
+``count --m 140 --n1 24``, 11.6 ms for ``verify --suite root --caps
+24,24,24``.  With a tracer, profiler or ``sys.monitoring`` tool attached
+(coverage, cProfile, pdb, trace), or when ``main`` raises, it exits through
+``sys.exit`` and the full teardown, since those act after the module
+returns.  ``main`` only returns the status, for callers in process.
 """
 
 from __future__ import annotations
 
+import atexit
+import os
 import sys
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, Sequence
 
 from . import pipelines
 
-__all__ = ["main", "console_main", "UsageError"]
+TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
+if TYPE_CHECKING:
+    from typing import Callable, Sequence
+
+__all__ = ["main", "console_main", "UsageError", "CLOSED_STDOUT"]
+
+CLOSED_STDOUT = 141  # 128 + SIGPIPE, the status a shell shows for a closed pipe
 
 
 class UsageError(Exception):
@@ -370,8 +390,44 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def _observed() -> bool:
+    """Whether a tracer, profiler or monitoring tool (Python 3.12's cProfile
+    and coverage use ``sys.monitoring``) is attached; each may still act
+    after ``main`` returns."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or monitoring is not None
+            and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+
+
+def _flush(stream) -> None:
+    """Flush a standard stream as the interpreter's exit does: skip one that
+    is None, as when its descriptor was closed at start, or closed."""
+    if stream is not None and not stream.closed:
+        stream.flush()
+
+
 def console_main() -> None:
-    sys.exit(main())
+    """Run ``main`` on ``sys.argv`` and end the process with its status.
+
+    A plain run ends without the interpreter's teardown: it runs the
+    ``atexit`` callbacks, flushes stdout and stderr, and calls ``os._exit``.
+    Under a tracer or profiler it exits through ``sys.exit``, as it does
+    when ``main`` raises.  A closed stdout (``| head``) exits with status
+    ``CLOSED_STDOUT`` and no traceback."""
+    try:
+        status = main()
+        _flush(sys.stdout)
+    except BrokenPipeError:
+        # the final flush must not raise again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = CLOSED_STDOUT
+    if _observed():
+        sys.exit(status)
+    atexit._run_exitfuncs()
+    _flush(sys.stdout)
+    _flush(sys.stderr)
+    os._exit(status)
 
 
 if __name__ == "__main__":

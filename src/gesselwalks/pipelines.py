@@ -23,10 +23,9 @@ closed forms, which a ``closed`` count past its shortest walk evaluates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import walks
 
+TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
 if TYPE_CHECKING:
     from fractions import Fraction
 

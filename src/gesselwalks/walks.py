@@ -36,9 +36,13 @@ from __future__ import annotations
 import math
 import struct
 import threading
+from collections import namedtuple
 from itertools import chain, count, islice, repeat
 from operator import mul
-from typing import Iterator, NamedTuple
+
+TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
+if TYPE_CHECKING:
+    from typing import Iterator
 
 __all__ = [
     "reachable",
@@ -374,11 +378,11 @@ def f_entry(i: int, j: int) -> int:
     return f_tilde(m, i - m, j - m)
 
 
-class FMatrix(NamedTuple):
-    """The packed boundary-count matrix materialized on [0, size]^2."""
+class FMatrix(namedtuple("FMatrix", "size entries")):
+    """The packed boundary-count matrix materialized on [0, size]^2: ``size``,
+    and ``entries``, a tuple of size + 1 rows of ints."""
 
-    size: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]

@@ -35,12 +35,12 @@ BEYOND_INTEGER = RATIONALS | {
 PARSER = {"argparse", "gettext", "locale"}
 
 
-def run_fresh(code: str):
-    """Run code in a new interpreter with only src on PYTHONPATH; return the
-    JSON value it prints last."""
+def run_fresh(code: str, *flags: str):
+    """Run code in a new interpreter, given these flags, with only src on
+    PYTHONPATH; return the JSON value it prints last."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, *flags, "-c", textwrap.dedent(code)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -90,6 +90,22 @@ def test_subcommand_loads_only_what_it_runs(argv, absent):
     assert status == 0
     assert "gesselwalks.cli" in new
     assert absent.isdisjoint(new), sorted(absent.intersection(new))
+
+
+def test_dp_count_loads_no_typing_without_site():
+    """The dp child names its annotation-only imports under a guard that does
+    not import ``typing``.  Under ``-S``, since a site hook may import
+    ``typing`` before the package does, and then this case would prove
+    nothing."""
+    status, at_start, loaded = run_fresh("""
+        import contextlib, io, json, sys
+        at_start = "typing" in sys.modules
+        from gesselwalks import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["count", "--m", "40", "--n1", "2"])
+        print(json.dumps([status, at_start, "typing" in sys.modules]))
+    """, "-S")
+    assert (status, at_start, loaded) == (0, False, False)
 
 
 def test_usage_error_loads_argparse():
