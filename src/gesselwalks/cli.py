@@ -152,7 +152,7 @@ _SERIES_SIZE = (_CAPS, "10,10,10", 0)
 # suite -> (the one flag that sizes it, the default size, the flag's lower
 # bound, the call that runs it); a suite refuses the other sizing flags
 _SUITES = {
-    "gessel": (_N, 16, 0, _gessel),
+    "gessel": (_N, 16, 1, _gessel),
     "kernel": (*_SERIES_SIZE, partial(_series, "kernel", "verify_kernel_equation")),
     "hkernel": (*_SERIES_SIZE, partial(_series, "hkernel", "verify_H_equation")),
     "root": (*_SERIES_SIZE, partial(_series, "root", "verify_root_identity")),

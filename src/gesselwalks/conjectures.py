@@ -2,39 +2,36 @@
 comparison against the oracle, the second-order recurrence for the counts
 next to the origin, exact polynomial fits for the excess families with
 their claimed structure, and the family suite that runs all of them.
+
+The families' cells and the prefactor c^n (q)_n / (k+2)_n are read from
+``exact``.  An s_k or r_k target is a HOR or VERT cell over its printed
+row's factor, so ``verify_families`` requires each s_k and r_k fit to equal
+its ``exact._PRINTED`` row.  ``fractions`` is imported by the functions
+that build rationals, so ``verify_gessel`` runs on integers alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
 
-from .exact import ClosedFormFamily, conjectured_value, gessel_closed_form, pochhammer
+from .exact import ClosedFormFamily, conjectured_value, family_cell, gessel_closed_form
+from .exact import pochhammer, prefactor, printed_row, row_factor
 from .exact import _poly_at  # Horner's rule, shared with the printed forms
 from .walks import count_meet, count_walks, counts_along, f_tilde
 
+TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Callable, Sequence
+
 __all__ = [
-    "FitError",
-    "GesselCheck",
-    "verify_gessel",
-    "G_RECURRENCE_POLYS",
-    "recurrence_residual",
-    "default_g",
-    "RecurrenceCheck",
-    "verify_recurrence_g",
-    "FitFamily",
-    "PolyFit",
-    "claimed_degree",
-    "family_target",
-    "fit_family",
-    "FamilyClaims",
-    "verify_family_claims",
-    "fit_report",
-    "solve_linear_exact",
-    "FAMILY_PLAN",
-    "verify_families",
+    "FitError", "GesselCheck", "verify_gessel", "G_RECURRENCE_POLYS",
+    "recurrence_residual", "default_g", "RecurrenceCheck", "verify_recurrence_g",
+    "FitFamily", "PolyFit", "claimed_degree", "family_target", "fit_family",
+    "FamilyClaims", "verify_family_claims", "fit_report", "solve_linear_exact",
+    "FAMILY_PLAN", "verify_families",
 ]
 
 
@@ -42,10 +39,8 @@ class FitError(ValueError):
     """An ansatz could not be fitted or failed held-out validation."""
 
 
-class GesselCheck(NamedTuple):
-    n_max: int
-    ok: bool
-    first_mismatch: tuple[int, int, Fraction] | None  # (n, oracle, closed form)
+# first_mismatch is None or (n, oracle, closed form)
+GesselCheck = namedtuple("GesselCheck", "n_max ok first_mismatch")
 
 
 def verify_gessel(n_max: int) -> GesselCheck:
@@ -96,12 +91,9 @@ def recurrence_residual(n: int, g: Callable[[int], int] | None = None) -> int:
     return acc
 
 
-class RecurrenceCheck(NamedTuple):
-    order: int
-    coeff_polys: tuple[tuple[int, ...], ...]
-    range_checked: int
-    holds: bool
-    first_failure: tuple[int, int] | None  # (n, residual)
+# first_failure is None or (n, residual)
+RecurrenceCheck = namedtuple(
+    "RecurrenceCheck", "order coeff_polys range_checked holds first_failure")
 
 
 def verify_recurrence_g(
@@ -127,20 +119,18 @@ def verify_recurrence_g(
 class FitFamily(Enum):
     P_K = "p"    # first polynomial of the F(2n; 0, k) two-term ansatz
     Q_K = "q"    # second polynomial of the same ansatz
-    R_K = "r"    # vertical excess family F(2n+2k; 0, n)
-    S_K = "s"    # horizontal excess family F(n+2k; n, 0)
+    R_K = "r"    # vertical excess family, exact's VERT
+    S_K = "s"    # horizontal excess family, exact's HOR
     RT_K = "rt"  # boundary-transform vertical family f_tilde(2n+2k+1; 0, n)
 
 
-class PolyFit(NamedTuple):
+class PolyFit(namedtuple("PolyFit", "family k coeffs sample_points verified_extra")):
     """An exactly interpolated polynomial from one of the ansatz families,
-    together with its validation record."""
+    together with its validation record: ``coeffs`` in ascending powers of
+    n, the ``sample_points`` it was solved from, and ``verified_extra``
+    held-out points."""
 
-    family: FitFamily
-    k: int
-    coeffs: tuple[Fraction, ...]  # ascending powers of n
-    sample_points: tuple[int, ...]
-    verified_extra: int
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -175,6 +165,7 @@ def solve_linear_exact(
     rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> list[Fraction] | None:
     """Gaussian elimination over Fraction; None when the system is singular."""
+    from fractions import Fraction
     n = len(rows)
     m = [list(row) + [rhs[r]] for r, row in enumerate(rows)]
     for col in range(n):
@@ -196,26 +187,29 @@ def solve_linear_exact(
     return out
 
 
+# the fit families whose polynomials are printed rows of these families
+_PRINTED_AS = {FitFamily.S_K: ClosedFormFamily.HOR, FitFamily.R_K: ClosedFormFamily.VERT}
+
+
 def family_target(family: FitFamily, k: int, n: int) -> Fraction:
     """Oracle value the ansatz must reproduce at n, with the prefactor
-    divided out exactly.  P_K and Q_K share one target: the two-polynomial
-    ansatz for F(2n; 0, k), which the pair matches jointly."""
-    if family is FitFamily.S_K:
-        return Fraction(count_walks(n + 2 * k, n, 0))
-    if family is FitFamily.R_K:
-        F = count_walks(2 * n + 2 * k, 0, n)
-        return F * pochhammer(k + 2, n) / (4**n * pochhammer(Fraction(3, 2), n))
+    divided out exactly.  s_k and r_k divide the printed row's factor out
+    of the HOR and VERT cells.  P_K and Q_K share one target: the
+    two-polynomial ansatz for F(2n; 0, k), which the pair matches jointly."""
+    from fractions import Fraction
+    if family in _PRINTED_AS:
+        printed = _PRINTED_AS[family]
+        return Fraction(count_walks(*family_cell(printed, k, n))) / row_factor(printed, k, n)
     if family is FitFamily.RT_K:
-        Ft = f_tilde(2 * n + 2 * k + 1, 0, n)
-        return Ft * pochhammer(k + 2, n) / (4**n * pochhammer(Fraction(1, 2), n))
-    F = count_walks(2 * n, 0, k)
-    return F * pochhammer(k + 2, n) / (16**n * pochhammer(Fraction(1, 2), n))
+        return f_tilde(2 * n + 2 * k + 1, 0, n) / prefactor(4, Fraction(1, 2), k, n)
+    return count_walks(2 * n, 0, k) / prefactor(16, Fraction(1, 2), k, n)
 
 
 def _ansatz_row(family: FitFamily, k: int, n: int) -> list[Fraction]:
     """What each unknown coefficient is multiplied by in the ansatz at n:
     the powers of n, weighted by wa for p and by wb for q in the joint P/Q
     ansatz, with p's coefficients first."""
+    from fractions import Fraction
     if family in (FitFamily.P_K, FitFamily.Q_K):
         wa = pochhammer(Fraction(7, 6), n) / pochhammer(Fraction(3 * k + 4, 3), n)
         wb = pochhammer(Fraction(5, 6), n) / pochhammer(Fraction(3 * k + 5, 3), n)
@@ -259,20 +253,16 @@ def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
     return PolyFit(family, k, tuple(sol), tuple(samples), held_out)
 
 
-class FamilyClaims(NamedTuple):
+class FamilyClaims(namedtuple("FamilyClaims", (
+        "family k degree_expected degree_actual degree_ok"
+        " leading_expected leading_ok divisible_by_n_plus_1"))):
     """Which of the claimed structural properties a fit satisfies.
 
-    Fields are None where the family carries no such claim.
+    ``leading_expected``, ``leading_ok`` and ``divisible_by_n_plus_1`` are
+    None where the family carries no such claim.
     """
 
-    family: FitFamily
-    k: int
-    degree_expected: int
-    degree_actual: int
-    degree_ok: bool
-    leading_expected: Fraction | None
-    leading_ok: bool | None
-    divisible_by_n_plus_1: bool | None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -286,25 +276,16 @@ class FamilyClaims(NamedTuple):
 
 def verify_family_claims(fit: PolyFit) -> FamilyClaims:
     """Check claimed degree, leading coefficient, and (n+1) divisibility."""
+    from fractions import Fraction
     deg_exp = claimed_degree(fit.family, fit.k)
-    leading_exp: Fraction | None = None
-    leading_ok: bool | None = None
+    leading_exp = leading_ok = divisible = None
     if fit.family is FitFamily.S_K:
         leading_exp = Fraction(1, math.factorial(fit.k) * math.factorial(fit.k + 1))
         leading_ok = fit.leading_coefficient == leading_exp
-    divisible: bool | None = None
-    if fit.family in (FitFamily.S_K, FitFamily.R_K) and fit.k >= 1:
+    if fit.family in _PRINTED_AS and fit.k >= 1:  # the printed rows' (n+1)
         divisible = fit.divisible_by_n_plus_1
-    return FamilyClaims(
-        fit.family,
-        fit.k,
-        deg_exp,
-        fit.degree,
-        fit.degree == deg_exp,
-        leading_exp,
-        leading_ok,
-        divisible,
-    )
+    return FamilyClaims(fit.family, fit.k, deg_exp, fit.degree, fit.degree == deg_exp,
+                        leading_exp, leading_ok, divisible)
 
 
 def fit_report(fit: PolyFit, claims: FamilyClaims) -> dict:
@@ -339,9 +320,22 @@ FAMILY_PLAN: tuple[tuple[FitFamily, int], ...] = (
 )
 
 
+def _matches_printed(fit: PolyFit) -> bool:
+    """Whether the fit equals its printed row; true for a fit with no row."""
+    printed = _PRINTED_AS.get(fit.family)
+    row = None if printed is None else printed_row(printed, fit.k)
+    if row is None:
+        return True
+    coeffs, c = row  # of (n+1) P_k(n), and c_k
+    return tuple(a * c for a in fit.coeffs) == coeffs
+
+
 def verify_families() -> dict:
     """JSON-ready report: fit and claim check for each ``FAMILY_PLAN`` member,
-    then each printed closed-form family against the dp on a range of n."""
+    each s_k and r_k fit with a printed row required to equal it, then each
+    printed closed-form family against the dp on a range of n.  The fits'
+    sample and held-out points stop at n = 11, so the closed forms are
+    checked to n = 10 (F201: 12) on their own."""
     fits = []
     ok = True
     for family, k in FAMILY_PLAN:
@@ -353,17 +347,17 @@ def verify_families() -> dict:
             continue
         claims = verify_family_claims(fit)
         entry = fit_report(fit, claims)
-        entry["ok"] = claims.ok
-        ok = ok and claims.ok
+        entry["ok"] = claims.ok and _matches_printed(fit)
+        ok = ok and entry["ok"]
         fits.append(entry)
     closed = {}
-    for family, ks, n_max, target in (
-        (ClosedFormFamily.F201, (None,), 12, lambda k, n: (2 * n, 0, 1)),
-        (ClosedFormFamily.VERT, range(4), 10, lambda k, n: (2 * (n + k), 0, n)),
-        (ClosedFormFamily.HOR, range(4), 10, lambda k, n: (n + 2 * k, n, 0)),
+    for family, ks, n_max in (
+        (ClosedFormFamily.F201, (None,), 12),
+        (ClosedFormFamily.VERT, range(4), 10),
+        (ClosedFormFamily.HOR, range(4), 10),
     ):
         good = all(
-            conjectured_value(family, k, n) == count_walks(*target(k, n))
+            conjectured_value(family, k, n) == count_walks(*family_cell(family, k, n))
             for k in ks
             for n in range(n_max + 1)
         )

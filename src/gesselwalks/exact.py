@@ -2,28 +2,29 @@
 
 Everything here is pure and exact: integers are Python ints, rationals are
 ``fractions.Fraction`` values kept in lowest terms.  Floating point never
-appears anywhere in the package.  ``fractions`` is imported by the three
-functions that build rationals, so ``binom_general``'s callers, the integer
-pipelines, start without it (and without ``decimal`` and ``numbers``).
-The printed forms past excess k = 0 are rows of one table, ``_PRINTED``,
-and ``conjectured_value`` refuses what has no row: the printed range.
+appears anywhere in the package.  ``fractions`` is imported by the
+functions that build rationals, so the integer pipelines and the origin's
+closed form start without it (and without ``decimal`` and ``numbers``).
+Each closed-form family's cell is stated once, in ``family_cell`` (and
+its inverse ``family_at``), and the factor c^n (q)_n / (k+2)_n once, in
+``prefactor``.  The printed forms past excess k = 0 are rows of one table,
+``_PRINTED``, which ``conjectures`` compares with the s_k and r_k fits;
+``conjectured_value`` refuses what has no row: the printed range.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
 
+TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Sequence
 
 __all__ = [
-    "binom_general",
-    "pochhammer",
-    "catalan",
-    "gessel_closed_form",
-    "ClosedFormFamily",
+    "binom_general", "pochhammer", "prefactor", "catalan", "gessel_closed_form",
+    "ClosedFormFamily", "family_cell", "family_at", "printed_row", "row_factor",
     "conjectured_value",
 ]
 
@@ -62,6 +63,12 @@ def pochhammer(q: Fraction | int, n: int) -> Fraction:
     return Fraction(math.prod(range(p, p + n * d, d)), d**n)
 
 
+def prefactor(c: int, q: Fraction, k: int, n: int) -> Fraction:
+    """c^n (q)_n / (k+2)_n: the hypergeometric factor of the closed forms
+    with excess k and of the fit targets, which divide it out."""
+    return c**n * pochhammer(q, n) / pochhammer(k + 2, n)
+
+
 def catalan(n: int) -> int:
     """The n-th Catalan number, C(2n, n) / (n+1)."""
     if n < 0:
@@ -69,34 +76,55 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def gessel_closed_form(n: int) -> Fraction:
+def gessel_closed_form(n: int) -> int:
     """Closed form for the count of 2n-step walks returning to the origin:
-    16^n (1/2)_n (5/6)_n / ((2)_n (5/3)_n).
-
-    The value always reduces to an integer; a non-integral result would mean
-    the evaluation itself is broken, so that case raises instead of rounding.
+    16^n (1/2)_n (5/6)_n / ((2)_n (5/3)_n), evaluated as the integer
+    quotient 4^n prod_{j<n} (2j+1)(6j+5) / ((n+1)! prod_{j<n} (3j+5)).
+    A remainder would mean the evaluation itself is broken, so it raises.
     """
-    from fractions import Fraction
     if n < 0:
         raise ValueError("gessel_closed_form needs n >= 0")
-    value = (
-        Fraction(16) ** n
-        * pochhammer(Fraction(1, 2), n)
-        * pochhammer(Fraction(5, 6), n)
-        / (pochhammer(2, n) * pochhammer(Fraction(5, 3), n))
+    value, rest = divmod(
+        4**n * math.prod(range(1, 2 * n, 2)) * math.prod(range(5, 6 * n, 6)),
+        math.factorial(n + 1) * math.prod(range(5, 3 * n + 5, 3)),
     )
-    if value.denominator != 1:
-        raise ArithmeticError(f"expected an integer value, got {value}")
+    if rest:
+        raise ArithmeticError(f"expected an integer value at n = {n}")
     return value
 
 
 class ClosedFormFamily(Enum):
     """Families of walk counts with a printed closed form for small excess
-    k.  Past k = 0 each VERT and HOR form is one row of ``_PRINTED``."""
+    k; ``family_cell`` gives the cell each one counts.  Past k = 0 each
+    VERT and HOR form is one row of ``_PRINTED``."""
 
-    F201 = "f201"  # F(2n; 0, 1), one form of its own
-    VERT = "vert"  # F(2n+2k; 0, n): Catalan at k = 0, rows k = 1..3
-    HOR = "hor"    # F(n+2k; n, 0): 1 at k = 0, rows k = 1..3
+    F201 = "f201"  # one form of its own, k = None
+    VERT = "vert"  # Catalan at k = 0, rows k = 1..3
+    HOR = "hor"    # 1 at k = 0, rows k = 1..3
+
+
+def family_cell(family: ClosedFormFamily, k: int | None, n: int) -> tuple[int, int, int]:
+    """The cell (m, n1, n2) whose count ``family``'s form gives at excess k
+    and index n: F(2n; 0, 1) for F201, F(2n+2k; 0, n) for VERT and
+    F(n+2k; n, 0) for HOR."""
+    if family is ClosedFormFamily.F201:
+        return 2 * n, 0, 1
+    if family is ClosedFormFamily.VERT:
+        return 2 * n + 2 * k, 0, n
+    return n + 2 * k, n, 0
+
+
+def family_at(m: int, n1: int, n2: int) -> tuple[ClosedFormFamily, int | None, int]:
+    """The inverse of ``family_cell`` on a reachable axis cell, where k is
+    a whole number; (m, 0, 1) is F201's, which covers every n.  A cell off
+    the axes raises ValueError."""
+    if n1 == 0 and n2 == 1:
+        return ClosedFormFamily.F201, None, m // 2
+    if n1 == 0:
+        return ClosedFormFamily.VERT, m // 2 - n2, n2
+    if n2 == 0:
+        return ClosedFormFamily.HOR, (m - n1) // 2, n1
+    raise ValueError(f"no closed-form family counts F({m}; {n1}, {n2})")
 
 
 def _poly_at(coeffs: Sequence[int | Fraction], n: int | Fraction) -> int | Fraction:
@@ -108,8 +136,7 @@ def _poly_at(coeffs: Sequence[int | Fraction], n: int | Fraction) -> int | Fract
 
 
 # (family, k) -> (P_k, c_k) for the printed forms with k = 1..3: the form is
-# (n+1) P_k(n) / c_k, times 4^n (3/2)_n / (k+2)_n in the vertical family.
-# P_k has ascending coefficients.
+# (n+1) P_k(n) / c_k, times ``row_factor``.  P_k has ascending coefficients.
 _PRINTED: dict[tuple[ClosedFormFamily, int], tuple[tuple[int, ...], int]] = {
     (ClosedFormFamily.VERT, 1): ((2,), 1),
     (ClosedFormFamily.VERT, 2): ((33, 32, 8), 3),
@@ -118,6 +145,25 @@ _PRINTED: dict[tuple[ClosedFormFamily, int], tuple[tuple[int, ...], int]] = {
     (ClosedFormFamily.HOR, 2): ((132, 74, 15, 1), 12),
     (ClosedFormFamily.HOR, 3): ((12240, 8604, 2620, 407, 32, 1), 144),
 }
+
+
+def printed_row(family: ClosedFormFamily, k: int | None) -> tuple[tuple[int, ...], int] | None:
+    """The polynomial (n+1) P_k(n) / c_k of the printed (family, k) form, as
+    the ascending coefficients of (n+1) P_k(n) and c_k, or None where
+    ``_PRINTED`` has no row."""
+    if (family, k) not in _PRINTED:
+        return None
+    poly, c = _PRINTED[family, k]
+    return tuple(a + b for a, b in zip((*poly, 0), (0, *poly))), c
+
+
+def row_factor(family: ClosedFormFamily, k: int, n: int) -> Fraction | int:
+    """The factor of the printed (family, k) form besides its row:
+    4^n (3/2)_n / (k+2)_n for VERT, 1 for HOR."""
+    from fractions import Fraction
+    if family is ClosedFormFamily.VERT:
+        return prefactor(4, Fraction(3, 2), k, n)
+    return 1
 
 
 def conjectured_value(family: ClosedFormFamily, k: int | None, n: int) -> Fraction:
@@ -130,25 +176,19 @@ def conjectured_value(family: ClosedFormFamily, k: int | None, n: int) -> Fracti
     from fractions import Fraction
     if n < 0:
         raise ValueError("conjectured_value needs n >= 0")
+    half = Fraction(1, 2)
     if family is ClosedFormFamily.F201:
         if k is not None:
             raise ValueError("formula not displayed: F201 takes k=None")
-        return (16**n * pochhammer(Fraction(1, 2), n) / pochhammer(3, n)) * (
-            Fraction(5, 27)
-            * pochhammer(Fraction(7, 6), n)
-            / pochhammer(Fraction(7, 3), n)
+        return prefactor(16, half, 1, n) * (
+            Fraction(5, 27) * pochhammer(Fraction(7, 6), n) / pochhammer(Fraction(7, 3), n)
             + Fraction(111 * n * n + 183 * n - 50, 270)
-            * pochhammer(Fraction(5, 6), n)
-            / pochhammer(Fraction(8, 3), n)
+            * pochhammer(Fraction(5, 6), n) / pochhammer(Fraction(8, 3), n)
         )
-    if k == 0 and family is ClosedFormFamily.VERT:
-        return 4**n * pochhammer(Fraction(1, 2), n) / pochhammer(2, n)
-    if k == 0 and family is ClosedFormFamily.HOR:
-        return Fraction(1)
-    if (family, k) not in _PRINTED:
+    if k == 0:
+        return prefactor(4, half, 0, n) if family is ClosedFormFamily.VERT else Fraction(1)
+    row = printed_row(family, k)
+    if row is None:
         raise ValueError(f"formula not displayed for ({family.name}, k={k})")
-    poly, c = _PRINTED[family, k]
-    value = Fraction((n + 1) * _poly_at(poly, n), c)
-    if family is ClosedFormFamily.VERT:
-        value *= 4**n * pochhammer(Fraction(3, 2), n) / pochhammer(k + 2, n)
-    return value
+    coeffs, c = row
+    return Fraction(_poly_at(coeffs, n), c) * row_factor(family, k, n)

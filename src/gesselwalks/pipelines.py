@@ -18,16 +18,13 @@ call made from here.  ``exact`` and ``triangular`` are imported by the
 functions that call them, so a ``dp`` count loads neither.  A ``det``,
 ``solve`` or ``multisum`` count loads both, but not ``fractions``: its
 entries are integers, and ``exact`` imports ``fractions`` only in the
-closed forms, which a ``closed`` count past its shortest walk evaluates.
+closed forms with rational factors, which a ``closed`` count evaluates
+off the origin past its shortest walk.
 """
 
 from __future__ import annotations
 
 from . import walks
-
-TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = ["METHODS", "MAX_SPAN", "NotCovered", "count", "verify_cross_pipeline"]
 
@@ -79,12 +76,6 @@ def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN
         raise NotCovered(str(exc)) from None
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"{what} evaluated to the non-integer {value}")
-    return value.numerator
-
-
 def _count_closed(m: int, n1: int, n2: int) -> int:
     """Walk count from a proven or printed closed form, when one applies."""
     if not walks.reachable(m, n1, n2):
@@ -94,23 +85,17 @@ def _count_closed(m: int, n1: int, n2: int) -> int:
         return ways
     from . import exact
     if n1 == 0 and n2 == 0:
-        return _as_int(exact.gessel_closed_form(m // 2), "origin closed form")
-    families = exact.ClosedFormFamily
-    uncovered = NotCovered(f"no closed form covers F({m}; {n1}, {n2})")
-    # the target is reachable, so each excess k below is a whole number >= 0
-    if n1 == 0 and n2 == 1:
-        shape = (families.F201, None, m // 2)
-    elif n1 == 0:
-        shape = (families.VERT, m // 2 - n2, n2)
-    elif n2 == 0:
-        shape = (families.HOR, (m - n1) // 2, n1)
-    else:
-        raise uncovered
+        return exact.gessel_closed_form(m // 2)
     try:
+        shape = exact.family_at(m, n1, n2)
         value = exact.conjectured_value(*shape)
-    except ValueError:  # no printed form at this excess
-        raise uncovered from None
-    return _as_int(value, f"{shape[0].value} closed form")
+    except ValueError:  # off the axes, or no printed form at this excess
+        raise NotCovered(f"no closed form covers F({m}; {n1}, {n2})") from None
+    if value.denominator != 1:
+        raise ArithmeticError(
+            f"the {shape[0].value} closed form evaluated to the non-integer {value}"
+        )
+    return value.numerator
 
 
 def _count_solve(m: int, n1: int, n2: int) -> int:

@@ -24,26 +24,20 @@ slot ey holds y^ey z^ez, at the W that ``verify_root_identity`` proves.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Mapping
 from itertools import zip_longest
-from typing import Iterable, Mapping, NamedTuple
 
 from . import walks
 
+TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
+if TYPE_CHECKING:
+    from typing import Iterable
+
 __all__ = [
-    "TruncSeries3",
-    "make_series",
-    "monomial",
-    "bump_coeff",
-    "series_add",
-    "series_mul",
-    "build_G",
-    "build_K",
-    "build_H",
-    "x_of_yz",
-    "substitute_x",
-    "CheckReport",
-    "verify_kernel_equation",
-    "verify_H_equation",
+    "TruncSeries3", "make_series", "monomial", "bump_coeff", "series_add",
+    "series_mul", "build_G", "build_K", "build_H", "x_of_yz", "substitute_x",
+    "CheckReport", "verify_kernel_equation", "verify_H_equation",
     "verify_root_identity",
 ]
 
@@ -51,13 +45,13 @@ Caps = tuple[int, int, int]
 Mono = tuple[int, int, int]
 
 
-class TruncSeries3(NamedTuple):
-    """Immutable truncated series.  Invariants: every stored exponent is
+class TruncSeries3(namedtuple("TruncSeries3", "caps coeffs")):
+    """Immutable truncated series: its ``caps`` and ``coeffs``, a dict from
+    exponent triple to coefficient.  Invariants: every stored exponent is
     within the caps and every stored coefficient is nonzero; construction
     goes through ``make_series`` which enforces both."""
 
-    caps: Caps
-    coeffs: dict[Mono, int]
+    __slots__ = ()
 
     def coeff(self, mono: Mono) -> int:
         return self.coeffs.get(mono, 0)
@@ -164,19 +158,16 @@ def build_H(caps: Caps, G: TruncSeries3 | None = None) -> TruncSeries3:
     return series_add(series_mul(build_K(caps), G), monomial(caps, 0, 1, 1))
 
 
-class CheckReport(NamedTuple):
+class CheckReport(namedtuple("CheckReport", "ok window compared nonzero first_mismatch")):
     """Result of one functional-equation check.
 
     ``window`` is the inclusive exponent box compared, ``compared`` the
     number of exponents in it and ``nonzero`` those where either side is
     nonzero; ``ok`` needs ``nonzero > 0``, so a pass is never vacuous.
+    ``first_mismatch`` is None or (monomial, lhs, rhs).
     """
 
-    ok: bool
-    window: Caps
-    compared: int
-    nonzero: int
-    first_mismatch: tuple[Mono, int, int] | None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -18,32 +18,22 @@ builds the dense window cell by cell from ``coefficient_c``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import accumulate
 from types import MethodType
-from typing import Callable, Iterable, NamedTuple
 
 from .exact import binom_general
 from .walks import f_entry
 
+TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
+if TYPE_CHECKING:
+    from typing import Callable, Iterable
+
 __all__ = [
-    "rho",
-    "rho_inv",
-    "RHS_INDEX",
-    "boundary_index",
-    "origin_index",
-    "coefficient_c",
-    "system_entry",
-    "system_rhs",
-    "TriSystem",
-    "solve_forward",
-    "solve_cone",
-    "HessenbergMatrix",
-    "hessenberg_for",
-    "window_minors",
-    "hessenberg_det",
-    "gessel_via_determinant",
-    "inverse_entry_multisum",
-    "universal_sequence",
+    "rho", "rho_inv", "RHS_INDEX", "boundary_index", "origin_index", "coefficient_c",
+    "system_entry", "system_rhs", "TriSystem", "solve_forward", "solve_cone",
+    "HessenbergMatrix", "hessenberg_for", "window_minors", "hessenberg_det",
+    "gessel_via_determinant", "inverse_entry_multisum", "universal_sequence",
 ]
 
 
@@ -117,11 +107,8 @@ def system_rhs(n: int) -> int:
     return 1 if n == RHS_INDEX else 0
 
 
-class TriSystem(NamedTuple):
-    """Solved prefix of the infinite packed system A x = b."""
-
-    k_max: int
-    x: tuple[int, ...]
+# the solved prefix of the infinite packed system A x = b: x(0..k_max), ints
+TriSystem = namedtuple("TriSystem", "k_max x")
 
 
 def _admitted_columns(u: int, v: int):
@@ -227,12 +214,11 @@ def solve_cone(k: int) -> dict[int, int]:
     return _solve(sorted(rows), kernel)
 
 
-class HessenbergMatrix(NamedTuple):
+class HessenbergMatrix(namedtuple("HessenbergMatrix", "size entries")):
     """Lower-Hessenberg integer matrix with unit superdiagonal and zeros
-    above it."""
+    above it: ``size`` and ``entries``, a tuple of rows of ints."""
 
-    size: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def entry(self, r: int, c: int) -> int:
         return self.entries[r][c]

@@ -213,6 +213,11 @@ class TestVerify:
     def test_gessel_negative_n_refused(self, capsys):
         assert "--N" in self.refused(capsys, "--suite", "gessel", "--N", "-1")
 
+    def test_gessel_zero_n_refused(self, capsys):
+        # at n = 0 the dp and the closed form are both 1 by construction
+        err = self.refused(capsys, "--suite", "gessel", "--N", "0")
+        assert err == "error: --N must be at least 1 for suite gessel\n"
+
     def test_recurrence_zero_n_refused(self, capsys):
         assert "--N" in self.refused(capsys, "--suite", "recurrence_g", "--N", "0")
 

@@ -1,9 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from gesselwalks import conjectures, walks
+from gesselwalks import cli, conjectures, exact, walks
 from gesselwalks.conjectures import (
     FitError,
     FitFamily,
@@ -285,3 +286,36 @@ class TestClaims:
         assert report["claims"]["degree_ok"] is True
         assert report["claims"]["leading_ok"] is True
         assert report["held_out_ok"] == 5
+
+
+class TestFamiliesAgainstThePrintedTable:
+    @pytest.mark.parametrize("family, printed", [
+        (FitFamily.S_K, exact.ClosedFormFamily.HOR),
+        (FitFamily.R_K, exact.ClosedFormFamily.VERT),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fit_equals_its_printed_row(self, family, printed, k):
+        coeffs, c = exact.printed_row(printed, k)
+        assert fit_family(family, k).coeffs == tuple(Fraction(a, c) for a in coeffs)
+
+    def test_mutated_printed_coefficient_fails_that_fit(self, monkeypatch, capsys):
+        poly, c = exact._PRINTED[exact.ClosedFormFamily.VERT, 2]
+        monkeypatch.setitem(exact._PRINTED, (exact.ClosedFormFamily.VERT, 2),
+                            ((poly[0] + 1, *poly[1:]), c))
+        assert cli.main(["verify", "--suite", "families"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [(f["family"], f["k"]) for f in report["fits"] if not f["ok"]]
+        assert failed == [("r", 2)]
+        assert report["ok"] is False
+
+    def test_dp_count_past_the_fit_points_fails_the_closed_forms(self, monkeypatch):
+        # VERT k = 1 at n = 9 is F(20; 0, 9); r_1's points stop at n = 6
+        real = conjectures.count_walks
+        monkeypatch.setattr(
+            conjectures, "count_walks", lambda *t: real(*t) + (t == (20, 0, 9))
+        )
+        report = conjectures.verify_families()
+        assert all(f["ok"] for f in report["fits"])
+        assert {name: block["ok"] for name, block in report["closed_forms"].items()} == {
+            "f201": True, "vert": False, "hor": True}
+        assert report["ok"] is False

@@ -4,15 +4,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gesselwalks import walks
 from gesselwalks.exact import (
     ClosedFormFamily,
     binom_general,
     catalan,
     conjectured_value,
+    family_at,
+    family_cell,
     gessel_closed_form,
     pochhammer,
+    prefactor,
+    printed_row,
 )
 from oracles import GESSEL_NUMBERS
+
+
+def rising(q, n):
+    """(q)_n by its definition, as a reference for the closed forms."""
+    return math.prod((Fraction(q) + j for j in range(n)), start=Fraction(1))
 
 
 class TestBinomGeneral:
@@ -94,6 +104,53 @@ class TestGesselClosedForm:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             gessel_closed_form(-1)
+
+    def test_integer_against_the_rational_form(self):
+        # 16^n (1/2)_n (5/6)_n / ((2)_n (5/3)_n), evaluated over Fraction
+        for n in range(120):
+            value = gessel_closed_form(n)
+            assert type(value) is int
+            assert value == (16**n * rising(Fraction(1, 2), n) * rising(Fraction(5, 6), n)
+                             / (rising(2, n) * rising(Fraction(5, 3), n))), n
+
+
+class TestFamilyCells:
+    def test_cells_as_printed(self):
+        assert family_cell(ClosedFormFamily.F201, None, 5) == (10, 0, 1)
+        assert family_cell(ClosedFormFamily.VERT, 2, 5) == (14, 0, 5)
+        assert family_cell(ClosedFormFamily.HOR, 2, 5) == (9, 5, 0)
+
+    def test_family_at_inverts_family_cell(self):
+        # every reachable axis cell off the origin, m <= 30, names one shape
+        for m in range(1, 31):
+            for n1, n2 in [(n, 0) for n in range(1, m + 1)] + [(0, n) for n in range(1, m + 1)]:
+                if walks.reachable(m, n1, n2):
+                    family, k, n = shape = family_at(m, n1, n2)
+                    assert family_cell(*shape) == (m, n1, n2), shape
+                    assert (k is None) == (family is ClosedFormFamily.F201)
+                    assert k is None or k >= 0
+
+    def test_family_at_refuses_off_the_axes(self):
+        with pytest.raises(ValueError):
+            family_at(10, 2, 2)
+
+
+class TestPrefactor:
+    def test_against_the_definition(self):
+        for c, q, k, n in ((16, Fraction(1, 2), 1, 7), (4, Fraction(3, 2), 3, 9), (4, 1, 0, 0)):
+            assert prefactor(c, q, k, n) == c**n * rising(q, n) / rising(k + 2, n)
+
+
+class TestPrintedRow:
+    def test_rows_are_n_plus_1_times_p_over_c(self):
+        # (n+1)(4 + n) / 2 and (n+1) 2 / 1, expanded
+        assert printed_row(ClosedFormFamily.HOR, 1) == ((4, 5, 1), 2)
+        assert printed_row(ClosedFormFamily.VERT, 1) == ((2, 2), 1)
+
+    def test_no_row_outside_the_printed_range(self):
+        for family, k in ((ClosedFormFamily.HOR, 0), (ClosedFormFamily.VERT, 4),
+                          (ClosedFormFamily.F201, None)):
+            assert printed_row(family, k) is None
 
 
 class TestConjecturedValue:

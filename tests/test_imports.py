@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SUBMODULES = ("walks", "exact", "series", "triangular", "conjectures", "pipelines")
 
-# rationals: only the closed forms, fits and families build them
+# rationals: only the closed forms off the origin, fits and families build them
 RATIONALS = {"fractions", "decimal", "numbers"}
 # modules that only other subcommands need
 BEYOND_DP = RATIONALS | {
@@ -53,9 +53,10 @@ def run_fresh(code: str, *flags: str):
         (["count", "--m", "40", "--n1", "2"], BEYOND_DP | {"csv"}),
         (["count", "--m", "6", "--method", "det"], BEYOND_INTEGER),
         (["hessenberg", "--n", "1"], BEYOND_INTEGER),
-        (["count", "--m", "6", "--method", "closed"], {"dataclasses"}),
+        # the origin's closed form is an integer quotient
+        (["count", "--m", "6", "--method", "closed"], RATIONALS | {"dataclasses"}),
         (["count", "--m", "6", "--method", "solve"], BEYOND_INTEGER),
-        (["verify", "--suite", "gessel", "--N", "5"], {"dataclasses"}),
+        (["verify", "--suite", "gessel", "--N", "5"], RATIONALS | {"dataclasses"}),
         (["verify", "--suite", "kernel", "--caps", "4,4,4"], RATIONALS | {"dataclasses"}),
         (["verify", "--suite", "cross_pipeline", "--k-max", "24"], BEYOND_INTEGER),
         (["verify", "--suite", "families"], {"dataclasses"}),
@@ -92,17 +93,28 @@ def test_subcommand_loads_only_what_it_runs(argv, absent):
     assert absent.isdisjoint(new), sorted(absent.intersection(new))
 
 
-def test_dp_count_loads_no_typing_without_site():
-    """The dp child names its annotation-only imports under a guard that does
-    not import ``typing``.  Under ``-S``, since a site hook may import
-    ``typing`` before the package does, and then this case would prove
-    nothing."""
-    status, at_start, loaded = run_fresh("""
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--m", "40", "--n1", "2"],
+        ["count", "--m", "6", "--method", "det"],
+        ["verify", "--suite", "root", "--caps", "6,6,6"],
+        ["fit", "--family", "r", "--k", "1"],
+        ["verify", "--suite", "families"],
+    ],
+)
+def test_child_loads_no_typing_without_site(argv):
+    """Each module names its annotation-only imports under a guard that does
+    not import ``typing``, and builds its records on ``collections``'
+    namedtuple: a dp, det, root, fit or families child loads no ``typing``.
+    Under ``-S``, since a site hook may import ``typing`` before the package
+    does, and then this case would prove nothing."""
+    status, at_start, loaded = run_fresh(f"""
         import contextlib, io, json, sys
         at_start = "typing" in sys.modules
         from gesselwalks import cli
         with contextlib.redirect_stdout(io.StringIO()):
-            status = cli.main(["count", "--m", "40", "--n1", "2"])
+            status = cli.main({argv!r})
         print(json.dumps([status, at_start, "typing" in sys.modules]))
     """, "-S")
     assert (status, at_start, loaded) == (0, False, False)
@@ -133,23 +145,21 @@ def test_usage_error_loads_argparse():
 
 
 def test_library_integer_calls_load_no_rationals():
-    """The library's integer entry points start without ``fractions``; the
-    closed forms still import it and return ``Fraction`` values."""
+    """The library's integer entry points, the origin's closed form among
+    them, start without ``fractions``; the other closed forms still import
+    it and return ``Fraction`` values."""
     integers, loaded, rationals = run_fresh(f"""
         import json, sys
         import gesselwalks as g
-        integers = [g.gessel_via_determinant(3), g.binom_general(-3, 4)]
+        integers = [g.gessel_via_determinant(3), g.binom_general(-3, 4), g.gessel_closed_form(4)]
         loaded = sorted({sorted(RATIONALS)!r} & sys.modules.keys())
         from fractions import Fraction
-        rationals = [
-            g.pochhammer(3, 2), g.gessel_closed_form(4),
-            g.conjectured_value(g.ClosedFormFamily.HOR, 1, 2),
-        ]
+        rationals = [g.pochhammer(3, 2), g.conjectured_value(g.ClosedFormFamily.HOR, 1, 2)]
         print(json.dumps([integers, loaded, [[type(v) is Fraction, str(v)] for v in rationals]]))
     """)
-    assert integers == [85, 15]
+    assert integers == [85, 15, 782]
     assert loaded == []
-    assert rationals == [[True, "12"], [True, "782"], [True, "9"]]
+    assert rationals == [[True, "12"], [True, "9"]]
 
 
 def test_star_import_binds_each_name_to_its_home():
