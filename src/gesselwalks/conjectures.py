@@ -3,11 +3,12 @@ comparison against the oracle, the second-order recurrence for the counts
 next to the origin, exact polynomial fits for the excess families with
 their claimed structure, and the family suite that runs all of them.
 
-The families' cells and the prefactor c^n (q)_n / (k+2)_n are read from
-``exact``.  An s_k or r_k target is a HOR or VERT cell over its printed
-row's factor, so ``verify_families`` requires each s_k and r_k fit to equal
-its ``exact._PRINTED`` row.  ``fractions`` is imported by the functions
-that build rationals, so ``verify_gessel`` runs on integers alone.
+The families' cells, the prefactor c^n (q)_n / (k+2)_n, the P/Q weights
+and the printed rows are read from ``exact``.  ``verify_family_claims`` is
+a fit's one verdict, which ``fit`` and ``verify_families`` both read: its
+structure, and equality with its printed row (s_k and r_k with HOR's and
+VERT's, p_1 and q_1 with F201's).  ``fractions`` is imported by the
+functions that build rationals, so ``verify_gessel`` runs on integers alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .exact import ClosedFormFamily, conjectured_value, family_cell, gessel_closed_form
-from .exact import pochhammer, prefactor, printed_row, row_factor
+from .exact import F201_ROWS, pq_weights, prefactor, printed_row, row_factor
 from .exact import _poly_at  # Horner's rule, shared with the printed forms
 from .walks import count_meet, count_walks, counts_along, f_tilde
 
@@ -46,8 +47,8 @@ GesselCheck = namedtuple("GesselCheck", "n_max ok first_mismatch")
 def verify_gessel(n_max: int) -> GesselCheck:
     """Compare the dynamic-programming counts F(2n; 0, 0) with the closed
     form for 0 <= n <= n_max, all read from one cone pass to (2 n_max, 0, 0)."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     along = counts_along(2 * n_max, 0, 0)
     for n in range(n_max + 1):
         dp = along[2 * n]
@@ -211,9 +212,7 @@ def _ansatz_row(family: FitFamily, k: int, n: int) -> list[Fraction]:
     ansatz, with p's coefficients first."""
     from fractions import Fraction
     if family in (FitFamily.P_K, FitFamily.Q_K):
-        wa = pochhammer(Fraction(7, 6), n) / pochhammer(Fraction(3 * k + 4, 3), n)
-        wb = pochhammer(Fraction(5, 6), n) / pochhammer(Fraction(3 * k + 5, 3), n)
-        parts = ((wa, FitFamily.P_K), (wb, FitFamily.Q_K))
+        parts = tuple(zip(pq_weights(k, n), (FitFamily.P_K, FitFamily.Q_K)))
     else:
         parts = ((Fraction(1), family),)
     return [w * n**a for w, f in parts for a in range(claimed_degree(f, k) + 1)]
@@ -255,27 +254,29 @@ def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
 
 class FamilyClaims(namedtuple("FamilyClaims", (
         "family k degree_expected degree_actual degree_ok"
-        " leading_expected leading_ok divisible_by_n_plus_1"))):
-    """Which of the claimed structural properties a fit satisfies.
-
-    ``leading_expected``, ``leading_ok`` and ``divisible_by_n_plus_1`` are
-    None where the family carries no such claim.
-    """
+        " leading_expected leading_ok divisible_by_n_plus_1 printed_ok"))):
+    """Which claims a fit satisfies: its degree, leading coefficient, (n+1)
+    divisibility and printed row.  Each field past ``degree_ok`` is None
+    where the family carries no such claim."""
 
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        checks = [self.degree_ok]
-        if self.leading_ok is not None:
-            checks.append(self.leading_ok)
-        if self.divisible_by_n_plus_1 is not None:
-            checks.append(self.divisible_by_n_plus_1)
-        return all(checks)
+        """The fit's one verdict: no claim it carries fails."""
+        return all(check is not False for check in (
+            self.degree_ok, self.leading_ok, self.divisible_by_n_plus_1, self.printed_ok))
+
+
+def _printed_fit(family: FitFamily, k: int) -> tuple[tuple[int, ...], int] | None:
+    """The printed row a fit must equal (HOR's, VERT's or F201's), or None."""
+    if family in _PRINTED_AS:
+        return printed_row(_PRINTED_AS[family], k)
+    return F201_ROWS.get(family.value) if k == 1 else None
 
 
 def verify_family_claims(fit: PolyFit) -> FamilyClaims:
-    """Check claimed degree, leading coefficient, and (n+1) divisibility."""
+    """Check claimed degree, leading coefficient, (n+1) divisibility and printed row."""
     from fractions import Fraction
     deg_exp = claimed_degree(fit.family, fit.k)
     leading_exp = leading_ok = divisible = None
@@ -284,8 +285,10 @@ def verify_family_claims(fit: PolyFit) -> FamilyClaims:
         leading_ok = fit.leading_coefficient == leading_exp
     if fit.family in _PRINTED_AS and fit.k >= 1:  # the printed rows' (n+1)
         divisible = fit.divisible_by_n_plus_1
+    row = _printed_fit(fit.family, fit.k)  # ascending integers over a denominator
+    printed = None if row is None else tuple(a * row[1] for a in fit.coeffs) == row[0]
     return FamilyClaims(fit.family, fit.k, deg_exp, fit.degree, fit.degree == deg_exp,
-                        leading_exp, leading_ok, divisible)
+                        leading_exp, leading_ok, divisible, printed)
 
 
 def fit_report(fit: PolyFit, claims: FamilyClaims) -> dict:
@@ -305,6 +308,7 @@ def fit_report(fit: PolyFit, claims: FamilyClaims) -> dict:
             ),
             "leading_ok": claims.leading_ok,
             "divisible_by_n_plus_1": claims.divisible_by_n_plus_1,
+            "printed_ok": claims.printed_ok,
         },
         "held_out_ok": fit.verified_extra,
     }
@@ -320,22 +324,11 @@ FAMILY_PLAN: tuple[tuple[FitFamily, int], ...] = (
 )
 
 
-def _matches_printed(fit: PolyFit) -> bool:
-    """Whether the fit equals its printed row; true for a fit with no row."""
-    printed = _PRINTED_AS.get(fit.family)
-    row = None if printed is None else printed_row(printed, fit.k)
-    if row is None:
-        return True
-    coeffs, c = row  # of (n+1) P_k(n), and c_k
-    return tuple(a * c for a in fit.coeffs) == coeffs
-
-
 def verify_families() -> dict:
-    """JSON-ready report: fit and claim check for each ``FAMILY_PLAN`` member,
-    each s_k and r_k fit with a printed row required to equal it, then each
-    printed closed-form family against the dp on a range of n.  The fits'
-    sample and held-out points stop at n = 11, so the closed forms are
-    checked to n = 10 (F201: 12) on their own."""
+    """JSON-ready report: fit and ``verify_family_claims`` verdict for each
+    ``FAMILY_PLAN`` member, then each printed closed-form family against
+    the dp on a range of n.  The fits' sample and held-out points stop at
+    n = 11, so the closed forms are checked to n = 10 (F201: 12) on their own."""
     fits = []
     ok = True
     for family, k in FAMILY_PLAN:
@@ -347,7 +340,7 @@ def verify_families() -> dict:
             continue
         claims = verify_family_claims(fit)
         entry = fit_report(fit, claims)
-        entry["ok"] = claims.ok and _matches_printed(fit)
+        entry["ok"] = claims.ok
         ok = ok and entry["ok"]
         fits.append(entry)
     closed = {}

@@ -5,11 +5,12 @@ Everything here is pure and exact: integers are Python ints, rationals are
 appears anywhere in the package.  ``fractions`` is imported by the
 functions that build rationals, so the integer pipelines and the origin's
 closed form start without it (and without ``decimal`` and ``numbers``).
-Each closed-form family's cell is stated once, in ``family_cell`` (and
-its inverse ``family_at``), and the factor c^n (q)_n / (k+2)_n once, in
-``prefactor``.  The printed forms past excess k = 0 are rows of one table,
-``_PRINTED``, which ``conjectures`` compares with the s_k and r_k fits;
-``conjectured_value`` refuses what has no row: the printed range.
+Each family's cell is stated once, in ``family_cell`` (inverse
+``family_at``), and the factor c^n (q)_n / (k+2)_n once, in ``prefactor``.
+The printed polynomials are integer rows over a denominator: VERT's and
+HOR's past k = 0 in ``_PRINTED``, F201's p_1 and q_1 (weights
+``pq_weights``) in ``F201_ROWS``.  ``conjectures.verify_family_claims``,
+a fit's one verdict, compares each fit with its row.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ if TYPE_CHECKING:
 __all__ = [
     "binom_general", "pochhammer", "prefactor", "catalan", "gessel_closed_form",
     "ClosedFormFamily", "family_cell", "family_at", "printed_row", "row_factor",
-    "conjectured_value",
+    "pq_weights", "F201_ROWS", "conjectured_value",
 ]
 
 
@@ -166,6 +167,19 @@ def row_factor(family: ClosedFormFamily, k: int, n: int) -> Fraction | int:
     return 1
 
 
+def pq_weights(k: int, n: int) -> tuple[Fraction, Fraction]:
+    """The weights (7/6)_n / (k+4/3)_n of p_k and (5/6)_n / (k+5/3)_n of
+    q_k in the two-polynomial form of F(2n; 0, k) over its prefactor."""
+    from fractions import Fraction
+    return (pochhammer(Fraction(7, 6), n) / pochhammer(Fraction(3 * k + 4, 3), n),
+            pochhammer(Fraction(5, 6), n) / pochhammer(Fraction(3 * k + 5, 3), n))
+
+
+# F201 is prefactor(16, 1/2, 1, n) (p_1(n) wa + q_1(n) wb), (wa, wb) being
+# pq_weights(1, n); p_1 and q_1 are ascending integer rows over a denominator.
+F201_ROWS = {"p": ((5,), 27), "q": ((-50, 183, 111), 270)}
+
+
 def conjectured_value(family: ClosedFormFamily, k: int | None, n: int) -> Fraction:
     """Evaluate one of the printed conjectural closed forms exactly.
 
@@ -180,11 +194,9 @@ def conjectured_value(family: ClosedFormFamily, k: int | None, n: int) -> Fracti
     if family is ClosedFormFamily.F201:
         if k is not None:
             raise ValueError("formula not displayed: F201 takes k=None")
-        return prefactor(16, half, 1, n) * (
-            Fraction(5, 27) * pochhammer(Fraction(7, 6), n) / pochhammer(Fraction(7, 3), n)
-            + Fraction(111 * n * n + 183 * n - 50, 270)
-            * pochhammer(Fraction(5, 6), n) / pochhammer(Fraction(8, 3), n)
-        )
+        return prefactor(16, half, 1, n) * sum(
+            Fraction(_poly_at(poly, n), c) * w
+            for (poly, c), w in zip(F201_ROWS.values(), pq_weights(1, n)))
     if k == 0:
         return prefactor(4, half, 0, n) if family is ClosedFormFamily.VERT else Fraction(1)
     row = printed_row(family, k)

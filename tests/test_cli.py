@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gesselwalks import cli, triangular, walks
+from gesselwalks import cli, conjectures, exact, triangular, walks
 from oracles import H24_ROWS
 
 
@@ -445,6 +445,43 @@ class TestHessenberg:
             if row
         ]
         assert tuple(rows) == H24_ROWS
+
+
+# One wrong coefficient in a printed row, and the fit that row belongs to:
+# VERT k = 2's P_2 with 33 -> 34, F201's p_1 = 6/27, q_1 with 111 -> 112.
+WRONG_ROWS = {
+    "vert-2": (exact._PRINTED, (exact.ClosedFormFamily.VERT, 2), ((34, 32, 8), 3), ("r", 2)),
+    "p-1": (exact.F201_ROWS, "p", ((6,), 27), ("p", 1)),
+    "q-1": (exact.F201_ROWS, "q", ((-50, 183, 112), 270), ("q", 1)),
+}
+
+
+class TestOneVerdictPerFit:
+    @pytest.mark.parametrize("mutant", WRONG_ROWS)
+    def test_wrong_row_fails_its_fit(self, capsys, monkeypatch, mutant):
+        table, key, row, (family, k) = WRONG_ROWS[mutant]
+        monkeypatch.setitem(table, key, row)
+        code, out, _ = run_cli(capsys, "fit", "--family", family, "--k", str(k))
+        assert code == 1
+        assert out.endswith(", claims_ok=False\n")
+
+    @pytest.mark.parametrize("mutant", [None, *WRONG_ROWS])
+    def test_fit_exit_agrees_with_its_families_entry(self, capsys, monkeypatch, mutant):
+        if mutant is not None:
+            table, key, row, _ = WRONG_ROWS[mutant]
+            monkeypatch.setitem(table, key, row)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "families")
+        fits = json.loads(out)["fits"]
+        entries = {(f["family"], f["k"]): f["ok"] for f in fits}
+        assert list(entries) == [(f.value, k) for f, k in conjectures.FAMILY_PLAN]
+        # a wrong row fails its own fit, whose printed_ok reads False
+        failed = [] if mutant is None else [(*WRONG_ROWS[mutant][3], False)]
+        assert [(f["family"], f["k"], f["claims"]["printed_ok"])
+                for f in fits if not f["ok"]] == failed
+        assert code == (1 if failed else 0)
+        for (family, k), ok in entries.items():
+            fit_code, _, _ = run_cli(capsys, "fit", "--family", family, "--k", str(k))
+            assert fit_code == (0 if ok else 1), (family, k)
 
 
 # Exit code, stdout and stderr of a fixed set of invocations, recorded byte

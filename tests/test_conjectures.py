@@ -56,8 +56,10 @@ class TestVerifyGessel:
     def test_printed_range(self):
         assert verify_gessel(16).ok
 
-    def test_trivial(self):
-        assert verify_gessel(0).ok
+    def test_rejects_zero(self):
+        # F(0; 0, 0) = 1 and the closed form's empty products are 1 by construction
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_gessel(0)
 
     def test_beyond_printed_range(self):
         assert verify_gessel(20).ok
@@ -288,14 +290,20 @@ class TestClaims:
         assert report["held_out_ok"] == 5
 
 
+def printed(source):
+    """A printed row: a (family, k) of ``exact.printed_row``, or F201's p or q."""
+    return exact.F201_ROWS[source] if isinstance(source, str) else exact.printed_row(*source)
+
+
 class TestFamiliesAgainstThePrintedTable:
-    @pytest.mark.parametrize("family, printed", [
-        (FitFamily.S_K, exact.ClosedFormFamily.HOR),
-        (FitFamily.R_K, exact.ClosedFormFamily.VERT),
+    @pytest.mark.parametrize("family, k, source", [
+        *((FitFamily.S_K, k, (exact.ClosedFormFamily.HOR, k)) for k in (1, 2, 3)),
+        *((FitFamily.R_K, k, (exact.ClosedFormFamily.VERT, k)) for k in (1, 2, 3)),
+        (FitFamily.P_K, 1, "p"),
+        (FitFamily.Q_K, 1, "q"),
     ])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_fit_equals_its_printed_row(self, family, printed, k):
-        coeffs, c = exact.printed_row(printed, k)
+    def test_fit_equals_its_printed_row(self, family, k, source):
+        coeffs, c = printed(source)
         assert fit_family(family, k).coeffs == tuple(Fraction(a, c) for a in coeffs)
 
     def test_mutated_printed_coefficient_fails_that_fit(self, monkeypatch, capsys):
