@@ -12,13 +12,15 @@ A product by z is then a shift by W, so the five kernel terms cost a few
 shifts and adds per column, and a column matches when the difference of
 its two sides, masked to the window's z slots, is 0.  Slots are signed, so
 W must keep every slot of either side within +-2^(W-1), and so of their
-difference within +-2^W, which the masked test needs: with G read from
-the dp, W = ``walks._slot_width(wx + 1)`` for a window of x extent wx
-(counts of layer m are at most 4^m, a slot of K*G at most 2*4^m); a given
-G is packed at 4 bits above its largest coefficient's bit length, since a
-slot of either side sums at most five of its coefficients, plus one.  The
-root check packs the other way: one row per z exponent ez, whose signed W-bit
-slot ey holds y^ey z^ez, at the W that ``verify_root_identity`` proves.
+difference within +-2^W, which the masked test needs: W =
+``walks._slot_width(wx + 1)`` for a window of x extent wx (counts of layer
+m are at most 4^m, a slot of K*G at most 2*4^m).  The root check packs the
+other way: one row per z exponent ez, whose signed W-bit slot ey holds
+y^ey z^ez, at the W that ``verify_root_identity`` proves.
+
+The three checks read only the dp stream (``walks.layers``).  The dict
+layer above them (``TruncSeries3`` to ``substitute_x``) serves the tests'
+references and the benchmark's traced lookups.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def monomial(caps: Caps, ex: int, ey: int, ez: int, coef: int = 1) -> TruncSerie
 
 def bump_coeff(series: TruncSeries3, mono: Mono, delta: int = 1) -> TruncSeries3:
     """Copy of the series with one coefficient shifted by delta.  The
-    negative controls in the functional-equation tests are built with this."""
+    negative controls bump the dp stream; the tests build their dict
+    references for the same bump with this."""
     return make_series(series.caps, [*series.coeffs.items(), (mono, delta)])
 
 
@@ -150,12 +153,10 @@ def build_K(caps: Caps) -> TruncSeries3:
     )
 
 
-def build_H(caps: Caps, G: TruncSeries3 | None = None) -> TruncSeries3:
-    """Boundary transform K*G + yz; its coefficients vanish off the axes."""
-    if G is None:
-        G = build_G(caps)
-    caps = G.caps
-    return series_add(series_mul(build_K(caps), G), monomial(caps, 0, 1, 1))
+def build_H(caps: Caps) -> TruncSeries3:
+    """Boundary transform K*G + yz, G = ``build_G(caps)``; its coefficients
+    vanish off the axes."""
+    return series_add(series_mul(build_K(caps), build_G(caps)), monomial(caps, 0, 1, 1))
 
 
 class CheckReport(namedtuple("CheckReport", "ok window compared nonzero first_mismatch")):
@@ -173,60 +174,17 @@ class CheckReport(namedtuple("CheckReport", "ok window compared nonzero first_mi
         return self.ok
 
 
-def _compare(lhs: TruncSeries3, rhs: TruncSeries3, window: Caps) -> CheckReport:
-    wx, wy, wz = window
-    keys = sorted(
-        k
-        for k in set(lhs.coeffs) | set(rhs.coeffs)
-        if k[0] <= wx and k[1] <= wy and k[2] <= wz
-    )
-    size = math.prod(max(0, w + 1) for w in window)
-    for k in keys:
-        lv = lhs.coeffs.get(k, 0)
-        rv = rhs.coeffs.get(k, 0)
-        if lv != rv:
-            return CheckReport(False, window, size, len(keys), (k, lv, rv))
-    return CheckReport(bool(keys), window, size, len(keys), None)
-
-
-def _nothing(window: Caps) -> CheckReport:
-    """The report of a window that holds no nonzero term, made without G."""
-    empty = TruncSeries3(window, {})
-    return _compare(empty, empty, window)
-
-
-def _packed(G: TruncSeries3, window: Caps) -> tuple[int, list[list[int]]]:
-    """G cut to the window as layers of packed z-columns: slot b of column
-    (m, n1) holds the coefficient of x^m y^n1 z^b, signed, Horner-packed at
-    a width 4 bits above the largest coefficient's bit length."""
-    wx, wy, wz = window
-    cells: dict[tuple[int, int], dict[int, int]] = {}
-    for (m, n1, n2), c in G.coeffs.items():
-        if m <= wx and n1 <= wy and n2 <= wz:
-            cells.setdefault((m, n1), {})[n2] = c
-    width = 4 + max((abs(c).bit_length() for col in cells.values() for c in col.values()),
-                    default=0)
-
-    def pack(col: dict[int, int]) -> int:
-        v = 0
-        for n2 in range(max(col, default=-1), -1, -1):
-            v = (v << width) + col.get(n2, 0)
-        return v
-
-    return width, [[pack(cells.get((m, n1), {})) for n1 in range(wy + 1)]
-                   for m in range(wx + 1)]
-
-
-def _kernel_check(caps: Caps, G: TruncSeries3 | None, sides) -> CheckReport:
+def _kernel_check(caps: Caps, sides) -> CheckReport:
     """Compare the two sides ``sides`` builds over the kernel window, one
     (m, n1) z-column at a time on packed ints.
 
     The kernel has degree 1 in x and 2 in both y (through y^2) and z, so
     the window drops that much from each cap; inside it both sides are
     determined exactly by the truncated data.  A term of either side
-    inside the window reads only terms of G inside it, so G is read to
-    the window alone.  A window with a negative extent holds no exponent,
-    so it is reported before any dp.
+    inside the window reads only terms of G inside it, so the dp stream
+    (``walks.layers``) is read to the window alone, at one slot width.  A
+    window with a negative extent holds no exponent, so it is reported
+    before any dp.
 
     G(m, n1) below is the packed column of layer m.  Column (m, n1) of
     x(1+z)G is G(m-1, n1)(1+z), and that of K*G adds
@@ -236,15 +194,11 @@ def _kernel_check(caps: Caps, G: TruncSeries3 | None, sides) -> CheckReport:
     side; ``axes(n1, v)`` keeps the axis terms of column n1: all of column
     0, slot 0 of the others.
     """
-    dx, dy, dz = caps if G is None else G.caps
+    dx, dy, dz = caps
     window = wx, wy, wz = (dx - 1, dy - 2, dz - 2)
     if min(window) < 0:
-        return _nothing(window)
-    if G is None:
-        width = walks._slot_width(wx + 1)
-        stream = (layer for _, layer in walks.layers(wx, width))
-    else:
-        width, stream = _packed(G, window)
+        return CheckReport(False, window, 0, 0, None)
+    width = walks._slot_width(wx + 1)
     z = 1 << width
     slot, half = z - 1, z >> 1
     mask = (1 << width * (wz + 1)) - 1
@@ -267,7 +221,7 @@ def _kernel_check(caps: Caps, G: TruncSeries3 | None, sides) -> CheckReport:
 
     nonzero, first = 0, None
     prev: list[int] = []
-    for m, layer in enumerate(stream):
+    for m, (_, layer) in enumerate(walks.layers(wx, width)):
         for n1 in range(min(wy, len(layer)) + 1):
             g = prev[n1] if n1 < len(prev) else 0
             g2 = prev[n1 - 2] if 2 <= n1 < len(prev) + 2 else 0
@@ -290,25 +244,27 @@ def _kernel_check(caps: Caps, G: TruncSeries3 | None, sides) -> CheckReport:
     return CheckReport(nonzero > 0 and first is None, window, size, nonzero, first)
 
 
-def verify_kernel_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
+def verify_kernel_equation(caps: Caps) -> CheckReport:
     """Check K*G = x(1+z)G(x,0,z) + xG(x,y,0) - xG(x,0,0) - yz, whose right
-    side is the axis terms of x(1+z)G, minus yz."""
+    side is the axis terms of x(1+z)G, minus yz, with G read from the dp
+    stream up to the caps."""
 
     def sides(n1, xg, kg, yz, axes):
         return kg, axes(n1, xg) - yz
 
-    return _kernel_check(caps, G, sides)
+    return _kernel_check(caps, sides)
 
 
-def verify_H_equation(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
+def verify_H_equation(caps: Caps) -> CheckReport:
     """Check H(x,y,z) = H(x,0,z) + H(x,y,0) - H(x,0,0), i.e. that every
-    mixed monomial of H = K*G + yz (positive y and z exponents) vanishes."""
+    mixed monomial of H = K*G + yz (positive y and z exponents) vanishes,
+    with G read from the dp stream up to the caps."""
 
     def sides(n1, xg, kg, yz, axes):
         h = kg + yz
         return h, axes(n1, h)
 
-    return _kernel_check(caps, G, sides)
+    return _kernel_check(caps, sides)
 
 
 def x_of_yz(caps: Caps) -> TruncSeries3:
@@ -345,25 +301,22 @@ def substitute_x(series: TruncSeries3, x_series: TruncSeries3) -> TruncSeries3:
     return acc
 
 
-def _axis_terms(dy: int, wz: int, G: TruncSeries3 | None) -> list[tuple[list[int], list[int]]]:
+def _axis_terms(dy: int, wz: int) -> list[tuple[list[int], list[int]]]:
     """[(G(m; n1, 0) for n1 <= dy, G(m; 0, n2) for n2 <= wz)] for m < wz, as
-    lists that may stop short of their caps.  Without a G, slot 0 of each
-    column and column 0 of each layer of the dp stream (``walks.layers``),
-    decoded in bulk; no other cell is unpacked."""
-    if G is None:
-        return [([c & ~(-1 << width) for c in layer[:dy + 1]],
-                 walks._unpack(layer[0] & ~(-1 << width * (wz + 1)), width))
-                for width, layer in walks.layers(wz - 1)]
-    return [([G.coeff((m, n1, 0)) for n1 in range(dy + 1)],
-             [G.coeff((m, 0, n2)) for n2 in range(wz + 1)]) for m in range(wz)]
+    lists that may stop short of their caps: slot 0 of each column and
+    column 0 of each layer of the dp stream (``walks.layers``), decoded in
+    bulk; no other cell is unpacked."""
+    return [([c & ~(-1 << width) for c in layer[:dy + 1]],
+             walks._unpack(layer[0] & ~(-1 << width * (wz + 1)), width))
+            for width, layer in walks.layers(wz - 1)]
 
 
-def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckReport:
+def verify_root_identity(caps: Caps) -> CheckReport:
     """Substitute the kernel root for x in the boundary-transform sections
     and check that H(x(y,z),0,z) + H(x(y,z),y,0) - H(x(y,z),0,0) collapses
     to the single monomial yz.  The three sections add up to the axis
     terms of H = K*G + yz, and substitution is linear, so the root is
-    substituted once.
+    substituted once.  G is read from the dp stream up to the caps.
 
     The axis terms of H are those of K*G (yz is off the axes) and read only
     the axis terms of G (``_axis_terms``): their x^m part A_m is G(m-1; n1, 0)
@@ -390,24 +343,26 @@ def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckRepo
 
     Every term of the substituted series has ey >= 1 and ez >= 1, so a
     window whose y or z extent is below 1 holds no nonzero term; it is
-    reported before any dp.
+    reported before any dp.  The decoded rows are compared with yz term by
+    term, in ascending (ey, ez).
     """
-    dx, dy, dz = caps if G is None else G.caps
+    dx, dy, dz = caps
     wz = min(dx, dz)
     window = (0, dy, wz)
-    if min(window[1:]) < 1:
-        return _nothing(window)
-    terms = _axis_terms(dy, wz, G)
-    big = max((abs(v) for row, column in terms for v in (*row, *column)), default=0)
+    size = max(0, dy + 1) * max(0, wz + 1)
+    if min(dy, wz) < 1:
+        return CheckReport(False, window, size, 0, None)
+    terms = _axis_terms(dy, wz)
+    big = max((v for row, column in terms for v in (*row, *column)), default=0)
     bits = (2 * big).bit_length() + ((wz + 1) * (dy + wz + 1)).bit_length() + dy + wz
     width = -(-bits // 8) * 8
-    size, half = width // 8, 1 << (width - 1)
+    nbytes, half = width // 8, 1 << (width - 1)
     mask = (1 << width * (dy + 1)) - 1  # the window's slots
-    bias = int.from_bytes(half.to_bytes(size, "little") * (dy + 1), "little")
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * (dy + 1), "little")
 
     rows = [0] * (wz + 1)
     for row, column in [*reversed(terms), ((), ())]:  # A_m for m = wz..0
-        data = b"".join((v + half).to_bytes(size, "little") for v in row)
+        data = b"".join((v + half).to_bytes(nbytes, "little") for v in row)
         out = [int.from_bytes(data, "little") - (bias & ~(-1 << 8 * len(data)))]
         over = quotient = 0
         for ez in range(1, wz + 1):
@@ -418,4 +373,7 @@ def verify_root_identity(caps: Caps, G: TruncSeries3 | None = None) -> CheckRepo
     lhs = {(0, ey, ez): v - half
            for ez, row in enumerate(rows)
            for ey, v in enumerate(walks._unpack((row + bias) & mask, width)) if v != half}
-    return _compare(TruncSeries3(window, lhs), monomial(window, 0, 1, 1), window)
+    yz = (0, 1, 1)
+    keys = sorted({*lhs, yz})
+    wrong = [(k, lhs.get(k, 0), int(k == yz)) for k in keys if lhs.get(k, 0) != (k == yz)]
+    return CheckReport(not wrong, window, size, len(keys), wrong[0] if wrong else None)

@@ -1,6 +1,7 @@
 """End-to-end checks of the gessel-walks command line, run in process."""
 
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faults import bumped_stream
 from gesselwalks import cli, conjectures, exact, triangular, walks
 from oracles import H24_ROWS
 
@@ -266,17 +268,60 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["kernel", "hkernel"])
     def test_kernel_checks_build_no_series(self, capsys, monkeypatch, suite):
-        # the packed z-columns come from walks.layers, which stays live here
+        # the packed z-columns come from walks.layers, which stays live here;
+        # an empty window is refused without a series too
         from gesselwalks import series
 
         def refuse(*args):
             raise AssertionError("series built")
 
-        monkeypatch.setattr(series, "series_mul", refuse)
-        monkeypatch.setattr(series, "build_G", refuse)
+        for name in ("TruncSeries3", "make_series", "monomial", "series_mul", "build_G"):
+            monkeypatch.setattr(series, name, refuse)
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--caps", "20,20,20")
         assert code == 0
         assert json.loads(out)["ok"] is True
+        for caps in ("1,1,1", "0,0,0"):
+            assert "nothing to compare" in self.refused(capsys, "--suite", suite, "--caps", caps)
+
+    @pytest.mark.parametrize(
+        "suite, cell, monomial",
+        [("kernel", (4, 2, 1), [4, 3, 2]), ("hkernel", (4, 2, 1), [4, 3, 2]),
+         ("root", (2, 0, 1), [0, 3, 4])],
+    )
+    def test_a_bumped_dp_stream_fails_the_suite(self, capsys, suite, cell, monomial):
+        # the negative control bumps the stream the CLI reads, by 1 at one cell
+        with bumped_stream({cell: 1}):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite, "--caps", "10,10,10")
+        report = json.loads(out)
+        assert (code, err, report["ok"]) == (1, "", False)
+        assert report["first_mismatch"]["monomial"] == monomial
+
+    # sha256 of every (caps, exit status, stdout, stderr) of one series suite
+    # over SERIES_PIN_CAPS, as ``series_digest`` writes them
+    SERIES_PIN_CAPS = [
+        *((c, c, c) for c in range(41)),
+        (9, 3, 5), (12, 20, 6), (20, 6, 12), (5, 5, 30), (3, 9, 2), (14, 2, 2),
+        (2, 14, 14), (1, 2, 2), (30, 2, 3), (14, 1, 1), (0, 6, 6), (6, 0, 6),
+        (6, 6, 0), (0, 0, 0), (17, 11, 1), (1, 17, 11),
+    ]
+    SERIES_PINS = {
+        "kernel": "8e937eac3fa30fb9c354dfc7772ea89d7e726cbd43b776a46a282c325740d285",
+        "hkernel": "6ed4878a0a09cca200a35f2c1ba550f86e2fd9b2e635bd2c8246a8cbe0bf9d72",
+        "root": "5e0be95dc03c11f00395158024dd35ab4a1c51b2e3c07076ad3e5233d58d0a44",
+    }
+
+    @classmethod
+    def series_digest(cls, capsys, suite):
+        digest = hashlib.sha256()
+        for caps in cls.SERIES_PIN_CAPS:
+            code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                     "--caps", ",".join(map(str, caps)))
+            digest.update(json.dumps([list(caps), code, out, err]).encode() + b"\n")
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("suite", sorted(SERIES_PINS))
+    def test_series_suites_are_pinned_byte_for_byte(self, capsys, suite):
+        assert self.series_digest(capsys, suite) == self.SERIES_PINS[suite]
 
     def test_root_empty_window_refused(self, capsys):
         err = self.refused(capsys, "--suite", "root", "--caps", "0,0,0")

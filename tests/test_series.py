@@ -1,10 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faults import bumped_stream
 from gesselwalks.series import (
     CheckReport,
     TruncSeries3,
-    _compare,
     build_G,
     build_H,
     build_K,
@@ -24,16 +26,63 @@ from gesselwalks.walks import columns, count_walks, f_tilde
 
 CAPS = (6, 6, 6)
 
-# Negative controls for the functional-equation checks: G with one
-# coefficient bumped, inside the quarter plane or on an axis.  The root
-# identity only reads the axis terms of H, so it is blind to the interior
-# bump by design.
+# Negative controls for the functional-equation checks: the dp stream with
+# one count bumped by 1 (``faults.bumped_stream``), inside the quarter plane
+# or on an axis.  The root identity only reads the axis terms of H, so it is
+# blind to the interior bump by design.
 INTERIOR_BUMP = (4, 2, 1)
 AXIS_BUMPS = [(2, 0, 1), (3, 1, 0), (0, 0, 0)]  # y = 0, z = 0, origin
 
 
 def bump_id(mono):
     return "-".join(map(str, mono))
+
+
+def bumped_G(caps, bumps):
+    """build_G(caps) with each (m, n1, n2): d of ``bumps`` added: the dict
+    reference for the same bumps of the dp stream."""
+    G = build_G(caps)
+    for mono, delta in bumps.items():
+        G = bump_coeff(G, mono, delta)
+    return G
+
+
+@st.composite
+def stream_bumps(draw, cap, axes=False):
+    """Caps up to ``cap`` and one to four distinct reachable cells of layers
+    up to ``cap``, each with a bump d from -F(m; n1, n2) to 9; with
+    ``axes``, a cell lands on the y = 0 or the z = 0 axis two times in
+    three."""
+    caps = draw(st.tuples(*[st.integers(0, cap)] * 3))
+    bumps = {}
+    for _ in range(draw(st.integers(1, 4))):
+        axis = draw(st.sampled_from([None, 1, 2])) if axes else None
+        if axis == 1:
+            m, n1 = 2 * draw(st.integers(0, cap // 2)), 0
+        else:
+            m = draw(st.integers(0, cap))
+            n1 = m % 2 + 2 * draw(st.integers(0, m // 2))
+        n2 = 0 if axis == 2 else draw(st.integers(0, (m + n1) // 2))
+        bumps[m, n1, n2] = draw(st.integers(-count_walks(m, n1, n2), 9))
+    return caps, bumps
+
+
+def _compare(lhs, rhs, window):
+    """The report of comparing two series term by term over the window, in
+    ascending exponent order: the reference the packed checks must equal."""
+    wx, wy, wz = window
+    keys = sorted(
+        k
+        for k in set(lhs.coeffs) | set(rhs.coeffs)
+        if k[0] <= wx and k[1] <= wy and k[2] <= wz
+    )
+    size = math.prod(max(0, w + 1) for w in window)
+    for k in keys:
+        lv = lhs.coeffs.get(k, 0)
+        rv = rhs.coeffs.get(k, 0)
+        if lv != rv:
+            return CheckReport(False, window, size, len(keys), (k, lv, rv))
+    return CheckReport(bool(keys), window, size, len(keys), None)
 
 
 monos = st.tuples(
@@ -263,9 +312,8 @@ class TestKernel:
 
     @pytest.mark.parametrize("mono", [INTERIOR_BUMP, *AXIS_BUMPS], ids=bump_id)
     def test_kernel_equation_mutated_fails(self, mono):
-        caps = (8, 8, 8)
-        bad = bump_coeff(build_G(caps), mono)
-        report = verify_kernel_equation(caps, bad)
+        with bumped_stream({mono: 1}):
+            report = verify_kernel_equation((8, 8, 8))
         assert not report
         assert report.first_mismatch is not None
         mono, lhs, rhs = report.first_mismatch
@@ -303,9 +351,8 @@ class TestBuildH:
 
     @pytest.mark.parametrize("mono", [INTERIOR_BUMP, *AXIS_BUMPS], ids=bump_id)
     def test_H_equation_mutated_fails(self, mono):
-        caps = (8, 8, 8)
-        bad = bump_coeff(build_G(caps), mono)
-        assert not verify_H_equation(caps, bad)
+        with bumped_stream({mono: 1}):
+            assert not verify_H_equation((8, 8, 8))
 
 
 class TestPackedChecks:
@@ -315,7 +362,7 @@ class TestPackedChecks:
 
     @staticmethod
     def reference(check, caps, G=None):
-        dx, dy, dz = caps if G is None else G.caps
+        dx, dy, dz = caps
         window = (dx - 1, dy - 2, dz - 2)
         if min(window) < 0:
             return _compare(make_series(window, {}), make_series(window, {}), window)
@@ -346,51 +393,21 @@ class TestPackedChecks:
     @pytest.mark.parametrize("check", CHECKS)
     @pytest.mark.parametrize("mono", [INTERIOR_BUMP, *AXIS_BUMPS], ids=bump_id)
     def test_bumps_give_the_reference_mismatch(self, check, mono):
-        caps = (8, 8, 8)
-        bad = bump_coeff(build_G(caps), mono)
-        report = check(caps, bad)
-        assert report == self.reference(check, caps, bad)
-        assert report.first_mismatch is not None
+        for caps in ((8, 8, 8), (24, 24, 24)):
+            expected = self.reference(check, caps, bumped_G(caps, {mono: 1}))
+            with bumped_stream({mono: 1}):
+                report = check(caps)
+            assert report == expected, caps
+            assert report.first_mismatch is not None
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        caps=st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
-        bumps=st.lists(
-            st.tuples(
-                st.tuples(*[st.integers(0, 9)] * 3),
-                st.one_of(
-                    st.integers(-9, 9),
-                    st.sampled_from([-(10**30), 10**40]),
-                    st.integers(2**70, 2**90).flatmap(lambda d: st.sampled_from([d, -d])),
-                ),
-            ),
-            min_size=1, max_size=4,
-        ),
-    )
-    def test_signed_bumps_give_the_reference_report(self, caps, bumps):
-        G = build_G(caps)
-        for mono, delta in bumps:
-            G = bump_coeff(G, mono, delta)
-        for check in self.CHECKS:
-            assert check(caps, G) == self.reference(check, caps, G)
-
-    @pytest.mark.parametrize("bits", [3, 8, 70])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_a_slot_of_five_coefficients_decodes(self, bits, sign):
-        """Slot 2 of column (2, 3) of K*G adds five coefficients of size
-        t = 2^bits - 1 in one sign, above 2^(bits+2), and slot 3 sums to 0.
-        A slot one bit narrower than the packing rule would decode slot 2
-        with a carry into slot 3 and count that slot as nonzero."""
-        t = sign * (2**bits - 1)
-        caps = (3, 5, 5)
-        G = make_series(caps, {
-            (1, 3, 0): t, (1, 3, 1): t, (1, 3, 2): t, (1, 3, 3): -t,
-            (1, 1, 0): t, (1, 1, 1): t, (1, 1, 2): -t, (2, 2, 1): -t,
-        })
-        assert naive_mul(build_K(caps), G).coeff((2, 3, 2)) == 5 * t
-        assert naive_mul(build_K(caps), G).coeff((2, 3, 3)) == 0
-        for check in self.CHECKS:
-            assert check(caps, G) == self.reference(check, caps, G)
+    @given(case=stream_bumps(9))
+    def test_signed_bumps_give_the_reference_report(self, case):
+        caps, bumps = case
+        G = bumped_G(caps, bumps)
+        expected = [self.reference(check, caps, G) for check in self.CHECKS]
+        with bumped_stream(bumps):
+            assert [check(caps) for check in self.CHECKS] == expected
 
 
 class TestRoot:
@@ -464,22 +481,31 @@ class TestRoot:
                      (12, 20, 6), (30, 0, 5), (30, 5, 1)]:
             dx, dy, dz = caps
             wz = min(dx, dz)
-            stream = series._axis_terms(dy, wz, None)
+            G = build_G(caps)
+            whole = [([G.coeff((m, n1, 0)) for n1 in range(dy + 1)],
+                      [G.coeff((m, 0, n2)) for n2 in range(wz + 1)]) for m in range(wz)]
+            stream = series._axis_terms(dy, wz)
             assert len(stream) == wz, caps
-            assert trimmed(stream) == trimmed(series._axis_terms(dy, wz, build_G(caps))), caps
-
-    def test_root_identity_reads_g_as_a_given_g_is_read(self):
-        # a given G takes the old path: the axis terms of G built whole
-        for caps in [*((c, c, c) for c in range(41)), (10, 4, 7), (12, 20, 6), (41, 13, 30)]:
-            given = verify_root_identity(caps, build_G(caps))
-            assert verify_root_identity(caps) == given, caps
+            assert trimmed(stream) == trimmed(whole), caps
 
     @pytest.mark.parametrize("mono", AXIS_BUMPS, ids=bump_id)
     def test_root_identity_mutated_fails(self, mono):
         for caps in ((8, 8, 8), (24, 24, 24)):
-            report = verify_root_identity(caps, bump_coeff(build_G(caps), mono))
+            expected = reference_root(caps, bumped_G(caps, {mono: 1}))
+            with bumped_stream({mono: 1}):
+                report = verify_root_identity(caps)
+            assert report == expected
             assert not report
             assert report.first_mismatch is not None
+
+    def test_root_identity_is_blind_to_the_interior_bump(self):
+        # it reads only the axis terms of G, and (4, 2, 1) is on neither axis
+        for caps in ((8, 8, 8), (24, 24, 24)):
+            expected = reference_root(caps, bumped_G(caps, {INTERIOR_BUMP: 1}))
+            with bumped_stream({INTERIOR_BUMP: 1}):
+                report = verify_root_identity(caps)
+            assert report == expected == verify_root_identity(caps)
+            assert report
 
     @pytest.mark.parametrize("caps", [(0, 0, 0), (5, 0, 5), (5, 5, 0), (0, 5, 5), (8, 0, 8)])
     def test_root_window_without_yz_is_reported_before_g_is_built(self, monkeypatch, caps):
@@ -537,46 +563,49 @@ class TestPackedRoot:
         assert verify_root_identity(caps) == reference_root(caps)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        caps=st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14)),
-        bumps=st.lists(
-            st.tuples(
-                st.tuples(st.integers(0, 14), st.integers(0, 14), st.integers(0, 14)),
-                st.sampled_from([None, 1, 2]),
-                st.one_of(
-                    st.integers(-9, 9),
-                    st.sampled_from([-(10**30), 10**40, 2**70 + 3, -(2**71)]),
-                    st.integers(2**70, 2**90).flatmap(lambda d: st.sampled_from([d, -d])),
-                ),
-            ),
-            min_size=1, max_size=3,
-        ),
-    )
-    def test_signed_bumps_give_the_reference_report(self, caps, bumps):
-        # a bump lands on an axis (y or z exponent set to 0) unless axis is None
-        G = build_G(caps)
-        for mono, axis, delta in bumps:
-            mono = tuple(0 if i == axis else e for i, e in enumerate(mono))
-            G = bump_coeff(G, mono, delta)
-        assert verify_root_identity(caps, G) == reference_root(caps, G)
+    @given(case=stream_bumps(14, axes=True))
+    def test_signed_bumps_give_the_reference_report(self, case):
+        caps, bumps = case
+        expected = reference_root(caps, bumped_G(caps, bumps))
+        with bumped_stream(bumps):
+            assert verify_root_identity(caps) == expected
 
-    def test_large_axis_bumps_change_the_report(self):
+    def test_axis_bumps_change_the_report(self):
         # x^(m+1) r^(m+1) carries y^(m+1) z^(m+1), so each bump lands in the window
         caps = (20, 20, 20)
-        for mono in [(19, 0, 0), (3, 0, 5), (5, 6, 0)]:
-            for delta in (2**70 + 3, -(2**71)):
-                G = bump_coeff(build_G(caps), mono, delta)
-                report = verify_root_identity(caps, G)
-                assert report == reference_root(caps, G)
+        for mono in [(0, 0, 0), (18, 0, 0), (3, 1, 0), (4, 0, 2), (5, 5, 0), (17, 1, 0)]:
+            for delta in (9, -count_walks(*mono)):
+                expected = reference_root(caps, bumped_G(caps, {mono: delta}))
+                with bumped_stream({mono: delta}):
+                    report = verify_root_identity(caps)
+                assert report == expected
                 assert not report and report.first_mismatch is not None
 
     def test_cli_root_reads_the_dp_stream_alone(self, monkeypatch, capsys):
-        # the packed root check builds no series, G or table columns
+        # the packed root check builds no series, G or table columns, also
+        # when it refuses a window without yz
         def refuse(*args, **kwargs):
             raise AssertionError("series path used")
 
-        monkeypatch.setattr(series, "series_mul", refuse)
-        monkeypatch.setattr(series, "build_G", refuse)
+        for name in ("TruncSeries3", "make_series", "monomial", "series_mul", "build_G"):
+            monkeypatch.setattr(series, name, refuse)
         monkeypatch.setattr(walks, "columns", refuse)
-        assert cli.main(["verify", "--suite", "root", "--caps", "20,20,20"]) == 0
-        assert '"ok": true' in capsys.readouterr().out
+        for caps in ("20,20,20", "1,1,1"):
+            assert cli.main(["verify", "--suite", "root", "--caps", caps]) == 0
+            assert '"ok": true' in capsys.readouterr().out
+        for caps in ("0,0,0", "5,0,5"):
+            assert cli.main(["verify", "--suite", "root", "--caps", caps]) == 2
+            assert "nothing to compare" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bumps", [{(3, 0, 0): 1}, {(4, 2, 4): 1}, {(2, 0, 1): 10}, {(2, 0, 1): -2}],
+    ids=["parity", "cone", "above-9", "below-zero"],
+)
+def test_a_bump_outside_the_stream_domain_is_refused(bumps):
+    # an unreachable cell, or a bumped count below 0 or more than 9 above F
+    layers = walks.layers
+    with pytest.raises(ValueError, match="outside the stream's domain"):
+        with bumped_stream(bumps):
+            pass
+    assert walks.layers is layers
