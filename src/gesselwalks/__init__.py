@@ -26,8 +26,6 @@ _HOME = {
     "shortest_walk": "walks",
     "f_tilde": "walks",
     "f_entry": "walks",
-    "build_f_matrix": "walks",
-    "FMatrix": "walks",
     "WalkTable": "walks",
     "binom_general": "exact",
     "pochhammer": "exact",

@@ -4,7 +4,7 @@ A method that does not cover a target raises ``NotCovered``; that refusal
 is the coverage rule, stated nowhere else.  A ``dp`` count asks for one
 target, so it runs two half-depth passes, one from the origin and one back
 from the target, that meet at layer m // 2 (``walks.count_meet``); the
-memo table behind ``walks.count_walks`` serves the callers that read many
+axis memo behind ``walks.count_walks`` serves the callers that read axis
 cells, such as ``verify_cross_pipeline``.  Likewise a ``solve`` count
 solves only the rows its target depends on (``triangular.solve_cone``),
 while ``verify_cross_pipeline`` solves every row of the prefix it checks.

@@ -17,8 +17,8 @@ one ``map(int.from_bytes, ...)`` each (``_unpack``), and widened by ``_widen``.
 Four shapes of dp share that one step; the first two also share one rule
 for widening slots (``_grow``), the last two one statement of the cone of
 cells that can still reach a goal (``_cone``).  The memo, the
-``WalkTable`` behind ``count_walks``, keeps every layer for the callers
-that read cells back.  The stream, ``layers``, holds two layers and yields
+``WalkTable`` behind ``count_walks``, keeps the axis cells of each layer,
+all its callers read.  The stream, ``layers``, holds two layers and yields
 each one packed, at the widths ``_grow`` picks or at one fixed width; the
 series checks read its packed z-columns as they are, and ``columns``
 unpacks each nonzero column from it for the whole-table readers (``table``
@@ -27,8 +27,7 @@ export, ``build_G``).  The cone, ``counts_along``, follows one target
 up to m, for the suites that read every t.  The meet, ``count_meet``,
 answers F(m; n1, n2) alone from two passes of half the depth and half the
 slot width, one from the origin and one back from the target.  Also here:
-the shortest-walk closed forms and the packed boundary-count matrix of the
-triangular pipeline.
+the shortest-walk closed forms and the boundary transform's packed matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 import math
 import struct
 import threading
-from collections import namedtuple
 from itertools import chain, count, islice, repeat
 from operator import mul
 
@@ -54,8 +52,6 @@ __all__ = [
     "shortest_walk",
     "f_tilde",
     "f_entry",
-    "FMatrix",
-    "build_f_matrix",
     "WalkTable",
     "shared_table",
 ]
@@ -144,20 +140,16 @@ def _grow(width: int, layer: list[int], m: int) -> Iterator[Layer]:
 
 
 class WalkTable:
-    """Layered table of walk counts for 0 <= m <= m_max, the memo behind
-    ``count_walks``.  Layer m is a ``Layer`` of m + 1 packed columns, those
-    of the wrong parity 0.  ``extend`` appends the layers that ``_grow``
-    yields, so a table grown one layer per call holds the same layers as
-    one built in a single call.
+    """F(m; n1, 0), slot 0 of each column, and F(m; 0, n2), column 0
+    unpacked, for 0 <= m <= m_max: the axis memo behind ``count_walks``;
+    ``value`` refuses interior cells.  ``extend`` grows it by ``_grow`` from
+    the one live layer kept, recorded after the axes so a cut run regrows it.
 
-    Keeping every layer up to m_max costs about m_max^4/4 bits.  The
-    cross-pipeline suite reaches m = 61 at k_max = 8000 (m <= about
-    sqrt(k_max / 2)) and the family suite m = 26, but a universal row i
-    reaches m = 2i - 2 and nothing bounds i: ``universal --i`` peaks at
-    about 17, 63 and 260 MiB at i = 50, 100 and 150, end to end on Linux.
-    One-target counts take ``count_meet``, the suites that read one target
-    at every t ``counts_along``, and whole-table readers ``columns``; none
-    of them touches the memo.
+    A count of layer m is below 4^m, and layer m has at most m/2 + 1
+    nonzero cells on each axis, none in column 0 when m is odd: at most
+    about m_max^3/2 bits in all (0.37 m_max^3 at m_max = 298).
+    ``universal --i`` reads to m = 2i - 2, and no bound caps i; it peaks at
+    about 17, 18 and 24 MiB at i = 50, 100 and 150, end to end on Linux.
 
     Construction is single-writer under ``count_walks``'s lock, since the
     library can be called from threads; a built table may be read from any
@@ -165,25 +157,32 @@ class WalkTable:
     """
 
     def __init__(self, m_max: int = 0) -> None:
-        self._layers: list[Layer] = [(_slot_width(0), [1])]
+        self._axes: list[tuple[list[int], list[int]]] = [([1], [1])]
+        self._top: tuple[int, int, list[int]] = (0, _slot_width(0), [1])
         self.extend(m_max)
 
     @property
     def m_max(self) -> int:
-        return len(self._layers) - 1
+        return self._top[0]
 
     def extend(self, m_max: int) -> None:
         """Grow the table to m_max layers; a no-op if it is already there."""
-        grown = _grow(*self._layers[-1], self.m_max)
-        self._layers += islice(grown, max(0, m_max - self.m_max))
+        m, width, layer = self._top
+        grown = islice(_grow(width, layer, m), max(0, m_max - m))
+        for m, (width, layer) in enumerate(grown, m + 1):
+            slot = (1 << width) - 1
+            self._axes[m:] = [([c & slot for c in layer], _unpack(layer[0], width))]
+            self._top = m, width, layer
 
     def value(self, m: int, n1: int, n2: int) -> int:
         if not 0 <= m <= self.m_max:
             raise ValueError(f"layer {m} not in table (m_max={self.m_max})")
-        width, layer = self._layers[m]
         if not 0 <= n1 <= m or n2 < 0:
             return 0
-        return (layer[n1] >> (width * n2)) & ((1 << width) - 1)
+        if n1 and n2:
+            raise ValueError(f"({n1}, {n2}) is off the axes, which are all the table keeps")
+        row, col = self._axes[m]
+        return row[n1] if not n2 else col[n2] if n2 < len(col) else 0
 
 
 def layers(m_max: int, width: int | None = None) -> Iterator[Layer]:
@@ -312,12 +311,14 @@ _shared_lock = threading.Lock()
 def count_walks(m: int, n1: int, n2: int) -> int:
     """Number of m-step quarter-plane walks from the origin to (n1, n2).
 
-    Exact and memoized across calls.  Arguments outside the support
-    (negative coordinates, parity mismatch, points beyond the cone) return
-    0 without growing the shared table.
+    Exact; axis cells are memoized, interior ones go to ``count_meet``.
+    Arguments outside the support (negative coordinates, parity mismatch,
+    points beyond the cone) return 0 without growing the shared table.
     """
     if not reachable(m, n1, n2):
         return 0
+    if n1 and n2:
+        return count_meet(m, n1, n2)
     if m > _shared.m_max:
         with _shared_lock:
             _shared.extend(m)
@@ -325,7 +326,7 @@ def count_walks(m: int, n1: int, n2: int) -> int:
 
 
 def shared_table() -> WalkTable:
-    """The process-wide memo table behind ``count_walks``."""
+    """The process-wide axis memo behind ``count_walks``."""
     return _shared
 
 
@@ -376,22 +377,3 @@ def f_entry(i: int, j: int) -> int:
         raise ValueError("f_entry needs nonnegative indices")
     m = min(i, j)
     return f_tilde(m, i - m, j - m)
-
-
-class FMatrix(namedtuple("FMatrix", "size entries")):
-    """The packed boundary-count matrix materialized on [0, size]^2: ``size``,
-    and ``entries``, a tuple of size + 1 rows of ints."""
-
-    __slots__ = ()
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-
-def build_f_matrix(size: int) -> FMatrix:
-    if size < 0:
-        raise ValueError("size must be nonnegative")
-    entries = tuple(
-        tuple(f_entry(i, j) for j in range(size + 1)) for i in range(size + 1)
-    )
-    return FMatrix(size, entries)

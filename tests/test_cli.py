@@ -532,6 +532,42 @@ class TestOneVerdictPerFit:
 # Exit code, stdout and stderr of a fixed set of invocations, recorded byte
 # for byte from the command line before counting and the verify suites moved
 # into the library.  Moving math must leave every byte of these unchanged.
+# the runs of each group of commands that read axis cells through
+# ``walks.count_walks``
+AXIS_PIN_RUNS = {
+    "universal": [["universal", "--i", str(i), "--format", f]
+                  for i in range(1, 61) for f in ("text", "json", "csv")],
+    "cross_pipeline": [["verify", "--suite", "cross_pipeline", "--k-max", k]
+                       for k in ("200", "1200")],
+    "families": [["verify", "--suite", "families"]],
+    "fit": [["fit", "--family", family.value, "--k", str(k), "--format", f]
+            for family, k in conjectures.FAMILY_PLAN for f in ("text", "json", "csv")],
+}
+
+
+class TestAxisReaderPins:
+    # sha256 of every (argv, exit status, stdout, stderr) of one group of
+    # AXIS_PIN_RUNS, as ``axis_digest`` writes them
+    AXIS_PINS = {
+        "universal": "27a10de93d75f8e5891ca79ee1d712c765bc0096a42410d753b3de2d5a05ba7c",
+        "cross_pipeline": "bbffba20faaddb6b6bf4958bff355b6be770979e6383704e889a32277ea1ff92",
+        "families": "2f873f37e8984a804fc844675b8788324bac8f18b27052d068e939f070ebf68f",
+        "fit": "2ab5c287becf7c133366af3cccd93f48253f11bc2fd424d5c57382b815a1d661",
+    }
+
+    @classmethod
+    def axis_digest(cls, capsys, group):
+        digest = hashlib.sha256()
+        for argv in AXIS_PIN_RUNS[group]:
+            code, out, err = run_cli(capsys, *argv)
+            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("group", sorted(AXIS_PINS))
+    def test_axis_readers_are_pinned_byte_for_byte(self, capsys, group):
+        assert self.axis_digest(capsys, group) == self.AXIS_PINS[group]
+
+
 FROZEN = json.loads(Path(__file__).with_name("cli_frozen.json").read_text())
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gesselwalks import walks
 from gesselwalks.exact import catalan, gessel_closed_form
 from gesselwalks.walks import (
     WalkTable,
@@ -10,7 +11,6 @@ from gesselwalks.walks import (
     _slot_width,
     _unpack,
     _widen,
-    build_f_matrix,
     columns,
     count_meet,
     count_walks,
@@ -30,6 +30,14 @@ def pack(slots, width):
     for v in reversed(slots):
         column = (column << width) | v
     return column
+
+
+def axis_cells(m_max):
+    """(m, n1, n2) of every axis cell of layers 0..m_max in the support box,
+    and of the ones just beyond it on each axis."""
+    for m in range(m_max + 1):
+        yield from ((m, n1, 0) for n1 in range(m + 2))
+        yield from ((m, 0, n2) for n2 in range(1, m // 2 + 2))
 
 
 def unpack_by_shifts(column, width):
@@ -128,11 +136,9 @@ class TestWalkTable:
         grown = WalkTable(0)
         for m in range(1, 61):
             grown.extend(m)
-        for m in range(61):
-            for n1 in range(m + 2):
-                for n2 in range((n1 + m) // 2 + 2):
-                    assert grown.value(m, n1, n2) == whole.value(m, n1, n2)
-        assert grown._layers == whole._layers
+        for m, n1, n2 in axis_cells(60):
+            assert grown.value(m, n1, n2) == whole.value(m, n1, n2)
+        assert grown._axes == whole._axes
 
     def test_matches_dict_recurrence(self):
         # the unpacked step recurrence, cell by cell, as the reference
@@ -163,28 +169,29 @@ class TestWalkTable:
 
     @pytest.mark.parametrize("m_max", [40, 37])
     def test_columns_hold_every_reachable_cell_and_nothing_else(self, m_max):
-        # the whole-table readers print every slot of a column as a record
+        # the whole-table readers print every slot of a column as a record;
+        # its axis cells are the memo's
         t = WalkTable(m_max)
         seen = []
         for m, n1, counts in columns(m_max):
             seen.append((m, n1))
             assert (m - n1) % 2 == 0
             assert len(counts) == (n1 + m) // 2 + 1
-            for n2, v in enumerate(counts):
-                assert v and v == t.value(m, n1, n2)
+            assert all(counts)
+            assert counts[0] == t.value(m, n1, 0)
+            if n1 == 0:
+                assert counts == [t.value(m, 0, n2) for n2 in range(len(counts))]
         assert seen == [
             (m, n1) for m in range(m_max + 1) for n1 in range(m % 2, m + 1, 2)
         ]
 
     def test_stream_equals_memo_across_repacks(self):
         # slots widen at m = 3, 7, 11, 15, 19, 27, 35, 47 and 59 up to m = 60;
-        # every cell of the support box, and the cells just beyond it, agree
+        # every axis cell of the support box, and the ones just beyond it, agree
         t = WalkTable(60)
         cells = {(m, n1, n2): v for m, n1, counts in columns(60) for n2, v in enumerate(counts)}
-        for m in range(61):
-            for n1 in range(m + 2):
-                for n2 in range((n1 + m) // 2 + 2):
-                    assert cells.get((m, n1, n2), 0) == t.value(m, n1, n2), (m, n1, n2)
+        for m, n1, n2 in axis_cells(60):
+            assert cells.get((m, n1, n2), 0) == t.value(m, n1, n2), (m, n1, n2)
 
     def test_layers_at_one_width_are_the_widening_layers(self):
         # the kernel checks read the stream at the width of the layer after
@@ -280,22 +287,68 @@ class TestWalkTable:
                 assert _widen(column, width, wider) == pack(_unpack(column, width), wider)
 
     def test_value_outside_columns_is_zero(self):
-        t = WalkTable(5)
+        t = WalkTable(6)
         assert t.value(5, -1, 0) == 0
         assert t.value(5, 6, 0) == 0
         assert t.value(5, 1, -1) == 0
-        assert t.value(5, 1, 40) == 0
+        assert t.value(5, 0, 40) == 0
+        assert t.value(6, 0, 4) == 0
+        assert t.value(6, 7, 3) == 0
+
+
+class TestAxisRouting:
+    def test_interior_read_goes_to_the_meet_and_leaves_the_memo(self, monkeypatch):
+        calls = []
+        real = walks.count_meet
+        monkeypatch.setattr(walks, "count_meet", lambda *t: calls.append(t) or real(*t))
+        before = walks.shared_table().m_max
+        assert count_walks(30, 4, 6) == counts_along(30, 4, 6)[-1]
+        assert calls == [(30, 4, 6)]
+        assert walks.shared_table().m_max == before
+
+    def test_axis_read_grows_the_memo_and_calls_no_meet(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("count_meet called")
+
+        monkeypatch.setattr(walks, "count_meet", refuse)
+        m = walks.shared_table().m_max // 2 * 2 + 2  # even, past the memo
+        assert count_walks(m, 0, 1) == counts_along(m, 0, 1)[-1]
+        assert count_walks(m + 1, 3, 0) == counts_along(m + 1, 3, 0)[-1]
+        assert walks.shared_table().m_max == m + 1
+
+    def test_growth_cut_short_regrows_from_the_kept_layer(self, monkeypatch):
+        # an interrupt inside the step leaves the table at its last whole layer
+        real, calls = walks._step, []
+
+        def cut(*args):
+            calls.append(args)
+            if len(calls) == 20:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(walks, "_step", cut)
+        t = WalkTable(0)
+        with pytest.raises(KeyboardInterrupt):
+            t.extend(30)
+        assert t.m_max == 19
+        t.extend(30)
+        assert t._axes == WalkTable(30)._axes
+
+    def test_value_refuses_an_interior_cell(self):
+        with pytest.raises(ValueError):
+            WalkTable(10).value(10, 2, 3)
 
 
 class TestCountsAlong:
     def test_matches_memo_table(self):
         # every target in and beyond the support box for m <= 40, including
-        # the unreachable ones, and the whole sequence t = 0..m at each
-        table = WalkTable(40)
+        # the unreachable ones, and the whole sequence t = 0..m at each,
+        # against the columns of the dp stream
+        cells = {(m, n1, n2): v for m, n1, counts in columns(40) for n2, v in enumerate(counts)}
         for m in range(41):
             for n1 in range(m + 2):
                 for n2 in range(m + 2):
-                    expected = [table.value(t, n1, n2) for t in range(m + 1)]
+                    expected = [cells.get((t, n1, n2), 0) for t in range(m + 1)]
                     assert counts_along(m, n1, n2) == expected, (m, n1, n2)
 
     def test_origin_sequence_against_closed_form(self):
@@ -448,27 +501,19 @@ class TestFTilde:
 
 
 class TestFMatrix:
-    def test_matches_frozen_block(self):
-        fm = build_f_matrix(13)
-        for i in range(14):
-            for j in range(14):
-                assert fm.entry(i, j) == F_MATRIX_14[i][j], (i, j)
-
     def test_f_entry_matches_frozen_block(self):
         for i in range(14):
             for j in range(14):
                 assert f_entry(i, j) == F_MATRIX_14[i][j]
 
     def test_small_block_examples(self):
-        fm = build_f_matrix(5)
-        assert fm.entry(3, 3) == 2
-        assert fm.entry(5, 5) == 11
-        assert all(fm.entry(0, j) == 0 for j in range(6))
+        assert f_entry(3, 3) == 2
+        assert f_entry(5, 5) == 11
+        assert all(f_entry(0, j) == 0 for j in range(6))
 
     def test_even_rows_vanish(self):
-        fm = build_f_matrix(16)
         for i in range(0, 17, 2):
-            assert all(fm.entry(i, j) == 0 for j in range(17))
+            assert all(f_entry(i, j) == 0 for j in range(17))
 
     def test_packing_definition(self):
         for i in range(12):
@@ -480,7 +525,9 @@ class TestFMatrix:
 
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
-            build_f_matrix(-1)
+            f_entry(-1, 0)
+        with pytest.raises(ValueError):
+            f_entry(0, -1)
 
 
 @settings(max_examples=30, deadline=None)
