@@ -5,7 +5,8 @@ suites (``verify``), the universal row segments (``universal``), the
 polynomial family fits (``fit``), bulk table export (``table``) and the
 determinant windows (``hessenberg``).  ``verify`` always prints JSON.  The
 others take ``--format {text,json,csv}``; for ``text``, ``table`` prints
-JSON lines and ``hessenberg --dump`` prints csv rows.
+JSON lines and ``hessenberg --dump`` prints csv rows.  Both write as they
+compute, one dp column or one window row at a time.
 
 Exit codes: 0 success, 1 a verification or fit failed, 2 usage error, 141
 (``CLOSED_STDOUT``) when the reader closed stdout early, as ``| head`` does.
@@ -43,7 +44,7 @@ from . import pipelines
 
 TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
 if TYPE_CHECKING:
-    from typing import Callable, Sequence
+    from typing import Sequence
 
 __all__ = ["main", "console_main", "UsageError", "CLOSED_STDOUT"]
 
@@ -54,15 +55,14 @@ class UsageError(Exception):
     """Bad arguments or an unsupported combination; exits with status 2."""
 
 
-def _emit(fmt: str, text: str | None, record: dict | Callable[[], dict],
+def _emit(fmt: str, text: str, record: dict,
           rows: Sequence[Sequence] | None = None, indent: int | None = None) -> None:
-    """Print one result as ``text``, as ``record`` in one JSON object (a
-    function building it is called only then), or as csv ``rows``, by default
-    the record's keys over its values; with no ``text``, text prints the rows."""
+    """Print one result as ``text``, as ``record`` in one JSON object, or as
+    csv ``rows``, by default the record's keys over its values."""
     if fmt == "json":
         import json
-        print(json.dumps(record() if callable(record) else record, indent=indent))
-    elif fmt == "csv" or text is None:
+        print(json.dumps(record, indent=indent))
+    elif fmt == "csv":
         import csv
         if rows is None:
             rows = [list(record), list(record.values())]
@@ -246,14 +246,26 @@ def cmd_hessenberg(args) -> int:
         raise UsageError("--n must be nonnegative")
     from . import triangular
     k = triangular.origin_index(args.n)
+    size = k - triangular.RHS_INDEX
     if args.dump:
-        h = triangular.hessenberg_for(k)
-        _emit(args.format, None,
-              lambda: {"n": args.n, "k": k, "size": h.size,
-                       "entries": [[str(v) for v in row] for row in h.entries]},
-              h.entries)
+        write = sys.stdout.write
+        # each row written as the window yields it, zeros and superdiagonal filled in;
+        # the bytes are those of csv.writer rows (\r\n ends) and of one json.dumps record
+        as_json = args.format == "json"
+        if as_json:
+            import json
+            write(f'{{"n": {args.n}, "k": {k}, "size": {size}, "entries": [')
+        for r, cells in enumerate(triangular.hessenberg_for(k)):
+            row = ["0"] * (size + 1)  # + column k, the last row's diagonal
+            row[r + 1] = "1"
+            for c, e in cells:
+                row[c] = str(e)
+            row.pop()
+            write(f"{', ' if r else ''}{json.dumps(row)}" if as_json else ",".join(row) + "\r\n")
+        if as_json:
+            write("]}\n")
     else:
-        det, size = triangular.gessel_via_determinant(args.n), k - triangular.RHS_INDEX
+        det = triangular.gessel_via_determinant(args.n)
         _emit(args.format, f"det={det} size={size} k={k}",
               {"n": args.n, "k": k, "size": size, "det": str(det)})
     return 0

@@ -12,7 +12,7 @@ By Cramer's rule the leading minors of a window are the signed unknowns
 ``coefficient_c`` itself, reading it only under nonzero unknowns, and its
 minors check the solve against the definition.  ``gessel_via_determinant``
 reads a window's determinant from ``solve_cone``, and ``hessenberg_for``
-builds the dense window cell by cell from ``coefficient_c``.
+yields the window one row of nonzero cells at a time from ``coefficient_c``.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from .walks import f_entry
 
 TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
 if TYPE_CHECKING:
-    from typing import Callable, Iterable
+    from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "rho", "rho_inv", "RHS_INDEX", "boundary_index", "origin_index", "coefficient_c",
     "system_entry", "system_rhs", "TriSystem", "solve_forward", "solve_cone",
-    "HessenbergMatrix", "hessenberg_for", "window_minors", "hessenberg_det",
+    "hessenberg_for", "window_minors", "hessenberg_det",
     "gessel_via_determinant", "inverse_entry_multisum", "universal_sequence",
 ]
 
@@ -214,50 +214,27 @@ def solve_cone(k: int) -> dict[int, int]:
     return _solve(sorted(rows), kernel)
 
 
-class HessenbergMatrix(namedtuple("HessenbergMatrix", "size entries")):
-    """Lower-Hessenberg integer matrix with unit superdiagonal and zeros
-    above it: ``size`` and ``entries``, a tuple of rows of ints."""
-
-    __slots__ = ()
-
-    def entry(self, r: int, c: int) -> int:
-        return self.entries[r][c]
-
-    def well_formed(self) -> bool:
-        for r, row in enumerate(self.entries):
-            for c in range(r + 1, self.size):
-                if row[c] != (1 if c == r + 1 else 0):
-                    return False
-        return True
-
-
-def hessenberg_for(k: int) -> HessenbergMatrix:
-    """The determinant window for solution entry k: rows RHS_INDEX+1 .. k
-    and columns RHS_INDEX .. k-1 of the packed matrix, a square block of
-    size k - RHS_INDEX.
+def hessenberg_for(k: int) -> Iterator[list[tuple[int, int]]]:
+    """The determinant window for solution entry k, one row at a time: rows
+    RHS_INDEX+1 .. k and columns RHS_INDEX .. k-1 of the packed matrix, a
+    square block of size k - RHS_INDEX.
 
     Expanding the last column of the Cramer matrix for x(k) along its one
     nonzero entry leaves this window times a unit triangle, so
     det = x(k) * (-1)^(k - RHS_INDEX).  The sign is +1 at every index k
     used for the origin counts, since those k are even.
 
-    Each row is the unit superdiagonal (the unit diagonal of the packed
-    matrix) plus the other cells that ``_admitted_columns`` admits, read
-    from ``coefficient_c``, the reference definition; every other cell is 0.
+    The window is lower-Hessenberg: its superdiagonal is the unit diagonal
+    of the packed matrix, and every cell right of it is 0.  Row r lists the
+    other nonzero cells (c, value), c <= r, the form ``hessenberg_det``
+    reads: those ``_admitted_columns`` admits, read from ``coefficient_c``.
     """
     if k < RHS_INDEX:
         raise ValueError(f"k must be at least rho(1,1) = {RHS_INDEX}, got {k}")
-    width = k - RHS_INDEX
-    rows = []
-    for n in range(RHS_INDEX + 1, k + 1):
-        u, v = rho_inv(n)
-        row = [0] * (width + 1)  # + column k, the last row's diagonal
-        row[n - RHS_INDEX] = 1  # the unit diagonal: the window's superdiagonal
-        for i, j_max in _admitted_columns(u, v):
-            for j in range(1, j_max + 1 - (i == u)):
-                row[rho(i, j) - RHS_INDEX] = coefficient_c(u, v, i, j)
-        rows.append(tuple(row[:width]))
-    return HessenbergMatrix(width, tuple(rows))
+    return ([(rho(i, j) - RHS_INDEX, coefficient_c(u, v, i, j))
+             for i, j_max in _admitted_columns(u, v)
+             for j in range(1, j_max + 1 - (i == u))]
+            for u, v in map(rho_inv, range(RHS_INDEX + 1, k + 1)))
 
 
 def _leading_minors(rows) -> list[int]:
@@ -281,9 +258,9 @@ def _leading_minors(rows) -> list[int]:
 
 
 def window_minors(k: int) -> list[int]:
-    """Leading minors d_0, ..., d_size of ``hessenberg_for(k)``, zeros
-    included, without building it; a smaller origin window is a leading
-    block of it.
+    """Leading minors d_0, ..., d_size of the window ``hessenberg_for(k)``
+    yields, zeros included, without reading its rows; a smaller origin
+    window is a leading block of it.
 
     Minor d_c is the determinant of the window for RHS_INDEX + c, so by the
     sign of ``hessenberg_for`` it is (-1)^c x(RHS_INDEX + c), with x solved
@@ -297,18 +274,16 @@ def window_minors(k: int) -> list[int]:
     return [-x_c if c % 2 else x_c for c, x_c in enumerate(x.values())]
 
 
-def hessenberg_det(h: HessenbergMatrix) -> int:
-    """Determinant, the last leading minor (1 for the empty matrix)."""
-    return _leading_minors(
-        [(c, e) for c, e in enumerate(row[: r + 1]) if e]
-        for r, row in enumerate(h.entries)
-    )[-1]
+def hessenberg_det(rows: Iterable[list[tuple[int, int]]]) -> int:
+    """Determinant of a window given as rows of ``hessenberg_for``'s form:
+    the last leading minor (1 for the empty window)."""
+    return _leading_minors(rows)[-1]
 
 
 def gessel_via_determinant(n: int) -> int:
     """Origin count F(2n; 0, 0) as the Hessenberg determinant of the window
     at k = ``origin_index(n)``, which is x(k) (see ``hessenberg_for``), read
-    from ``solve_cone(k)``.  n = 0 gives the empty window, determinant 1."""
+    from ``solve_cone(k)``, not from its rows.  n = 0: the empty window, 1."""
     k = origin_index(n)
     return solve_cone(k)[k]
 

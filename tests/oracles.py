@@ -165,3 +165,36 @@ def unit_lower_inverse(rows):
                 acc -= rows[r][k] * inv[k][col]
             inv[r][col] = acc
     return inv
+
+
+def dense_rows(rows):
+    """The dense rows of a lower-Hessenberg window given as ``hessenberg_for``
+    yields it: row r's cells (c, value) over a unit superdiagonal, zeros
+    elsewhere.  A cell on or right of the superdiagonal overwrites it, which
+    ``well_formed`` then reports."""
+    rows = list(rows)
+    dense = []
+    for r, cells in enumerate(rows):
+        row = [0] * len(rows)
+        if r + 1 < len(rows):
+            row[r + 1] = 1
+        for c, value in cells:
+            row[c] = value
+        dense.append(tuple(row))
+    return tuple(dense)
+
+
+def sparse_rows(dense):
+    """Each dense row's nonzero cells (c, value) left of the superdiagonal,
+    the form ``hessenberg_det`` reads."""
+    return [[(c, v) for c, v in enumerate(row[: r + 1]) if v] for r, row in enumerate(dense)]
+
+
+def well_formed(dense):
+    """Whether dense rows are lower-Hessenberg with a unit superdiagonal:
+    1 at (r, r + 1) and 0 right of it."""
+    return all(
+        row[c] == (1 if c == r + 1 else 0)
+        for r, row in enumerate(dense)
+        for c in range(r + 1, len(dense))
+    )

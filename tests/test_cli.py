@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from faults import bumped_stream
 from gesselwalks import cli, conjectures, exact, triangular, walks
-from oracles import H24_ROWS
+from oracles import H24_ROWS, dense_rows
 
 
 def run_cli(capsys, *argv):
@@ -490,6 +491,58 @@ class TestHessenberg:
             if row
         ]
         assert tuple(rows) == H24_ROWS
+
+    # sha256 of every (argv, exit status, stdout, stderr) of the dump at
+    # n = 0..12 in one format, as ``dump_digest`` writes them
+    DUMP_PINS = {
+        "text": "3cd62ebe95478f3e55bed5b2b73bd41ce1c611bf9c8281087c8a0338a3793f20",
+        "json": "d6e8f2a70be1cdaecf5d7c8e64c8639afac513ee83fc15b8b2f6c6536dbdc29c",
+        "csv": "c5ac4613460581fb5410e7dbd8f1f2661f8f444beb1958f46081c72188202346",
+    }
+
+    @staticmethod
+    def dump_digest(capsys, fmt):
+        digest = hashlib.sha256()
+        for n in range(13):
+            argv = ["hessenberg", "--n", str(n), "--dump", "--format", fmt]
+            code, out, err = run_cli(capsys, *argv)
+            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("fmt", sorted(DUMP_PINS))
+    def test_dump_is_pinned_byte_for_byte(self, capsys, fmt):
+        assert self.dump_digest(capsys, fmt) == self.DUMP_PINS[fmt]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_dump_writes_each_row_before_the_next_is_built(self, monkeypatch, fmt):
+        """The dump holds one row at a time: row r is on stdout before the
+        window yields row r + 1."""
+        events = []
+        stream = triangular.hessenberg_for
+
+        def logged_rows(k):
+            for r, cells in enumerate(stream(k)):
+                events.append(("row", r))
+                yield cells
+
+        class LoggedStdout:
+            def write(self, text):
+                events.append(("write", text))
+                return len(text)
+
+        monkeypatch.setattr(triangular, "hessenberg_for", logged_rows)
+        monkeypatch.setattr(sys, "stdout", LoggedStdout())
+        assert cli.main(["hessenberg", "--n", "2", "--dump", "--format", fmt]) == 0
+        monkeypatch.undo()
+        k = triangular.origin_index(2)
+        dense = [[str(v) for v in row] for row in dense_rows(stream(k))]
+        starts = [i for i, (kind, _) in enumerate(events) if kind == "row"]
+        assert len(starts) == len(dense) == k - triangular.RHS_INDEX
+        # what is written between row r and row r + 1 holds row r
+        for r, (i, j) in enumerate(zip(starts, starts[1:] + [len(events)])):
+            written = "".join(text for _, text in events[i + 1:j])
+            line = json.dumps(dense[r]) if fmt == "json" else ",".join(dense[r]) + "\r\n"
+            assert line in written, r
 
 
 # One wrong coefficient in a printed row, and the fit that row belongs to:

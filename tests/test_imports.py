@@ -53,6 +53,10 @@ def run_fresh(code: str, *flags: str):
         (["count", "--m", "40", "--n1", "2"], BEYOND_DP | {"csv"}),
         (["count", "--m", "6", "--method", "det"], BEYOND_INTEGER),
         (["hessenberg", "--n", "1"], BEYOND_INTEGER),
+        # the dump writes its rows as strings, with no csv writer
+        (["hessenberg", "--n", "1", "--dump"], BEYOND_INTEGER | {"csv"}),
+        (["hessenberg", "--n", "1", "--dump", "--format", "csv"], BEYOND_INTEGER | {"csv"}),
+        (["hessenberg", "--n", "1", "--dump", "--format", "json"], BEYOND_INTEGER),
         # the origin's closed form is an integer quotient
         (["count", "--m", "6", "--method", "closed"], RATIONALS | {"dataclasses"}),
         (["count", "--m", "6", "--method", "solve"], BEYOND_INTEGER),

@@ -8,7 +8,6 @@ from gesselwalks import cli, triangular
 from gesselwalks.exact import binom_general, catalan
 from gesselwalks.triangular import (
     RHS_INDEX,
-    HessenbergMatrix,
     _admitted_columns,
     _coefficient_table,
     _kernel,
@@ -35,8 +34,11 @@ from oracles import (
     H24_ROWS,
     UNIVERSAL_SEQUENCES,
     cofactor_det,
+    dense_rows,
     gauss_det,
+    sparse_rows,
     unit_lower_inverse,
+    well_formed,
 )
 
 
@@ -141,30 +143,29 @@ class TestSolveForward:
 
 class TestHessenberg:
     def test_window_24_matches_frozen(self):
-        h = hessenberg_for(24)
-        assert h.size == 20
-        assert h.entries == H24_ROWS
-        assert h.well_formed()
+        dense = dense_rows(hessenberg_for(24))
+        assert len(dense) == 20
+        assert dense == H24_ROWS
+        assert well_formed(dense)
 
     def test_window_24_det(self):
         assert hessenberg_det(hessenberg_for(24)) == 2
 
     def test_smallest_window(self):
-        h = hessenberg_for(5)
-        assert h.size == 1
-        assert hessenberg_det(h) == h.entry(0, 0)
+        rows = list(hessenberg_for(5))
+        assert len(rows) == 1
+        assert hessenberg_det(rows) == dense_rows(rows)[0][0]
 
     def test_empty_window(self):
-        h = hessenberg_for(4)
-        assert h.size == 0
-        assert hessenberg_det(h) == 1
+        assert list(hessenberg_for(4)) == []
+        assert hessenberg_det(hessenberg_for(4)) == 1
 
     def test_below_smallest_rejected(self):
         with pytest.raises(ValueError, match=r"rho\(1,1\)"):
             hessenberg_for(3)
 
     def test_one_by_one(self):
-        assert hessenberg_det(HessenbergMatrix(1, ((7,),))) == 7
+        assert hessenberg_det([[(0, 7)]]) == 7
 
     def test_identity_like(self):
         size = 5
@@ -172,9 +173,9 @@ class TestHessenberg:
             tuple(1 if c in (r, r + 1) else 0 for c in range(size))
             for r in range(size)
         )
-        h = HessenbergMatrix(size, rows)
-        assert h.well_formed()
-        assert hessenberg_det(h) == 1
+        assert dense_rows([(r, 1)] for r in range(size)) == rows
+        assert well_formed(rows)
+        assert hessenberg_det(sparse_rows(rows)) == 1
         assert cofactor_det([list(r) for r in rows]) == 1
 
     def test_against_cofactor_oracle(self):
@@ -187,9 +188,9 @@ class TestHessenberg:
                 for c in range(min(r + 2, size)):
                     row[c] = 1 if c == r + 1 else rng.randint(-4, 4)
                 rows.append(tuple(row))
-            h = HessenbergMatrix(size, tuple(rows))
+            assert well_formed(rows)
             expected = cofactor_det([list(r) for r in rows])
-            assert hessenberg_det(h) == expected
+            assert hessenberg_det(sparse_rows(rows)) == expected
             assert gauss_det([list(r) for r in rows]) == expected
 
     def test_det_24_against_gauss(self):
@@ -364,12 +365,16 @@ class TestSparseBuilders:
             assert solve_forward(k_max).x == reference[: k_max + 1], k_max
 
     def test_origin_windows_match_dense_build(self):
+        """Each streamed row holds exactly the nonzero cells of the dense
+        window left of its superdiagonal, which is all ones."""
         for n in range(7):
             k = origin_index(n)
-            h = hessenberg_for(k)
-            assert h.size == k - RHS_INDEX
-            assert h.entries == dense_hessenberg(k), n
-            assert h.well_formed()
+            rows = list(hessenberg_for(k))
+            reference = dense_hessenberg(k)
+            assert len(rows) == k - RHS_INDEX
+            assert [sorted(cells) for cells in rows] == sparse_rows(reference), n
+            assert dense_rows(rows) == reference, n
+            assert well_formed(reference)
 
     def test_cross_pipeline_at_k_1200(self, capsys):
         code = cli.main(["verify", "--suite", "cross_pipeline", "--k-max", "1200"])
@@ -448,9 +453,8 @@ class TestSparseWindows:
         for n in range(12):
             k = origin_index(n)
             assert window_minors(k)[-1] == hessenberg_det(hessenberg_for(k)), n
-        h = hessenberg_for(origin_index(2))
-        blocks = [HessenbergMatrix(size, tuple(row[:size] for row in h.entries[:size]))
-                  for size in range(h.size + 1)]
+        dense = dense_hessenberg(origin_index(2))
+        blocks = [sparse_rows(row[:size] for row in dense[:size]) for size in range(len(dense) + 1)]
         assert window_minors(origin_index(2)) == [hessenberg_det(b) for b in blocks]
 
     def test_coefficient_c_is_read_only_under_nonzero_minors(self, monkeypatch):
@@ -458,7 +462,7 @@ class TestSparseWindows:
         nonzero minor: 10,770 reads at origin n = 11, where every cell of
         the window would be 65,813.  Every minor, zeros included, is the
         one of the Hessenberg recursion over every nonzero cell of the
-        dense window."""
+        streamed window."""
         calls = 0
 
         def counted(*args):
@@ -471,11 +475,7 @@ class TestSparseWindows:
         assert calls < 15_000
         for n in range(12):
             k = origin_index(n)
-            every_cell = _leading_minors(
-                [(c, e) for c, e in enumerate(row[: r + 1]) if e]
-                for r, row in enumerate(hessenberg_for(k).entries)
-            )
-            assert window_minors(k) == every_cell, n
+            assert window_minors(k) == _leading_minors(hessenberg_for(k)), n
 
     def test_minors_are_signed_solved_unknowns(self):
         """Cramer's rule, which gessel_via_determinant relies on: minor c of
@@ -491,11 +491,12 @@ class TestSparseWindows:
 
     def test_small_and_refused_windows(self):
         assert window_minors(RHS_INDEX) == [1]
-        assert window_minors(RHS_INDEX + 1) == [1, hessenberg_for(RHS_INDEX + 1).entry(0, 0)]
+        ((entry,),) = dense_rows(hessenberg_for(RHS_INDEX + 1))
+        assert window_minors(RHS_INDEX + 1) == [1, entry]
         with pytest.raises(ValueError, match=r"rho\(1,1\)"):
             window_minors(RHS_INDEX - 1)
 
-    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("n", range(7))
     def test_dump_prints_the_dense_window(self, capsys, n):
         """``hessenberg --dump`` in each format against the window built cell
         by cell from coefficient_c."""
