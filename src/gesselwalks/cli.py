@@ -17,7 +17,9 @@ runs one subcommand loads no others.  ``GRAMMAR`` states every subcommand
 and flag once.  ``read_args`` reads a well-formed command line from it, and
 argparse, which ``build_parser`` imports, answers only help and usage
 errors, so a well-formed run loads none of ``argparse``, ``gettext`` and
-``locale``: about 5 ms of a cold child (2 vCPUs, Python 3.11.7).
+``locale``: about 5 ms of a cold child (2 vCPUs, Python 3.11.7).  No run
+loads ``json`` either: ``_dumps`` writes the bytes of ``json.dumps`` for
+every report, which saves about 1.5 ms of each child that prints one.
 
 ``console_main``, the entry point of ``gessel-walks`` and of ``python -m
 gesselwalks.cli``, ends a plain run without the interpreter's teardown,
@@ -55,13 +57,51 @@ class UsageError(Exception):
     """Bad arguments or an unsupported combination; exits with status 2."""
 
 
+def _quote(text: str) -> str:
+    """``text`` as a JSON string, escaped by the stdlib's own escaper."""
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # an interpreter built without json's C accelerator
+        from json.encoder import encode_basestring_ascii as quote
+    return quote(text)
+
+
+def _dumps(value, indent: int | None = None, newline: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=indent)``, without the json
+    module, for a ``str``, ``int``, ``bool``, ``None``, ``list``, ``tuple`` or
+    dict with ``str`` keys of these; any other value raises TypeError.
+    ``newline`` is the line break and indent that an indented value nests in."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + " " * (indent or 0)
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("keys must be str")
+        brackets = "{}"
+        items = [f"{_quote(key)}: {_dumps(item, indent, inner)}" for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_dumps(item, indent, inner) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    if indent is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def _emit(fmt: str, text: str, record: dict,
           rows: Sequence[Sequence] | None = None, indent: int | None = None) -> None:
-    """Print one result as ``text``, as ``record`` in one JSON object, or as
-    csv ``rows``, by default the record's keys over its values."""
+    """Print one result as ``text``, as ``record`` in one JSON object, which
+    ``_dumps`` writes without the json module, or as csv ``rows``, by default
+    the record's keys over its values."""
     if fmt == "json":
-        import json
-        print(json.dumps(record, indent=indent))
+        print(_dumps(record, indent))
     elif fmt == "csv":
         import csv
         if rows is None:
@@ -178,8 +218,7 @@ def cmd_verify(args) -> int:
         where = f" for suite {args.suite}" if flag == _N else ""
         raise UsageError(f"{flag} must be {rule}{where}")
     report = run(size)
-    import json
-    print(json.dumps(report, indent=2))
+    print(_dumps(report, 2))
     return 0 if report["ok"] else 1
 
 
@@ -224,20 +263,17 @@ def cmd_table(args) -> int:
         raise UsageError("--m-max must be nonnegative")
     from . import walks
     write = sys.stdout.write
-    # one join and write per column, its records slice-assigned over shared n2
-    # keys; the bytes are those of csv.writer rows (\r\n line ends) and of
+    # one %-template and one write per column, over pieces shared by every
+    # column; the bytes are those of csv.writer rows (\r\n line ends) and of
     # json.dumps lines, and every slot of a column is a nonzero count
     as_csv = args.format == "csv"
     if as_csv:
         write("m,n1,n2,F\r\n")
     mid, end = (",", "\r\n") if as_csv else (', "F": "', '"}\n')
-    keys = [f"{n2}{mid}" for n2 in range(args.m_max + 1)]
+    pieces = [f"{n2}{mid}%d{end}" for n2 in range(args.m_max + 1)]
     for m, n1, counts in walks.columns(args.m_max):
         head = f"{m},{n1}," if as_csv else f'{{"m": {m}, "n1": {n1}, "n2": '
-        records = [head, None, None, end] * len(counts)
-        records[1::4] = keys[:len(counts)]
-        records[2::4] = map(str, counts)
-        write("".join(records))
+        write((head + head.join(pieces[:len(counts)])) % tuple(counts))
     return 0
 
 
@@ -250,10 +286,10 @@ def cmd_hessenberg(args) -> int:
     if args.dump:
         write = sys.stdout.write
         # each row written as the window yields it, zeros and superdiagonal filled in;
-        # the bytes are those of csv.writer rows (\r\n ends) and of one json.dumps record
+        # the bytes are those of csv.writer rows (\r\n ends) and of one json.dumps
+        # record, whose entries are all decimal strings
         as_json = args.format == "json"
         if as_json:
-            import json
             write(f'{{"n": {args.n}, "k": {k}, "size": {size}, "entries": [')
         for r, cells in enumerate(triangular.hessenberg_for(k)):
             row = ["0"] * (size + 1)  # + column k, the last row's diagonal
@@ -261,7 +297,8 @@ def cmd_hessenberg(args) -> int:
             for c, e in cells:
                 row[c] = str(e)
             row.pop()
-            write(f"{', ' if r else ''}{json.dumps(row)}" if as_json else ",".join(row) + "\r\n")
+            write((', ["' if r else '["') + '", "'.join(row) + '"]' if as_json
+                  else ",".join(row) + "\r\n")
         if as_json:
             write("]}\n")
     else:

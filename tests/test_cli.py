@@ -621,6 +621,42 @@ class TestAxisReaderPins:
         assert self.axis_digest(capsys, group) == self.AXIS_PINS[group]
 
 
+# the characters json escapes, DEL, non-ASCII, astral and a lone surrogate
+JSON_TEXT = st.text(st.characters() | st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\ud800\U0001d11e'))
+JSON_VALUES = st.recursive(
+    JSON_TEXT | st.integers() | st.integers(-2**300, 2**300) | st.booleans() | st.none(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """``cli._dumps``, which prints every report without the json module,
+    against ``json.dumps`` at the two indents the CLI uses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=JSON_VALUES, indent=st.sampled_from([None, 2]))
+    def test_matches_json_dumps(self, value, indent):
+        assert cli._dumps(value, indent) == json.dumps(value, indent=indent)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), [[], {}, ()], {"a": {}, "b": [()]}, {"": [{"": None}]},
+        ["\"\\\x00\x1f\x7f é \U0001d11e"], [10**40, -10**40, 0, -1, True, False, None],
+    ])
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_matches_json_dumps_at_the_edges(self, value, indent):
+        assert cli._dumps(value, indent) == json.dumps(value, indent=indent)
+
+    @pytest.mark.parametrize("value", [
+        1.5, {1, 2}, {1: "a"}, {None: 1}, {("k",): 1}, [0.0], {"a": [b"x"]},
+    ])
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_refuses_what_it_does_not_write(self, value, indent):
+        with pytest.raises(TypeError):
+            cli._dumps(value, indent)
+
+
 FROZEN = json.loads(Path(__file__).with_name("cli_frozen.json").read_text())
 
 
