@@ -4,11 +4,13 @@ next to the origin, exact polynomial fits for the excess families with
 their claimed structure, and the family suite that runs all of them.
 
 The families' cells, the prefactor c^n (q)_n / (k+2)_n, the P/Q weights
-and the printed rows are read from ``exact``.  ``verify_family_claims`` is
-a fit's one verdict, which ``fit`` and ``verify_families`` both read: its
-structure, and equality with its printed row (s_k and r_k with HOR's and
-VERT's, p_1 and q_1 with F201's).  ``fractions`` is imported by the
-functions that build rationals, so ``verify_gessel`` runs on integers alone.
+and the printed rows are read from ``exact``.  A fit solves one integer
+equation a sample by Bareiss's fraction-free elimination; ``Fraction`` is
+only a view for a library caller (``PolyFit.coeffs``, ``family_target``).
+``verify_family_claims`` is a fit's one verdict, which ``fit`` and
+``verify_families`` both read, by cross-multiplication: its structure, and
+equality with its printed row (s_k and r_k with HOR's and VERT's, p_1 and
+q_1 with F201's).
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .exact import ClosedFormFamily, conjectured_value, family_cell, gessel_closed_form
-from .exact import F201_ROWS, pq_weights, prefactor, printed_row, row_factor
-from .exact import _poly_at  # Horner's rule, shared with the printed forms
+from .exact import ClosedFormFamily, conjectured_ratio, family_cell, gessel_closed_form
+from .exact import F201_ROWS, pq_weights, printed_row, ratio_str, row_factor
+from .exact import _poly_at, _prefactor  # Horner's rule and the prefactor's integer pair
 from .walks import count_meet, count_walks, counts_along, f_tilde
 
 TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
@@ -125,31 +127,36 @@ class FitFamily(Enum):
     RT_K = "rt"  # boundary-transform vertical family f_tilde(2n+2k+1; 0, n)
 
 
-class PolyFit(namedtuple("PolyFit", "family k coeffs sample_points verified_extra")):
+class PolyFit(namedtuple("PolyFit",
+                         "family k numerators denominator sample_points verified_extra")):
     """An exactly interpolated polynomial from one of the ansatz families,
-    together with its validation record: ``coeffs`` in ascending powers of
-    n, the ``sample_points`` it was solved from, and ``verified_extra``
-    held-out points."""
+    together with its validation record: integer ``numerators`` in
+    ascending powers of n over one positive ``denominator``, in lowest
+    terms, the ``sample_points`` it was solved from, and ``verified_extra``
+    held-out points.  ``coeffs`` and its kin are Fraction views."""
 
     __slots__ = ()
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+        return tuple(Fraction(a, self.denominator) for a in self.numerators)
+
+    @property
     def degree(self) -> int:
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[d]:
-                return d
-        return 0
+        return max((d for d, a in enumerate(self.numerators) if a), default=0)
 
     @property
     def leading_coefficient(self) -> Fraction:
         return self.coeffs[self.degree]
 
     def evaluate(self, n: int | Fraction) -> Fraction:
-        return _poly_at(self.coeffs, n)
+        from fractions import Fraction
+        return Fraction(_poly_at(self.numerators, n), self.denominator)
 
     @property
     def divisible_by_n_plus_1(self) -> bool:
-        return self.evaluate(-1) == 0
+        return _poly_at(self.numerators, -1) == 0
 
 
 def claimed_degree(family: FitFamily, k: int) -> int:
@@ -162,60 +169,78 @@ def claimed_degree(family: FitFamily, k: int) -> int:
     }[family]
 
 
-def solve_linear_exact(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Gaussian elimination over Fraction; None when the system is singular."""
-    from fractions import Fraction
-    n = len(rows)
-    m = [list(row) + [rhs[r]] for r, row in enumerate(rows)]
+def _solve_integer(m: list[list[int]]) -> tuple[list[int], int] | None:
+    """Solve n integer equations (coefficients, then right side) by Bareiss's
+    fraction-free elimination, in place, each division exact: numerators
+    over the row-swapped system's determinant, or None if it is singular."""
+    n, prev = len(m), 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col]), None)
         if pivot is None:
             return None
         m[col], m[pivot] = m[pivot], m[col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] / m[col][col]
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    out = [Fraction(0)] * n
+        top, p = m[col], m[col][col]
+        for row in m[col + 1:]:
+            f = row[col]
+            row[col:] = [(v * p - f * t) // prev for v, t in zip(row[col:], top[col:])]
+        prev = p
+    x = [0] * n
     for r in range(n - 1, -1, -1):
-        acc = m[r][n]
-        for c in range(r + 1, n):
-            acc -= m[r][c] * out[c]
-        out[r] = acc / m[r][r]
-    return out
+        x[r] = (m[r][n] * prev - sum(m[r][c] * x[c] for c in range(r + 1, n))) // m[r][r]
+    return x, prev
+
+
+def solve_linear_exact(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """Solve over Fraction by ``_solve_integer``, each equation times the
+    lcm of its denominators; None when the system is singular."""
+    from fractions import Fraction
+    eqs = [[Fraction(v) for v in (*row, b)] for row, b in zip(rows, rhs)]
+    dens = [math.lcm(*(v.denominator for v in eq)) for eq in eqs]
+    sol = _solve_integer([[int(v * d) for v in eq] for eq, d in zip(eqs, dens)])
+    return None if sol is None else [Fraction(v, sol[1]) for v in sol[0]]
 
 
 # the fit families whose polynomials are printed rows of these families
 _PRINTED_AS = {FitFamily.S_K: ClosedFormFamily.HOR, FitFamily.R_K: ClosedFormFamily.VERT}
 
 
-def family_target(family: FitFamily, k: int, n: int) -> Fraction:
-    """Oracle value the ansatz must reproduce at n, with the prefactor
-    divided out exactly.  s_k and r_k divide the printed row's factor out
-    of the HOR and VERT cells.  P_K and Q_K share one target: the
+def _target(family: FitFamily, k: int, n: int) -> tuple[int, int]:
+    """Oracle value (an integer pair) the ansatz must reproduce at n, with
+    the prefactor divided out.  s_k and r_k divide the printed row's factor
+    out of the HOR and VERT cells.  P_K and Q_K share one target: the
     two-polynomial ansatz for F(2n; 0, k), which the pair matches jointly."""
-    from fractions import Fraction
     if family in _PRINTED_AS:
         printed = _PRINTED_AS[family]
-        return Fraction(count_walks(*family_cell(printed, k, n))) / row_factor(printed, k, n)
+        num, den = row_factor(printed, k, n)
+        return count_walks(*family_cell(printed, k, n)) * den, num
     if family is FitFamily.RT_K:
-        return f_tilde(2 * n + 2 * k + 1, 0, n) / prefactor(4, Fraction(1, 2), k, n)
-    return count_walks(2 * n, 0, k) / prefactor(16, Fraction(1, 2), k, n)
-
-
-def _ansatz_row(family: FitFamily, k: int, n: int) -> list[Fraction]:
-    """What each unknown coefficient is multiplied by in the ansatz at n:
-    the powers of n, weighted by wa for p and by wb for q in the joint P/Q
-    ansatz, with p's coefficients first."""
-    from fractions import Fraction
-    if family in (FitFamily.P_K, FitFamily.Q_K):
-        parts = tuple(zip(pq_weights(k, n), (FitFamily.P_K, FitFamily.Q_K)))
+        value, (num, den) = f_tilde(2 * n + 2 * k + 1, 0, n), _prefactor(4, 1, 2, k, n)
     else:
-        parts = ((Fraction(1), family),)
-    return [w * n**a for w, f in parts for a in range(claimed_degree(f, k) + 1)]
+        value, (num, den) = count_walks(2 * n, 0, k), _prefactor(16, 1, 2, k, n)
+    return value * den, num
+
+
+def family_target(family: FitFamily, k: int, n: int) -> Fraction:
+    """``_target`` as a Fraction."""
+    from fractions import Fraction
+    return Fraction(*_target(family, k, n))
+
+
+def _equation(family: FitFamily, k: int, n: int) -> list[int]:
+    """The ansatz at n as one integer equation: the powers of n that
+    multiply the unknowns (weighted by wa for p and wb for q in the joint
+    P/Q ansatz, p's first), then the target, times their common denominator."""
+    if family in (FitFamily.P_K, FitFamily.Q_K):
+        (a, b), (c, d) = pq_weights(k, n)
+        parts, den = ((a * d, FitFamily.P_K), (c * b, FitFamily.Q_K)), b * d
+    else:
+        parts, den = ((1, family),), 1
+    num, target_den = _target(family, k, n)
+    eq = [w * target_den * n**a for w, f in parts for a in range(claimed_degree(f, k) + 1)]
+    g = math.gcd(*eq, num * den)
+    return [v // g for v in (*eq, num * den)]
 
 
 def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
@@ -236,30 +261,35 @@ def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
     if family is FitFamily.R_K and k == 0:
         raise ValueError("r_0(n) = 1/(2n+1) is a closed form, not a polynomial fit")
     label = "p/q" if joint else family.value
-    samples = range(len(_ansatz_row(family, k, 0)))
-    rows = [_ansatz_row(family, k, n) for n in samples]
-    rhs = [family_target(family, k, n) for n in samples]
-    sol = solve_linear_exact(rows, rhs)
+    samples = range(len(_equation(family, k, 0)) - 1)  # a sample per unknown
+    sol = _solve_integer([_equation(family, k, n) for n in samples])
     if sol is None:
         raise FitError(f"ansatz inconsistent at ({label}, {k})")
-    for n in range(len(sol), len(sol) + held_out):
-        row = _ansatz_row(family, k, n)
-        if sum(c * w for c, w in zip(sol, row)) != family_target(family, k, n):
+    nums, den = sol
+    for n in range(len(nums), len(nums) + held_out):
+        *row, rhs = _equation(family, k, n)
+        if sum(c * w for c, w in zip(nums, row)) != rhs * den:
             raise FitError(f"conjecture fails at n={n} for ({label}, {k})")
     if joint:
         n_p = claimed_degree(FitFamily.P_K, k) + 1
-        sol = sol[:n_p] if family is FitFamily.P_K else sol[n_p:]
-    return PolyFit(family, k, tuple(sol), tuple(samples), held_out)
+        nums = nums[:n_p] if family is FitFamily.P_K else nums[n_p:]
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    return PolyFit(family, k, tuple(v // g for v in nums), den // g, tuple(samples), held_out)
 
 
 class FamilyClaims(namedtuple("FamilyClaims", (
         "family k degree_expected degree_actual degree_ok"
-        " leading_expected leading_ok divisible_by_n_plus_1 printed_ok"))):
-    """Which claims a fit satisfies: its degree, leading coefficient, (n+1)
-    divisibility and printed row.  Each field past ``degree_ok`` is None
-    where the family carries no such claim."""
+        " leading_denominator leading_ok divisible_by_n_plus_1 printed_ok"))):
+    """Which claims a fit satisfies: its degree, leading coefficient 1 /
+    ``leading_denominator``, (n+1) divisibility and printed row.  Each field
+    past ``degree_ok`` is None where the family carries no such claim."""
 
     __slots__ = ()
+
+    @property
+    def leading_expected(self) -> Fraction | None:
+        from fractions import Fraction
+        return self.leading_denominator and Fraction(1, self.leading_denominator)
 
     @property
     def ok(self) -> bool:
@@ -277,18 +307,18 @@ def _printed_fit(family: FitFamily, k: int) -> tuple[tuple[int, ...], int] | Non
 
 def verify_family_claims(fit: PolyFit) -> FamilyClaims:
     """Check claimed degree, leading coefficient, (n+1) divisibility and printed row."""
-    from fractions import Fraction
     deg_exp = claimed_degree(fit.family, fit.k)
-    leading_exp = leading_ok = divisible = None
+    leading_den = leading_ok = divisible = None
     if fit.family is FitFamily.S_K:
-        leading_exp = Fraction(1, math.factorial(fit.k) * math.factorial(fit.k + 1))
-        leading_ok = fit.leading_coefficient == leading_exp
+        leading_den = math.factorial(fit.k) * math.factorial(fit.k + 1)
+        leading_ok = fit.numerators[fit.degree] * leading_den == fit.denominator
     if fit.family in _PRINTED_AS and fit.k >= 1:  # the printed rows' (n+1)
         divisible = fit.divisible_by_n_plus_1
     row = _printed_fit(fit.family, fit.k)  # ascending integers over a denominator
-    printed = None if row is None else tuple(a * row[1] for a in fit.coeffs) == row[0]
+    printed = None if row is None else (
+        tuple(a * row[1] for a in fit.numerators) == tuple(a * fit.denominator for a in row[0]))
     return FamilyClaims(fit.family, fit.k, deg_exp, fit.degree, fit.degree == deg_exp,
-                        leading_exp, leading_ok, divisible, printed)
+                        leading_den, leading_ok, divisible, printed)
 
 
 def fit_report(fit: PolyFit, claims: FamilyClaims) -> dict:
@@ -297,15 +327,12 @@ def fit_report(fit: PolyFit, claims: FamilyClaims) -> dict:
         "family": fit.family.value,
         "k": fit.k,
         "degree": fit.degree,
-        "coeffs": [str(c) for c in fit.coeffs],
+        "coeffs": [ratio_str(a, fit.denominator) for a in fit.numerators],
         "claims": {
             "degree_expected": claims.degree_expected,
             "degree_ok": claims.degree_ok,
-            "leading_expected": (
-                str(claims.leading_expected)
-                if claims.leading_expected is not None
-                else None
-            ),
+            "leading_expected": (claims.leading_denominator
+                                 and ratio_str(1, claims.leading_denominator)),
             "leading_ok": claims.leading_ok,
             "divisible_by_n_plus_1": claims.divisible_by_n_plus_1,
             "printed_ok": claims.printed_ok,
@@ -350,9 +377,10 @@ def verify_families() -> dict:
         (ClosedFormFamily.HOR, range(4), 10),
     ):
         good = all(
-            conjectured_value(family, k, n) == count_walks(*family_cell(family, k, n))
+            num == den * count_walks(*family_cell(family, k, n))
             for k in ks
             for n in range(n_max + 1)
+            for num, den in [conjectured_ratio(family, k, n)]
         )
         closed[family.value] = {"n_max": n_max, "ok": good}
         ok = ok and good

@@ -1,12 +1,11 @@
 """Exact combinatorial arithmetic for quarter-plane walk counting.
 
-Everything here is pure and exact: integers are Python ints, rationals are
-``fractions.Fraction`` values kept in lowest terms.  Floating point never
-appears anywhere in the package.  ``fractions`` is imported by the
-functions that build rationals, so the integer pipelines and the origin's
-closed form start without it (and without ``decimal`` and ``numbers``).
+Everything here is pure and exact; floating point never appears in the
+package.  Each rational is one integer numerator/denominator pair, and
+``Fraction`` only a view a library caller asks for (``pochhammer``,
+``prefactor``, ``conjectured_value``): no command loads ``fractions``.
 Each family's cell is stated once, in ``family_cell`` (inverse
-``family_at``), and the factor c^n (q)_n / (k+2)_n once, in ``prefactor``.
+``family_at``), and the factor c^n (q)_n / (k+2)_n once, in ``_prefactor``.
 The printed polynomials are integer rows over a denominator: VERT's and
 HOR's past k = 0 in ``_PRINTED``, F201's p_1 and q_1 (weights
 ``pq_weights``) in ``F201_ROWS``.  ``conjectures.verify_family_claims``,
@@ -26,7 +25,7 @@ if TYPE_CHECKING:
 __all__ = [
     "binom_general", "pochhammer", "prefactor", "catalan", "gessel_closed_form",
     "ClosedFormFamily", "family_cell", "family_at", "printed_row", "row_factor",
-    "pq_weights", "F201_ROWS", "conjectured_value",
+    "pq_weights", "F201_ROWS", "conjectured_ratio", "conjectured_value", "ratio_str",
 ]
 
 
@@ -50,24 +49,36 @@ def binom_general(a: int, t: int) -> int:
     return -reflected if t % 2 else reflected
 
 
-def pochhammer(q: Fraction | int, n: int) -> Fraction:
-    """Rising factorial (q)_n = q(q+1)...(q+n-1), with (q)_0 = 1.
-
-    For q = p/d this is (p)(p+d)...(p+(n-1)d) / d^n: one integer product
-    and a single normalisation.
-    """
-    from fractions import Fraction
+def _rising(p: int, d: int, n: int) -> tuple[int, int]:
+    """(p/d)_n as the integer pair (p(p+d)...(p+(n-1)d), d^n)."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    q = Fraction(q)
-    p, d = q.numerator, q.denominator
-    return Fraction(math.prod(range(p, p + n * d, d)), d**n)
+    return math.prod(range(p, p + n * d, d)), d**n
+
+
+def pochhammer(q: Fraction | int, n: int) -> Fraction:
+    """Rising factorial (q)_n = q(q+1)...(q+n-1), with (q)_0 = 1."""
+    from fractions import Fraction
+    return Fraction(*_rising(*Fraction(q).as_integer_ratio(), n))
+
+
+def _prefactor(c: int, p: int, d: int, k: int, n: int) -> tuple[int, int]:
+    """c^n (p/d)_n / (k+2)_n as an integer pair: the hypergeometric factor of
+    the closed forms with excess k and of the fit targets, which divide it out."""
+    num, den = _rising(p, d, n)
+    return c**n * num, den * math.prod(range(k + 2, k + n + 2))
 
 
 def prefactor(c: int, q: Fraction, k: int, n: int) -> Fraction:
-    """c^n (q)_n / (k+2)_n: the hypergeometric factor of the closed forms
-    with excess k and of the fit targets, which divide it out."""
-    return c**n * pochhammer(q, n) / pochhammer(k + 2, n)
+    """c^n (q)_n / (k+2)_n, ``_prefactor`` as a Fraction."""
+    from fractions import Fraction
+    return Fraction(*_prefactor(c, *Fraction(q).as_integer_ratio(), k, n))
+
+
+def ratio_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a nonzero den, without the Fraction."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 def catalan(n: int) -> int:
@@ -158,21 +169,18 @@ def printed_row(family: ClosedFormFamily, k: int | None) -> tuple[tuple[int, ...
     return tuple(a + b for a, b in zip((*poly, 0), (0, *poly))), c
 
 
-def row_factor(family: ClosedFormFamily, k: int, n: int) -> Fraction | int:
-    """The factor of the printed (family, k) form besides its row:
-    4^n (3/2)_n / (k+2)_n for VERT, 1 for HOR."""
-    from fractions import Fraction
-    if family is ClosedFormFamily.VERT:
-        return prefactor(4, Fraction(3, 2), k, n)
-    return 1
+def row_factor(family: ClosedFormFamily, k: int, n: int) -> tuple[int, int]:
+    """The factor of the printed (family, k) form besides its row, as an
+    integer pair: 4^n (3/2)_n / (k+2)_n for VERT, 1 for HOR."""
+    return _prefactor(4, 3, 2, k, n) if family is ClosedFormFamily.VERT else (1, 1)
 
 
-def pq_weights(k: int, n: int) -> tuple[Fraction, Fraction]:
-    """The weights (7/6)_n / (k+4/3)_n of p_k and (5/6)_n / (k+5/3)_n of
-    q_k in the two-polynomial form of F(2n; 0, k) over its prefactor."""
-    from fractions import Fraction
-    return (pochhammer(Fraction(7, 6), n) / pochhammer(Fraction(3 * k + 4, 3), n),
-            pochhammer(Fraction(5, 6), n) / pochhammer(Fraction(3 * k + 5, 3), n))
+def pq_weights(k: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The integer pairs of the weights (7/6)_n / (k+4/3)_n of p_k and (5/6)_n
+    / (k+5/3)_n of q_k in the two-polynomial form of F(2n; 0, k) over its prefactor."""
+    (a, b), (c, d) = _rising(7, 6, n), _rising(3 * k + 4, 3, n)
+    (e, f), (g, h) = _rising(5, 6, n), _rising(3 * k + 5, 3, n)
+    return (a * d, b * c), (e * h, f * g)
 
 
 # F201 is prefactor(16, 1/2, 1, n) (p_1(n) wa + q_1(n) wb), (wa, wb) being
@@ -180,27 +188,31 @@ def pq_weights(k: int, n: int) -> tuple[Fraction, Fraction]:
 F201_ROWS = {"p": ((5,), 27), "q": ((-50, 183, 111), 270)}
 
 
-def conjectured_value(family: ClosedFormFamily, k: int | None, n: int) -> Fraction:
-    """Evaluate one of the printed conjectural closed forms exactly.
-
-    k selects the excess within the VERT and HOR families and must lie in
-    the printed range 0..3; the F201 family takes k=None.  Combinations
-    without a printed formula raise ValueError.
-    """
-    from fractions import Fraction
+def conjectured_ratio(family: ClosedFormFamily, k: int | None, n: int) -> tuple[int, int]:
+    """Evaluate one of the printed conjectural closed forms exactly, as an
+    integer numerator over a positive denominator.  k selects the excess
+    within the VERT and HOR families and must lie in the printed range
+    0..3; the F201 family takes k=None.  Combinations without a printed
+    formula raise ValueError."""
     if n < 0:
         raise ValueError("conjectured_value needs n >= 0")
-    half = Fraction(1, 2)
     if family is ClosedFormFamily.F201:
         if k is not None:
             raise ValueError("formula not displayed: F201 takes k=None")
-        return prefactor(16, half, 1, n) * sum(
-            Fraction(_poly_at(poly, n), c) * w
-            for (poly, c), w in zip(F201_ROWS.values(), pq_weights(1, n)))
+        (a, b), (c, d) = ((_poly_at(poly, n) * w, den * v) for (poly, den), (w, v)
+                          in zip(F201_ROWS.values(), pq_weights(1, n)))
+        num, den = _prefactor(16, 1, 2, 1, n)
+        return num * (a * d + c * b), den * b * d
     if k == 0:
-        return prefactor(4, half, 0, n) if family is ClosedFormFamily.VERT else Fraction(1)
+        return _prefactor(4, 1, 2, 0, n) if family is ClosedFormFamily.VERT else (1, 1)
     row = printed_row(family, k)
     if row is None:
         raise ValueError(f"formula not displayed for ({family.name}, k={k})")
-    coeffs, c = row
-    return Fraction(_poly_at(coeffs, n), c) * row_factor(family, k, n)
+    (coeffs, c), (num, den) = row, row_factor(family, k, n)
+    return _poly_at(coeffs, n) * num, c * den
+
+
+def conjectured_value(family: ClosedFormFamily, k: int | None, n: int) -> Fraction:
+    """``conjectured_ratio`` as a Fraction."""
+    from fractions import Fraction
+    return Fraction(*conjectured_ratio(family, k, n))

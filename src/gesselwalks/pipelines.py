@@ -16,10 +16,9 @@ Other modules are called through their module attributes, never imported
 by name, so a wrapper installed on, say, ``walks.count_walks`` sees every
 call made from here.  ``exact`` and ``triangular`` are imported by the
 functions that call them, so a ``dp`` count loads neither.  A ``det``,
-``solve`` or ``multisum`` count loads both, but not ``fractions``: its
-entries are integers, and ``exact`` imports ``fractions`` only in the
-closed forms with rational factors, which a ``closed`` count evaluates
-off the origin past its shortest walk.
+``solve`` or ``multisum`` count loads both.  No count loads
+``fractions``: the entries are integers, and a ``closed`` count divides
+its form's integer numerator by its denominator and checks the remainder.
 """
 
 from __future__ import annotations
@@ -88,14 +87,14 @@ def _count_closed(m: int, n1: int, n2: int) -> int:
         return exact.gessel_closed_form(m // 2)
     try:
         shape = exact.family_at(m, n1, n2)
-        value = exact.conjectured_value(*shape)
+        num, den = exact.conjectured_ratio(*shape)
     except ValueError:  # off the axes, or no printed form at this excess
         raise NotCovered(f"no closed form covers F({m}; {n1}, {n2})") from None
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"the {shape[0].value} closed form evaluated to the non-integer {value}"
-        )
-    return value.numerator
+    value, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"the {shape[0].value} closed form evaluated to "
+                              f"the non-integer {exact.ratio_str(num, den)}")
+    return value
 
 
 def _count_solve(m: int, n1: int, n2: int) -> int:

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gesselwalks import cli, conjectures, exact, walks
 from gesselwalks.conjectures import (
@@ -50,6 +51,101 @@ R_EXPECTED = {
 }
 P1_EXPECTED = (Fraction(5, 27),)
 Q1_EXPECTED = (Fraction(-50, 270), Fraction(183, 270), Fraction(111, 270))
+
+
+def reference_solve(rows, rhs):
+    """Gaussian elimination over Fraction, the fits' solver before they
+    became integer-only; the reference the integer elimination must match."""
+    n = len(rows)
+    m = [list(row) + [rhs[r]] for r, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] / m[col][col]
+                for c in range(col, n + 1):
+                    m[r][c] -= f * m[col][c]
+    out = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = m[r][n]
+        for c in range(r + 1, n):
+            acc -= m[r][c] * out[c]
+        out[r] = acc / m[r][r]
+    return out
+
+
+def rising(q, n):
+    """(q)_n by its definition."""
+    return math.prod((Fraction(q) + j for j in range(n)), start=Fraction(1))
+
+
+def reference_target(family, k, n):
+    """The fit target over Fraction, each prefactor c^n (q)_n / (k+2)_n by
+    its definition and each count read from walks."""
+    def pre(c, q):
+        return c**n * rising(q, n) / rising(k + 2, n)
+    if family is FitFamily.S_K:
+        return Fraction(walks.count_walks(n + 2 * k, n, 0))
+    if family is FitFamily.R_K:
+        return walks.count_walks(2 * n + 2 * k, 0, n) / pre(4, Fraction(3, 2))
+    if family is FitFamily.RT_K:
+        return walks.f_tilde(2 * n + 2 * k + 1, 0, n) / pre(4, Fraction(1, 2))
+    return walks.count_walks(2 * n, 0, k) / pre(16, Fraction(1, 2))
+
+
+def reference_row(family, k, n):
+    """The ansatz row over Fraction: powers of n, weighted by (7/6)_n /
+    (k+4/3)_n for p and (5/6)_n / (k+5/3)_n for q in the joint P/Q ansatz."""
+    if family in (FitFamily.P_K, FitFamily.Q_K):
+        parts = ((rising(Fraction(7, 6), n) / rising(k + Fraction(4, 3), n), FitFamily.P_K),
+                 (rising(Fraction(5, 6), n) / rising(k + Fraction(5, 3), n), FitFamily.Q_K))
+    else:
+        parts = ((Fraction(1), family),)
+    return [w * n**a for w, f in parts for a in range(claimed_degree(f, k) + 1)]
+
+
+def reference_fit(family, k, held_out=5):
+    """The coefficients fitted over Fraction, each held-out point checked."""
+    size = len(reference_row(family, k, 0))
+    sol = reference_solve([reference_row(family, k, n) for n in range(size)],
+                          [reference_target(family, k, n) for n in range(size)])
+    for n in range(size, size + held_out):
+        row = reference_row(family, k, n)
+        assert sum(c * w for c, w in zip(sol, row)) == reference_target(family, k, n), n
+    if family in (FitFamily.P_K, FitFamily.Q_K):
+        n_p = claimed_degree(FitFamily.P_K, k) + 1
+        sol = sol[:n_p] if family is FitFamily.P_K else sol[n_p:]
+    return tuple(sol)
+
+
+def reference_claims(family, k, coeffs):
+    """Degree, leading coefficient, (n+1) divisibility and printed row, over Fraction."""
+    degree = max((d for d, c in enumerate(coeffs) if c), default=0)
+    leading = leading_ok = divisible = printed = None
+    if family is FitFamily.S_K:
+        leading = Fraction(1, math.factorial(k) * math.factorial(k + 1))
+        leading_ok = coeffs[degree] == leading
+    if family in (FitFamily.S_K, FitFamily.R_K) and k >= 1:
+        divisible = sum(c * (-1) ** a for a, c in enumerate(coeffs)) == 0
+    rows = {FitFamily.S_K: S_EXPECTED, FitFamily.R_K: R_EXPECTED}
+    if family in rows and k in rows[family] and (family, k) != (FitFamily.S_K, 0):
+        printed = coeffs == rows[family][k]
+    elif k == 1 and family in (FitFamily.P_K, FitFamily.Q_K):
+        printed = coeffs == (P1_EXPECTED if family is FitFamily.P_K else Q1_EXPECTED)
+    return (claimed_degree(family, k), degree, degree == claimed_degree(family, k),
+            leading, leading_ok, divisible, printed)
+
+
+# FAMILY_PLAN, and each (family, k) the verify-export benchmark draws
+DIFFERENTIAL = sorted({
+    *conjectures.FAMILY_PLAN,
+    *((FitFamily.S_K, k) for k in range(5)), *((FitFamily.R_K, k) for k in range(1, 5)),
+    *((FitFamily.RT_K, k) for k in range(4)), *((FitFamily.P_K, k) for k in range(1, 4)),
+    *((FitFamily.Q_K, k) for k in range(1, 4)),
+}, key=lambda member: (member[0].value, member[1]))
 
 
 class TestVerifyGessel:
@@ -161,6 +257,34 @@ class TestSolveLinearExact:
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         assert solve_linear_exact(rows, [Fraction(0), Fraction(0)]) is None
 
+    @pytest.mark.parametrize("equations", [
+        [[1, 2, 0], [2, 4, 0]],
+        [[0, 0, 1], [0, 3, 2]],
+        # the first column has pivots; the second runs out of them only after it
+        [[1, 2, 3, 1], [2, 4, 7, 1], [3, 6, 10, 2]],
+    ])
+    def test_singular_integer_system_gives_none(self, equations):
+        assert conjectures._solve_integer(equations) is None
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=n + 1, max_size=n + 1),
+        min_size=n, max_size=n)))
+    def test_integer_elimination_matches_the_fraction_reference(self, equations):
+        # small entries make singular systems common, so both outcomes are drawn
+        want = reference_solve([[Fraction(v) for v in eq[:-1]] for eq in equations],
+                               [Fraction(eq[-1]) for eq in equations])
+        got = conjectures._solve_integer([list(eq) for eq in equations])
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and [Fraction(v, got[1]) for v in got[0]] == want
+
+    @given(st.lists(st.lists(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 9)),
+                             min_size=3, max_size=3), min_size=2, max_size=2))
+    def test_fraction_view_matches_the_reference(self, equations):
+        rows, rhs = [eq[:2] for eq in equations], [eq[2] for eq in equations]
+        assert solve_linear_exact(rows, rhs) == reference_solve(rows, rhs)
+
 
 class TestFits:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -235,6 +359,10 @@ class TestFits:
             (FitFamily.S_K, (7, 5, 0), r"conjecture fails at n=5 for \(s, 1\)"),
             (FitFamily.P_K, (12, 0, 1), r"conjecture fails at n=6 for \(p/q, 1\)"),
             (FitFamily.Q_K, (12, 0, 1), r"conjecture fails at n=6 for \(p/q, 1\)"),
+            # the last held-out point of r_1 (samples 0..1)
+            (FitFamily.R_K, (14, 0, 6), r"conjecture fails at n=6 for \(r, 1\)$"),
+            # a sample point: s_1's fit is wrong from the first held-out point on
+            (FitFamily.S_K, (3, 1, 0), r"conjecture fails at n=3 for \(s, 1\)$"),
         ],
     )
     def test_held_out_check_in_fit_family(self, monkeypatch, family, walk, message):
@@ -246,6 +374,32 @@ class TestFits:
         )
         with pytest.raises(FitError, match=message):
             fit_family(family, 1)
+
+    def test_held_out_check_reads_f_tilde(self, monkeypatch):
+        # rt_1 solves samples 0..3; f_tilde(13; 0, 5) is its value at n = 5
+        real = conjectures.f_tilde
+        monkeypatch.setattr(conjectures, "f_tilde", lambda *t: real(*t) + (t == (13, 0, 5)))
+        with pytest.raises(FitError, match=r"conjecture fails at n=5 for \(rt, 1\)$"):
+            fit_family(FitFamily.RT_K, 1)
+
+
+@pytest.mark.parametrize("family, k", DIFFERENTIAL, ids=lambda v: getattr(v, "value", v))
+def test_integer_fit_equals_the_fraction_reference(family, k):
+    """Coefficients and every claim of the integer fit, against the fit
+    and claims recomputed over Fraction."""
+    want = reference_fit(family, k)
+    fit = fit_family(family, k)
+    assert fit.coeffs == want
+    assert all(type(c) is Fraction for c in fit.coeffs)
+    assert fit.denominator > 0 and math.gcd(fit.denominator, *fit.numerators) == 1
+    claims = verify_family_claims(fit)
+    assert (claims.degree_expected, claims.degree_actual, claims.degree_ok,
+            claims.leading_expected, claims.leading_ok, claims.divisible_by_n_plus_1,
+            claims.printed_ok) == reference_claims(family, k, want)
+    report = fit_report(fit, claims)
+    assert report["coeffs"] == [str(c) for c in want]
+    assert report["claims"]["leading_expected"] == (
+        None if claims.leading_expected is None else str(claims.leading_expected))
 
 
 class TestClaims:
@@ -315,6 +469,24 @@ class TestFamiliesAgainstThePrintedTable:
         failed = [(f["family"], f["k"]) for f in report["fits"] if not f["ok"]]
         assert failed == [("r", 2)]
         assert report["ok"] is False
+
+    @pytest.mark.parametrize("family, argv, value", [
+        # (n+1) (P_2(n) + 1) / 12 at n = 15, HOR k = 2
+        (exact.ClosedFormFamily.HOR, ["--m", "19", "--n1", "15"],
+         Fraction(16 * (133 + 74 * 15 + 15 * 15**2 + 15**3), 12)),
+        # (n+1) (P_2(n) + 1) / 3 times 4^n (3/2)_n / (4)_n at n = 12, VERT k = 2
+        (exact.ClosedFormFamily.VERT, ["--m", "28", "--n2", "12"],
+         Fraction(13 * (34 + 32 * 12 + 8 * 12**2), 3) * 4**12 * rising(Fraction(3, 2), 12)
+         / rising(4, 12)),
+    ])
+    def test_printed_row_with_a_remainder_fails_the_closed_count(self, monkeypatch, family,
+                                                                 argv, value):
+        poly, c = exact._PRINTED[family, 2]
+        monkeypatch.setitem(exact._PRINTED, (family, 2), ((poly[0] + 1, *poly[1:]), c))
+        assert value.denominator != 1
+        message = f"the {family.value} closed form evaluated to the non-integer {value}"
+        with pytest.raises(ArithmeticError, match=f"^{message}$"):
+            cli.main(["count", *argv, "--method", "closed"])
 
     def test_dp_count_past_the_fit_points_fails_the_closed_forms(self, monkeypatch):
         # VERT k = 1 at n = 9 is F(20; 0, 9); r_1's points stop at n = 6

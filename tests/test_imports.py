@@ -19,7 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SUBMODULES = ("walks", "exact", "series", "triangular", "conjectures", "pipelines")
 
-# rationals: only the closed forms off the origin, fits and families build them
+# rationals: only the library's Fraction views (pochhammer, conjectured_value,
+# PolyFit.coeffs, ...) load them; every subcommand computes with integer pairs
 RATIONALS = {"fractions", "decimal", "numbers"}
 # modules that only other subcommands need
 BEYOND_DP = RATIONALS | {
@@ -63,14 +64,24 @@ def run_fresh(code: str, *flags: str):
         (["verify", "--suite", "gessel", "--N", "5"], RATIONALS | {"dataclasses"}),
         (["verify", "--suite", "kernel", "--caps", "4,4,4"], RATIONALS | {"dataclasses"}),
         (["verify", "--suite", "cross_pipeline", "--k-max", "24"], BEYOND_INTEGER),
-        (["verify", "--suite", "families"], {"dataclasses"}),
+        (["verify", "--suite", "families"], RATIONALS | {"dataclasses"}),
         (["universal", "--i", "2"], {"dataclasses"}),
-        (["fit", "--family", "r", "--k", "1"], {"dataclasses", "csv"}),
+        # a fit is an integer elimination, printed as reduced integer ratios
+        (["fit", "--family", "r", "--k", "1"], RATIONALS | {"dataclasses", "csv"}),
+        (["fit", "--family", "s", "--k", "2"], RATIONALS | {"dataclasses", "csv"}),
+        (["fit", "--family", "rt", "--k", "1"], RATIONALS | {"dataclasses", "csv"}),
+        (["fit", "--family", "p", "--k", "3"], RATIONALS | {"dataclasses", "csv"}),
+        (["fit", "--family", "q", "--k", "2"], RATIONALS | {"dataclasses", "csv"}),
         (["table", "--m-max", "3"], RATIONALS | {"dataclasses", "csv"}),
         (["table", "--m-max", "3", "--format", "csv"], RATIONALS | {"csv"}),
         (["count", "--m", "24", "--n2", "1", "--method", "solve"], BEYOND_INTEGER),
         (["count", "--m", "4", "--method", "multisum", "--max-span", "56"],
          BEYOND_INTEGER),
+        # the closed forms off the origin: F201, VERT and HOR, each an integer
+        # numerator divided by its denominator with a remainder check
+        (["count", "--m", "30", "--n2", "1", "--method", "closed"], RATIONALS | {"dataclasses"}),
+        (["count", "--m", "34", "--n2", "15", "--method", "closed"], RATIONALS | {"dataclasses"}),
+        (["count", "--m", "19", "--n1", "15", "--method", "closed"], RATIONALS | {"dataclasses"}),
         # a target at its shortest walk is answered without a closed form
         (["count", "--m", "15", "--n1", "15", "--method", "closed"],
          RATIONALS | {"dataclasses", "gesselwalks.exact"}),
@@ -153,20 +164,26 @@ def test_usage_error_loads_argparse():
 
 def test_library_integer_calls_load_no_rationals():
     """The library's integer entry points, the origin's closed form among
-    them, start without ``fractions``; the other closed forms still import
-    it and return ``Fraction`` values."""
+    them, and a fit with its claims start without ``fractions``; the views
+    a caller asks a rational of import it and return ``Fraction`` values."""
     integers, loaded, rationals = run_fresh(f"""
         import json, sys
         import gesselwalks as g
-        integers = [g.gessel_via_determinant(3), g.binom_general(-3, 4), g.gessel_closed_form(4)]
+        fit = g.fit_family(g.FitFamily.S_K, 1)
+        claims = g.verify_family_claims(fit)
+        integers = [g.gessel_via_determinant(3), g.binom_general(-3, 4), g.gessel_closed_form(4),
+                    [*fit.numerators, fit.denominator], claims.ok]
         loaded = sorted({sorted(RATIONALS)!r} & sys.modules.keys())
         from fractions import Fraction
-        rationals = [g.pochhammer(3, 2), g.conjectured_value(g.ClosedFormFamily.HOR, 1, 2)]
+        rationals = [g.pochhammer(3, 2), g.conjectured_value(g.ClosedFormFamily.HOR, 1, 2),
+                     fit.coeffs[1], fit.leading_coefficient, fit.evaluate(Fraction(1, 2)),
+                     claims.leading_expected]
         print(json.dumps([integers, loaded, [[type(v) is Fraction, str(v)] for v in rationals]]))
     """)
-    assert integers == [85, 15, 782]
+    assert integers == [85, 15, 782, [4, 5, 1, 2], True]
     assert loaded == []
-    assert rationals == [[True, "12"], [True, "9"]]
+    assert rationals == [[True, "12"], [True, "9"], [True, "5/2"], [True, "1/2"],
+                         [True, "27/8"], [True, "1/2"]]
 
 
 def test_star_import_binds_each_name_to_its_home():
