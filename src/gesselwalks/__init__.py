@@ -21,6 +21,7 @@ __version__ = "0.1.0"
 _HOME = {
     "count": "pipelines",
     "NotCovered": "pipelines",
+    "CheckReport": "pipelines",
     "reachable": "walks",
     "count_walks": "walks",
     "shortest_walk": "walks",
@@ -34,7 +35,6 @@ _HOME = {
     "ClosedFormFamily": "exact",
     "conjectured_value": "exact",
     "TruncSeries3": "series",
-    "CheckReport": "series",
     "build_G": "series",
     "build_K": "series",
     "build_H": "series",

@@ -37,9 +37,9 @@ returns.  ``main`` only returns the status, for callers in process.
 from __future__ import annotations
 
 import atexit
+import importlib
 import os
 import sys
-from functools import partial
 from types import SimpleNamespace
 
 from . import pipelines
@@ -136,74 +136,26 @@ def _parse_caps(text: str) -> tuple[int, int, int]:
         raise UsageError(f"bad --caps value {text!r}") from None
 
 
-def _first(found, *names) -> dict | None:
-    """A suite's first counterexample: where it is, then its values as strings."""
-    if found is None:
-        return None
-    return dict(zip(names, [found[0], *map(str, found[1:])]))
-
-
-def _gessel(n_max: int) -> dict:
-    from . import conjectures
-    check = conjectures.verify_gessel(n_max)
-    return {"suite": "gessel", "n_max": check.n_max, "ok": check.ok,
-            "first_mismatch": _first(check.first_mismatch, "n", "dp", "closed")}
-
-
-def _series(suite: str, check: str, caps: tuple[int, int, int]) -> dict:
-    """The report of the three series suites; ``check`` names the ``series``
-    function that runs one."""
-    from . import series
-    report = getattr(series, check)(caps)
-    if report.nonzero == 0:
-        raise UsageError(
-            f"--caps {','.join(map(str, caps))} leave the {suite} check nothing "
-            f"to compare (window {','.join(map(str, report.window))})"
-        )
-    return {"suite": suite, "caps": caps, "ok": report.ok, "window": report.window,
-            "compared": report.compared, "nonzero": report.nonzero,
-            "first_mismatch": _first(report.first_mismatch, "monomial", "lhs", "rhs")}
-
-
-def _cross_pipeline(k_max: int) -> dict:
-    try:
-        return pipelines.verify_cross_pipeline(k_max)
-    except ValueError as exc:  # a k_max that would cross-check no count
-        raise UsageError(f"--k-max {k_max} refused: {exc}") from None
-
-
-def _recurrence_g(n_max: int) -> dict:
-    from . import conjectures
-    check = conjectures.verify_recurrence_g(n_max)
-    return {"suite": "recurrence_g", "range_checked": check.range_checked,
-            "ok": check.holds,
-            "first_failure": _first(check.first_failure, "n", "residual")}
-
-
-def _families(_: None) -> dict:
-    from . import conjectures
-    return conjectures.verify_families()
-
-
 # the flags that size a suite; the three series suites share one size
 _N, _K_MAX, _CAPS = "--N", "--k-max", "--caps"
 _SERIES_SIZE = (_CAPS, "10,10,10", 0)
 
 # suite -> (the one flag that sizes it, the default size, the flag's lower
-# bound, the call that runs it); a suite refuses the other sizing flags
+# bound, the module and the function that run it); a suite refuses the
+# other sizing flags
 _SUITES = {
-    "gessel": (_N, 16, 1, _gessel),
-    "kernel": (*_SERIES_SIZE, partial(_series, "kernel", "verify_kernel_equation")),
-    "hkernel": (*_SERIES_SIZE, partial(_series, "hkernel", "verify_H_equation")),
-    "root": (*_SERIES_SIZE, partial(_series, "root", "verify_root_identity")),
-    "cross_pipeline": (_K_MAX, 200, 0, _cross_pipeline),
-    "recurrence_g": (_N, 30, 1, _recurrence_g),
-    "families": (None, None, None, _families),
+    "gessel": (_N, 16, 1, "conjectures", "verify_gessel"),
+    "kernel": (*_SERIES_SIZE, "series", "verify_kernel_equation"),
+    "hkernel": (*_SERIES_SIZE, "series", "verify_H_equation"),
+    "root": (*_SERIES_SIZE, "series", "verify_root_identity"),
+    "cross_pipeline": (_K_MAX, 200, 0, "pipelines", "verify_cross_pipeline"),
+    "recurrence_g": (_N, 30, 1, "conjectures", "verify_recurrence_g"),
+    "families": (None, None, None, "conjectures", "verify_families"),
 }
 
 
 def cmd_verify(args) -> int:
-    flag, default, low, run = _SUITES[args.suite]
+    flag, default, low, home, func = _SUITES[args.suite]
     given = {name: getattr(args, _dest(name)) for name in (_N, _K_MAX, _CAPS)}
     for other, value in given.items():
         if value is not None and other != flag:
@@ -217,9 +169,21 @@ def cmd_verify(args) -> int:
         # --N sizes two suites, so its refusal names the suite
         where = f" for suite {args.suite}" if flag == _N else ""
         raise UsageError(f"{flag} must be {rule}{where}")
-    report = run(size)
-    print(_dumps(report, 2))
-    return 0 if report["ok"] else 1
+    sized = f"{flag} {','.join(map(str, values))}" if flag else "the defaults"
+    run = getattr(importlib.import_module(f".{home}", __package__), func)
+    try:
+        check = run() if flag is None else run(size)
+    except ValueError as exc:  # a size that the suite itself refuses
+        raise UsageError(f"{sized} refused: {exc}") from None
+    if check.nonzero == 0:  # a pass would be vacuous
+        window = check.detail.get("window")
+        raise UsageError(f"{sized} leave the {args.suite} check nothing to compare"
+                         + (f" (window {','.join(map(str, window))})" if window else ""))
+    # the one report layout: the suite, its detail, then the verdict and its counts
+    print(_dumps({"suite": check.suite, **check.detail, "ok": check.ok,
+                  "compared": check.compared, "nonzero": check.nonzero,
+                  "first_mismatch": check.first_mismatch}, 2))
+    return 0 if check.ok else 1
 
 
 # ------------------------------------------------------------ other cmds

@@ -2,6 +2,8 @@
 comparison against the oracle, the second-order recurrence for the counts
 next to the origin, exact polynomial fits for the excess families with
 their claimed structure, and the family suite that runs all of them.
+The three suites, ``verify_gessel``, ``verify_recurrence_g`` and
+``verify_families``, return ``pipelines.CheckReport``.
 
 The families' cells, the prefactor c^n (q)_n / (k+2)_n, the P/Q weights
 and the printed rows are read from ``exact``.  A fit solves one integer
@@ -22,6 +24,7 @@ from enum import Enum
 from .exact import ClosedFormFamily, conjectured_ratio, family_cell, gessel_closed_form
 from .exact import F201_ROWS, pq_weights, printed_row, ratio_str, row_factor
 from .exact import _poly_at, _prefactor  # Horner's rule and the prefactor's integer pair
+from .pipelines import CheckReport
 from .walks import count_meet, count_walks, counts_along, f_tilde
 
 TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
@@ -30,8 +33,8 @@ if TYPE_CHECKING:
     from typing import Callable, Sequence
 
 __all__ = [
-    "FitError", "GesselCheck", "verify_gessel", "G_RECURRENCE_POLYS",
-    "recurrence_residual", "default_g", "RecurrenceCheck", "verify_recurrence_g",
+    "FitError", "verify_gessel", "G_RECURRENCE_POLYS",
+    "recurrence_residual", "default_g", "verify_recurrence_g",
     "FitFamily", "PolyFit", "claimed_degree", "family_target", "fit_family",
     "FamilyClaims", "verify_family_claims", "fit_report", "solve_linear_exact",
     "FAMILY_PLAN", "verify_families",
@@ -42,22 +45,24 @@ class FitError(ValueError):
     """An ansatz could not be fitted or failed held-out validation."""
 
 
-# first_mismatch is None or (n, oracle, closed form)
-GesselCheck = namedtuple("GesselCheck", "n_max ok first_mismatch")
-
-
-def verify_gessel(n_max: int) -> GesselCheck:
+def verify_gessel(n_max: int) -> CheckReport:
     """Compare the dynamic-programming counts F(2n; 0, 0) with the closed
-    form for 0 <= n <= n_max, all read from one cone pass to (2 n_max, 0, 0)."""
+    form for 0 <= n <= n_max, all read from one cone pass to (2 n_max, 0, 0).
+
+    ``compared`` counts the n values checked, up to and including the first
+    mismatch, and ``nonzero`` those where the dp or the closed form is
+    nonzero."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     along = counts_along(2 * n_max, 0, 0)
+    nonzero, first = 0, None
     for n in range(n_max + 1):
-        dp = along[2 * n]
-        cf = gessel_closed_form(n)
+        dp, cf = along[2 * n], gessel_closed_form(n)
+        nonzero += bool(dp or cf)
         if cf != dp:
-            return GesselCheck(n_max, False, (n, dp, cf))
-    return GesselCheck(n_max, True, None)
+            first = {"n": n, "dp": str(dp), "closed": str(cf)}
+            break
+    return CheckReport("gessel", n + 1, nonzero, first, {"n_max": n_max})
 
 
 # Coefficient polynomials (ascending powers of n) of the conjectured
@@ -76,6 +81,13 @@ def default_g(n: int) -> int:
     return count_meet(2 * n + 1, 1, 0)
 
 
+def _recurrence_terms(n: int, g: Callable[[int], int]) -> list[int]:
+    """The terms of the recurrence at n, each coefficient times its g value,
+    skipping those whose coefficient polynomial vanishes at n."""
+    return [c * g(arg) for poly, arg in zip(G_RECURRENCE_POLYS, (n + 1, n, n - 1))
+            if (c := _poly_at(poly, n))]
+
+
 def recurrence_residual(n: int, g: Callable[[int], int] | None = None) -> int:
     """Residual of the second-order recurrence at n.
 
@@ -85,38 +97,31 @@ def recurrence_residual(n: int, g: Callable[[int], int] | None = None) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    g = g or default_g
-    acc = 0
-    for poly, arg in zip(G_RECURRENCE_POLYS, (n + 1, n, n - 1)):
-        c = _poly_at(poly, n)
-        if c:
-            acc += c * g(arg)
-    return acc
+    return sum(_recurrence_terms(n, g or default_g))
 
 
-# first_failure is None or (n, residual)
-RecurrenceCheck = namedtuple(
-    "RecurrenceCheck", "order coeff_polys range_checked holds first_failure")
-
-
-def verify_recurrence_g(
-    n_max: int, g: Callable[[int], int] | None = None
-) -> RecurrenceCheck:
+def verify_recurrence_g(n_max: int, g: Callable[[int], int] | None = None) -> CheckReport:
     """Check that the recurrence residual vanishes for 0 <= n <= n_max - 1.
 
     Without an injected g, g(0..n_max) is read from one cone pass to
-    (2 n_max + 1, 1, 0).
+    (2 n_max + 1, 1, 0).  ``compared`` counts the residuals checked, up to
+    and including the first that does not vanish, and ``nonzero`` those
+    with a nonzero term.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if g is None:
         along = counts_along(2 * n_max + 1, 1, 0)
         g = lambda n: along[2 * n + 1]
+    nonzero, first = 0, None
     for n in range(n_max):
-        res = recurrence_residual(n, g)
-        if res != 0:
-            return RecurrenceCheck(2, G_RECURRENCE_POLYS, n_max - 1, False, (n, res))
-    return RecurrenceCheck(2, G_RECURRENCE_POLYS, n_max - 1, True, None)
+        terms = _recurrence_terms(n, g)
+        residual = sum(terms)
+        nonzero += any(terms)
+        if residual:
+            first = {"n": n, "residual": str(residual)}
+            break
+    return CheckReport("recurrence_g", n + 1, nonzero, first, {"range_checked": n_max - 1})
 
 
 class FitFamily(Enum):
@@ -351,37 +356,51 @@ FAMILY_PLAN: tuple[tuple[FitFamily, int], ...] = (
 )
 
 
-def verify_families() -> dict:
-    """JSON-ready report: fit and ``verify_family_claims`` verdict for each
-    ``FAMILY_PLAN`` member, then each printed closed-form family against
-    the dp on a range of n.  The fits' sample and held-out points stop at
-    n = 11, so the closed forms are checked to n = 10 (F201: 12) on their own."""
+def verify_families() -> CheckReport:
+    """Fit and ``verify_family_claims`` verdict for each ``FAMILY_PLAN``
+    member, then each printed closed-form family against the dp on a range
+    of n.  The fits' sample and held-out points stop at n = 11, so the
+    closed forms are checked to n = 10 (F201: 12) on their own.
+
+    ``compared`` counts the plan members and then the closed-form cells, a
+    family's cells up to and including its first mismatch; ``nonzero``
+    counts the members fitted and the cells with a nonzero count.  The
+    first mismatch is the first member that fails to fit or fails a claim,
+    else the first closed-form cell that differs from the dp."""
     fits = []
-    ok = True
+    nonzero, first = 0, None
     for family, k in FAMILY_PLAN:
         try:
             fit = fit_family(family, k)
         except FitError as exc:
-            fits.append({"family": family.value, "k": k, "ok": False, "error": str(exc)})
-            ok = False
-            continue
-        claims = verify_family_claims(fit)
-        entry = fit_report(fit, claims)
-        entry["ok"] = claims.ok
-        ok = ok and entry["ok"]
+            entry = {"family": family.value, "k": k, "ok": False, "error": str(exc)}
+            first = first or {"family": family.value, "k": k, "error": str(exc)}
+        else:
+            nonzero += 1
+            claims = verify_family_claims(fit)
+            entry = fit_report(fit, claims)
+            entry["ok"] = claims.ok
+            if not claims.ok:  # name the first claim that fails
+                claim = next(name for name, v in entry["claims"].items() if v is False)
+                first = first or {"family": family.value, "k": k, "claim": claim}
         fits.append(entry)
+    compared = len(fits)
     closed = {}
     for family, ks, n_max in (
         (ClosedFormFamily.F201, (None,), 12),
         (ClosedFormFamily.VERT, range(4), 10),
         (ClosedFormFamily.HOR, range(4), 10),
     ):
-        good = all(
-            num == den * count_walks(*family_cell(family, k, n))
-            for k in ks
-            for n in range(n_max + 1)
-            for num, den in [conjectured_ratio(family, k, n)]
-        )
-        closed[family.value] = {"n_max": n_max, "ok": good}
-        ok = ok and good
-    return {"suite": "families", "fits": fits, "closed_forms": closed, "ok": ok}
+        closed[family.value] = block = {"n_max": n_max, "ok": True}
+        for k, n in ((k, n) for k in ks for n in range(n_max + 1)):
+            num, den = conjectured_ratio(family, k, n)
+            dp = count_walks(*family_cell(family, k, n))
+            compared += 1
+            nonzero += dp != 0
+            if num != den * dp:
+                block["ok"] = False
+                first = first or {"family": family.value, "k": k, "n": n,
+                                  "closed": ratio_str(num, den), "dp": str(dp)}
+                break
+    return CheckReport("families", compared, nonzero, first,
+                       {"fits": fits, "closed_forms": closed})

@@ -19,13 +19,19 @@ functions that call them, so a ``dp`` count loads neither.  A ``det``,
 ``solve`` or ``multisum`` count loads both.  No count loads
 ``fractions``: the entries are integers, and a ``closed`` count divides
 its form's integer numerator by its denominator and checks the remainder.
+``CheckReport``, the record of every ``verify`` suite, lives here: every
+command line run loads this module, and a cross_pipeline run neither
+``series`` nor ``conjectures``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from . import walks
 
-__all__ = ["METHODS", "MAX_SPAN", "NotCovered", "count", "verify_cross_pipeline"]
+__all__ = ["METHODS", "MAX_SPAN", "NotCovered", "count", "CheckReport",
+           "verify_cross_pipeline"]
 
 METHODS = ("dp", "closed", "det", "multisum", "solve")
 
@@ -34,6 +40,24 @@ MAX_SPAN = 24  # default chain-span limit of the multisum pipeline
 
 class NotCovered(ValueError):
     """The chosen method does not compute this target, or refuses the work."""
+
+
+class CheckReport(namedtuple("CheckReport", "suite compared nonzero first_mismatch detail")):
+    """Result of one verify suite: ``compared`` counts what it compared and
+    ``nonzero`` those where either side is nonzero, as its docstring says.
+    ``first_mismatch`` is None or a JSON-ready dict: where, then the values
+    as decimal strings.  ``detail`` holds what the suite reports before its
+    verdict, in order.  ``ok`` is the one vacuity rule: no mismatch, and a
+    nonzero value compared."""
+
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.nonzero > 0 and self.first_mismatch is None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 def count(m: int, n1: int, n2: int, method: str = "dp", max_span: int = MAX_SPAN) -> int:
@@ -119,14 +143,16 @@ def _count_solve(m: int, n1: int, n2: int) -> int:
     return total
 
 
-def verify_cross_pipeline(k_max: int) -> dict:
-    """JSON-ready report: every solved x(k), k <= k_max, against the boundary
-    matrix entry it packs, then dp, det and solve at each origin index.
+def verify_cross_pipeline(k_max: int) -> CheckReport:
+    """Every solved x(k), k <= k_max, against the boundary matrix entry it
+    packs, then dp, det and solve at each origin index.
 
-    A ``k_max`` below the origin index of n = 1 is refused: dp, det and
-    solve would then be compared at n = 0 only, where all three are 1 by
-    construction (an empty window, the right-hand side), so an "ok" would
-    check nothing."""
+    ``compared`` counts the entries and then the origin rows, up to and
+    including the first mismatch; ``nonzero`` counts those where either
+    side is nonzero.  A ``k_max`` below the origin index of n = 1 is
+    refused: dp, det and solve would then be compared at n = 0 only, where
+    all three are 1 by construction (an empty window, the right-hand side),
+    so an "ok" would check nothing."""
     from . import triangular
     floor = triangular.origin_index(1)
     if k_max < floor:
@@ -135,15 +161,17 @@ def verify_cross_pipeline(k_max: int) -> dict:
             "or only the n = 0 row, 1 by construction, is cross-checked"
         )
     system = triangular.solve_forward(k_max)
-    checked = 0
+    checked = nonzero = 0
     first = None
     for k in range(k_max + 1):
         i, j = triangular.rho_inv(k)
-        expected = walks.f_entry(i, j)
-        if system.x[k] != expected:
-            first = {"k": k, "i": i, "j": j, "solved": system.x[k], "direct": expected}
+        solved, expected = system.x[k], walks.f_entry(i, j)
+        nonzero += bool(solved or expected)
+        if solved != expected:
+            first = {"k": k, "i": i, "j": j, "solved": str(solved), "direct": str(expected)}
             break
         checked += 1
+    compared = k + 1  # the entries, a mismatch included
     gessel_rows = []
     if first is None:
         n_last = 0
@@ -159,14 +187,9 @@ def verify_cross_pipeline(k_max: int) -> dict:
             solved = system.x[k]
             row = {"n": n, "k": k, "dp": str(dp), "det": str(det), "solve": str(solved)}
             gessel_rows.append(row)
+            nonzero += bool(dp or det or solved)
             if not dp == det == solved:
                 first = row
                 break
-    return {
-        "suite": "cross_pipeline",
-        "k_max": k_max,
-        "entries_checked": checked,
-        "gessel_indices": gessel_rows,
-        "ok": first is None,
-        "first_mismatch": first,
-    }
+    return CheckReport("cross_pipeline", compared + len(gessel_rows), nonzero, first, {
+        "k_max": k_max, "entries_checked": checked, "gessel_indices": gessel_rows})

@@ -18,9 +18,11 @@ m are at most 4^m, a slot of K*G at most 2*4^m).  The root check packs the
 other way: one row per z exponent ez, whose signed W-bit slot ey holds
 y^ey z^ez, at the W that ``verify_root_identity`` proves.
 
-The three checks read only the dp stream (``walks.layers``).  The dict
-layer above them (``TruncSeries3`` to ``substitute_x``) serves the tests'
-references and the benchmark's traced lookups.
+The three checks read only the dp stream (``walks.layers``).  Each returns
+a ``pipelines.CheckReport`` of the window's exponents (``compared``), those
+where either side is nonzero, and ``caps`` and ``window`` as its detail.
+The dict layer above them (``TruncSeries3`` to ``substitute_x``) serves
+the tests' references and the benchmark's traced lookups.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from collections.abc import Mapping
 from itertools import zip_longest
 
 from . import walks
+from .pipelines import CheckReport
 
 TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
 if TYPE_CHECKING:
@@ -39,8 +42,7 @@ if TYPE_CHECKING:
 __all__ = [
     "TruncSeries3", "make_series", "monomial", "bump_coeff", "series_add",
     "series_mul", "build_G", "build_K", "build_H", "x_of_yz", "substitute_x",
-    "CheckReport", "verify_kernel_equation", "verify_H_equation",
-    "verify_root_identity",
+    "verify_kernel_equation", "verify_H_equation", "verify_root_identity",
 ]
 
 Caps = tuple[int, int, int]
@@ -159,22 +161,12 @@ def build_H(caps: Caps) -> TruncSeries3:
     return series_add(series_mul(build_K(caps), build_G(caps)), monomial(caps, 0, 1, 1))
 
 
-class CheckReport(namedtuple("CheckReport", "ok window compared nonzero first_mismatch")):
-    """Result of one functional-equation check.
-
-    ``window`` is the inclusive exponent box compared, ``compared`` the
-    number of exponents in it and ``nonzero`` those where either side is
-    nonzero; ``ok`` needs ``nonzero > 0``, so a pass is never vacuous.
-    ``first_mismatch`` is None or (monomial, lhs, rhs).
-    """
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
+def _mismatch(mono: Mono, lhs: int, rhs: int) -> dict:
+    """A check's first mismatch: its monomial, then both sides as strings."""
+    return {"monomial": mono, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _kernel_check(caps: Caps, sides) -> CheckReport:
+def _kernel_check(suite: str, caps: Caps, sides) -> CheckReport:
     """Compare the two sides ``sides`` builds over the kernel window, one
     (m, n1) z-column at a time on packed ints.
 
@@ -196,8 +188,9 @@ def _kernel_check(caps: Caps, sides) -> CheckReport:
     """
     dx, dy, dz = caps
     window = wx, wy, wz = (dx - 1, dy - 2, dz - 2)
+    detail = {"caps": caps, "window": window}
     if min(window) < 0:
-        return CheckReport(False, window, 0, 0, None)
+        return CheckReport(suite, 0, 0, None, detail)
     width = walks._slot_width(wx + 1)
     z = 1 << width
     slot, half = z - 1, z >> 1
@@ -234,14 +227,13 @@ def _kernel_check(caps: Caps, sides) -> CheckReport:
                 nonzero += sum(1 for pair in pairs if any(pair))
                 if first is None:
                     n2 = next(n2 for n2, (lv, rv) in enumerate(pairs) if lv != rv)
-                    first = ((m, n1, n2), *pairs[n2])
+                    first = _mismatch((m, n1, n2), *pairs[n2])
             elif -half < rhs < half:  # slot 0 alone, as off column 0
                 nonzero += rhs != 0
             else:
                 nonzero += sum(map(bool, values(rhs)))
         prev = layer
-    size = math.prod(w + 1 for w in window)
-    return CheckReport(nonzero > 0 and first is None, window, size, nonzero, first)
+    return CheckReport(suite, math.prod(w + 1 for w in window), nonzero, first, detail)
 
 
 def verify_kernel_equation(caps: Caps) -> CheckReport:
@@ -252,7 +244,7 @@ def verify_kernel_equation(caps: Caps) -> CheckReport:
     def sides(n1, xg, kg, yz, axes):
         return kg, axes(n1, xg) - yz
 
-    return _kernel_check(caps, sides)
+    return _kernel_check("kernel", caps, sides)
 
 
 def verify_H_equation(caps: Caps) -> CheckReport:
@@ -264,7 +256,7 @@ def verify_H_equation(caps: Caps) -> CheckReport:
         h = kg + yz
         return h, axes(n1, h)
 
-    return _kernel_check(caps, sides)
+    return _kernel_check("hkernel", caps, sides)
 
 
 def x_of_yz(caps: Caps) -> TruncSeries3:
@@ -348,10 +340,10 @@ def verify_root_identity(caps: Caps) -> CheckReport:
     """
     dx, dy, dz = caps
     wz = min(dx, dz)
-    window = (0, dy, wz)
+    detail = {"caps": caps, "window": (0, dy, wz)}
     size = max(0, dy + 1) * max(0, wz + 1)
     if min(dy, wz) < 1:
-        return CheckReport(False, window, size, 0, None)
+        return CheckReport("root", size, 0, None, detail)
     terms = _axis_terms(dy, wz)
     big = max((v for row, column in terms for v in (*row, *column)), default=0)
     bits = (2 * big).bit_length() + ((wz + 1) * (dy + wz + 1)).bit_length() + dy + wz
@@ -375,5 +367,6 @@ def verify_root_identity(caps: Caps) -> CheckReport:
            for ey, v in enumerate(walks._unpack((row + bias) & mask, width)) if v != half}
     yz = (0, 1, 1)
     keys = sorted({*lhs, yz})
-    wrong = [(k, lhs.get(k, 0), int(k == yz)) for k in keys if lhs.get(k, 0) != (k == yz)]
-    return CheckReport(not wrong, window, size, len(keys), wrong[0] if wrong else None)
+    first = next((_mismatch(k, lhs.get(k, 0), int(k == yz))
+                  for k in keys if lhs.get(k, 0) != (k == yz)), None)
+    return CheckReport("root", size, len(keys), first, detail)

@@ -170,7 +170,7 @@ def test_criterion_09_recurrence():
     def body():
         for n in range(31):
             assert recurrence_residual(n) == 0, n
-        assert verify_recurrence_g(31).holds
+        assert verify_recurrence_g(31).ok
 
     run_criterion("second order recurrence", 10, body)
 

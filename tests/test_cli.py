@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import sys
@@ -199,6 +200,48 @@ class TestVerify:
         assert all(entry["ok"] for entry in report["fits"])
         assert all(block["ok"] for block in report["closed_forms"].values())
 
+    @pytest.mark.parametrize("suite", sorted(cli._SUITES))
+    def test_one_layout_and_one_vacuity_rule(self, capsys, monkeypatch, suite):
+        # every suite, at its default size, prints the one layout and passes
+        # on a nonzero count; the same record with nonzero = 0 is refused
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        report = json.loads(out)
+        assert code == 0
+        assert list(report)[0] == "suite"
+        assert list(report)[-4:] == ["ok", "compared", "nonzero", "first_mismatch"]
+        assert report["ok"] is True and report["first_mismatch"] is None
+        assert report["compared"] >= report["nonzero"] > 0
+        *_, home, name = cli._SUITES[suite]
+        module = importlib.import_module(f"gesselwalks.{home}")
+        real = getattr(module, name)
+        records = []
+
+        def vacuous(*size):
+            records.append(real(*size)._replace(nonzero=0))
+            return records[-1]
+
+        monkeypatch.setattr(module, name, vacuous)
+        err = self.refused(capsys, "--suite", suite)
+        assert f"leave the {suite} check nothing to compare" in err
+        [record] = records
+        assert record.suite == suite
+        assert not record.ok and not record
+        assert record._replace(nonzero=1).ok
+
+    @pytest.mark.parametrize("suite, sized", [
+        ("gessel", "--N 16"), ("kernel", "--caps 10,10,10"), ("hkernel", "--caps 10,10,10"),
+        ("root", "--caps 10,10,10"), ("cross_pipeline", "--k-max 200"),
+        ("recurrence_g", "--N 30"), ("families", "the defaults"),
+    ])
+    def test_a_suite_refusing_its_size_is_a_usage_error(self, capsys, monkeypatch, suite, sized):
+        *_, home, name = cli._SUITES[suite]
+
+        def refuse(*size):
+            raise ValueError("no such size")
+
+        monkeypatch.setattr(importlib.import_module(f"gesselwalks.{home}"), name, refuse)
+        assert self.refused(capsys, "--suite", suite) == f"error: {sized} refused: no such size\n"
+
     def test_bad_caps(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--suite", "kernel", "--caps", "6,6"
@@ -306,9 +349,9 @@ class TestVerify:
         (6, 6, 0), (0, 0, 0), (17, 11, 1), (1, 17, 11),
     ]
     SERIES_PINS = {
-        "kernel": "8e937eac3fa30fb9c354dfc7772ea89d7e726cbd43b776a46a282c325740d285",
-        "hkernel": "6ed4878a0a09cca200a35f2c1ba550f86e2fd9b2e635bd2c8246a8cbe0bf9d72",
-        "root": "5e0be95dc03c11f00395158024dd35ab4a1c51b2e3c07076ad3e5233d58d0a44",
+        "kernel": "033cd36cc1bbdfb25dfc6e9ca67c93128df03bf66b181d5cb12cd473c065aa0c",
+        "hkernel": "09f0ab93afe89fb6aec26123fac3d5af2643182e9459d5eb00b3ab209a6d00bb",
+        "root": "ed054e5e1697c24a39ea2e54a38f263d44c935abf3deb699d280681ae0bfe31a",
     }
 
     @classmethod
@@ -603,8 +646,8 @@ class TestAxisReaderPins:
     # AXIS_PIN_RUNS, as ``axis_digest`` writes them
     AXIS_PINS = {
         "universal": "27a10de93d75f8e5891ca79ee1d712c765bc0096a42410d753b3de2d5a05ba7c",
-        "cross_pipeline": "bbffba20faaddb6b6bf4958bff355b6be770979e6383704e889a32277ea1ff92",
-        "families": "2f873f37e8984a804fc844675b8788324bac8f18b27052d068e939f070ebf68f",
+        "cross_pipeline": "600095b388059edecf7af6107cb52b68c86820c7a7c41f4e1a3f062ad648d9f8",
+        "families": "d6112353c2c68f77873ba490fe7f21d2e055671382eac0dbc75a0a9a84f1591b",
         "fit": "2ab5c287becf7c133366af3cccd93f48253f11bc2fd424d5c57382b815a1d661",
     }
 

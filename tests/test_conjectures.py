@@ -177,7 +177,8 @@ class TestVerifyGessel:
         check = verify_gessel(16)
         assert not check.ok
         cf = gessel_closed_form(7)
-        assert check.first_mismatch == (7, cf + 1, cf)
+        assert check.first_mismatch == {"n": 7, "dp": str(cf + 1), "closed": str(cf)}
+        assert (check.compared, check.nonzero) == (8, 8)
 
 
 class TestRecurrence:
@@ -201,16 +202,17 @@ class TestRecurrence:
 
     def test_holds_to_thirty(self):
         check = verify_recurrence_g(30)
-        assert check.holds
-        assert check.first_failure is None
-        assert check.range_checked == 29
+        assert check.ok
+        assert check.first_mismatch is None
+        assert check.detail == {"range_checked": 29}
+        assert check.compared == check.nonzero == 30
 
     def test_perturbed_fails(self):
         bad = lambda n: default_g(n) + (1 if n == 5 else 0)
         check = verify_recurrence_g(10, bad)
-        assert not check.holds
-        assert check.first_failure is not None
-        assert check.first_failure[0] in (4, 5, 6)
+        assert not check.ok
+        assert check.first_mismatch is not None
+        assert check.first_mismatch["n"] in (4, 5, 6)
 
     def test_default_g_reads_one_pass(self, monkeypatch):
         # without an injected g the values come from the cone pass; bumping
@@ -228,7 +230,7 @@ class TestRecurrence:
         check = verify_recurrence_g(10)
         assert calls == [(21, 1, 0)]
         bad = lambda n: default_g(n) + (n == 5)
-        assert check.first_failure == (4, recurrence_residual(4, bad))
+        assert check.first_mismatch == {"n": 4, "residual": str(recurrence_residual(4, bad))}
 
     def test_rejects_zero_range(self):
         with pytest.raises(ValueError):
@@ -495,7 +497,11 @@ class TestFamiliesAgainstThePrintedTable:
             conjectures, "count_walks", lambda *t: real(*t) + (t == (20, 0, 9))
         )
         report = conjectures.verify_families()
-        assert all(f["ok"] for f in report["fits"])
-        assert {name: block["ok"] for name, block in report["closed_forms"].items()} == {
+        assert all(f["ok"] for f in report.detail["fits"])
+        assert {name: block["ok"] for name, block in report.detail["closed_forms"].items()} == {
             "f201": True, "vert": False, "hor": True}
-        assert report["ok"] is False
+        assert report.ok is False
+        # the first cell that fails names itself, the counts as strings
+        closed = real(20, 0, 9)
+        assert report.first_mismatch == {"family": "vert", "k": 1, "n": 9,
+                                         "closed": str(closed), "dp": str(closed + 1)}

@@ -120,8 +120,8 @@ def test_cross_pipeline_refuses_a_size_that_compares_no_count():
         with pytest.raises(ValueError, match=f"at least {floor},"):
             verify_cross_pipeline(k_max)
     report = verify_cross_pipeline(floor)
-    assert report["ok"]
-    assert [row["n"] for row in report["gessel_indices"]] == [0, 1]
+    assert report.ok
+    assert [row["n"] for row in report.detail["gessel_indices"]] == [0, 1]
 
 
 def test_solve_at_large_m_against_closed_forms():
@@ -152,8 +152,8 @@ def test_det_paths_never_build_the_dense_window(monkeypatch, capsys):
 
     monkeypatch.setattr(triangular, "hessenberg_for", refuse("hessenberg_for"))
     report = verify_cross_pipeline(1195)
-    assert report["ok"] and report["entries_checked"] == 1196
-    assert [row["det"] for row in report["gessel_indices"]] == [
+    assert report.ok and report.detail["entries_checked"] == 1196
+    assert [row["det"] for row in report.detail["gessel_indices"]] == [
         str(value) for value in GESSEL_NUMBERS[:12]]
     # a det count and hessenberg --n read the determinant from the cone solve
     monkeypatch.setattr(triangular, "window_minors", refuse("window_minors"))
@@ -181,7 +181,7 @@ def test_a_kernel_fault_splits_det_from_solve(monkeypatch):
     det, solved = triangular.window_minors(k)[-1], triangular.solve_cone(k)[k]
     assert det == GESSEL_NUMBERS[6]
     assert det != solved
-    assert not verify_cross_pipeline(400)["ok"]
+    assert not verify_cross_pipeline(400).ok
 
 
 def test_a_coefficient_c_fault_fails_the_det_column(monkeypatch):
@@ -190,8 +190,8 @@ def test_a_coefficient_c_fault_fails_the_det_column(monkeypatch):
     monkeypatch.setattr(triangular, "coefficient_c",
                         flipped_at_a_3(triangular.coefficient_c))
     report = verify_cross_pipeline(400)
-    assert not report["ok"] and report["entries_checked"] == 401
-    first = report["first_mismatch"]
+    assert not report.ok and report.detail["entries_checked"] == 401
+    first = report.first_mismatch
     assert first["dp"] == first["solve"] != first["det"]
 
 
@@ -205,8 +205,10 @@ def test_a_recursion_fault_is_caught_by_the_boundary_matrix(monkeypatch):
 
     monkeypatch.setattr(triangular, "_admitted_columns", without_t_1)
     report = verify_cross_pipeline(400)
-    assert not report["ok"] and report["entries_checked"] == 39
-    assert report["first_mismatch"] == {"k": 39, "i": 5, "j": 3, "solved": -1, "direct": 1}
+    assert not report.ok and report.detail["entries_checked"] == 39
+    # the values are decimal strings, as every count of every report
+    assert report.first_mismatch == {"k": 39, "i": 5, "j": 3, "solved": "-1", "direct": "1"}
+    assert report.compared == 40
     assert count(40, 0, 0, "solve") != count(40, 0, 0, "dp")
     k = triangular.origin_index(6)
     det, solved = triangular.window_minors(k)[-1], triangular.solve_cone(k)[k]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faults import bumped_stream
+from gesselwalks.pipelines import CheckReport
 from gesselwalks.series import (
-    CheckReport,
     TruncSeries3,
     build_G,
     build_H,
@@ -67,7 +67,7 @@ def stream_bumps(draw, cap, axes=False):
     return caps, bumps
 
 
-def _compare(lhs, rhs, window):
+def _compare(suite, caps, lhs, rhs, window):
     """The report of comparing two series term by term over the window, in
     ascending exponent order: the reference the packed checks must equal."""
     wx, wy, wz = window
@@ -77,12 +77,14 @@ def _compare(lhs, rhs, window):
         if k[0] <= wx and k[1] <= wy and k[2] <= wz
     )
     size = math.prod(max(0, w + 1) for w in window)
+    detail = {"caps": caps, "window": window}
     for k in keys:
         lv = lhs.coeffs.get(k, 0)
         rv = rhs.coeffs.get(k, 0)
         if lv != rv:
-            return CheckReport(False, window, size, len(keys), (k, lv, rv))
-    return CheckReport(bool(keys), window, size, len(keys), None)
+            first = {"monomial": k, "lhs": str(lv), "rhs": str(rv)}
+            return CheckReport(suite, size, len(keys), first, detail)
+    return CheckReport(suite, size, len(keys), None, detail)
 
 
 monos = st.tuples(
@@ -145,7 +147,7 @@ def reference_root(caps, G=None):
     for m in range(dx, -1, -1):
         part = [((0, ey, ez), c) for (ex, ey, ez), c in axes.coeffs.items() if ex == m]
         acc = make_series(window, [*times_root(acc).coeffs.items(), *part])
-    return _compare(acc, monomial(window, 0, 1, 1), window)
+    return _compare("root", caps, acc, monomial(window, 0, 1, 1), window)
 
 
 def naive_mul(a, b):
@@ -298,7 +300,7 @@ class TestKernel:
     def test_kernel_equation_holds(self):
         report = verify_kernel_equation((8, 8, 8))
         assert report
-        assert report.window == (7, 6, 6)
+        assert report.detail == {"caps": (8, 8, 8), "window": (7, 6, 6)}
         assert report.compared == 8 * 7 * 7 == 392
         assert report.nonzero > 0
         assert report.first_mismatch is None
@@ -316,8 +318,7 @@ class TestKernel:
             report = verify_kernel_equation((8, 8, 8))
         assert not report
         assert report.first_mismatch is not None
-        mono, lhs, rhs = report.first_mismatch
-        assert lhs != rhs
+        assert report.first_mismatch["lhs"] != report.first_mismatch["rhs"]
 
 
 class TestBuildH:
@@ -347,7 +348,7 @@ class TestBuildH:
     def test_H_equation_holds(self):
         report = verify_H_equation((8, 8, 8))
         assert report
-        assert report.window == (7, 6, 6)
+        assert report.detail["window"] == (7, 6, 6)
 
     @pytest.mark.parametrize("mono", [INTERIOR_BUMP, *AXIS_BUMPS], ids=bump_id)
     def test_H_equation_mutated_fails(self, mono):
@@ -364,16 +365,18 @@ class TestPackedChecks:
     def reference(check, caps, G=None):
         dx, dy, dz = caps
         window = (dx - 1, dy - 2, dz - 2)
+        suite = "kernel" if check is verify_kernel_equation else "hkernel"
         if min(window) < 0:
-            return _compare(make_series(window, {}), make_series(window, {}), window)
+            empty = make_series(window, {})
+            return _compare(suite, caps, empty, empty, window)
         G = build_G(window) if G is None else make_series(window, G.coeffs)
         K, yz = build_K(window), monomial(window, 0, 1, 1)
         if check is verify_kernel_equation:
             x_1z = make_series(window, {(1, 0, 0): 1, (1, 0, 1): 1})
             rhs = series_sub(on_axes(naive_mul(x_1z, G)), yz)
-            return _compare(naive_mul(K, G), rhs, window)
+            return _compare(suite, caps, naive_mul(K, G), rhs, window)
         H = series_add(naive_mul(K, G), yz)
-        return _compare(H, on_axes(H), window)
+        return _compare(suite, caps, H, on_axes(H), window)
 
     CHECKS = [verify_kernel_equation, verify_H_equation]
 
@@ -445,13 +448,13 @@ class TestRoot:
         for c in (10, 40):
             report = verify_root_identity((c, c, c))
             assert report
-            assert report.window == (0, c, c)
+            assert report.detail["window"] == (0, c, c)
 
     def test_root_identity_compares_the_whole_window(self):
         # every exponent of the window is compared; only yz is nonzero
         report = verify_root_identity((24, 24, 24))
         assert report
-        assert report.window == (0, 24, 24)
+        assert report.detail["window"] == (0, 24, 24)
         assert report.compared == 625
         assert report.nonzero == 1
 
@@ -513,8 +516,10 @@ class TestRoot:
         window = (0, dy, min(dx, dz))
         H = build_H(caps)
         lhs = substitute_x(on_axes(H), x_of_yz(window))
-        computed = _compare(lhs, monomial(window, 0, 1, 1), window)
-        assert computed == CheckReport(False, window, (dy + 1) * (min(dx, dz) + 1), 0, None)
+        computed = _compare("root", caps, lhs, monomial(window, 0, 1, 1), window)
+        assert computed == CheckReport("root", (dy + 1) * (min(dx, dz) + 1), 0, None,
+                                       {"caps": caps, "window": window})
+        assert not computed
 
         def refuse(*args):
             raise AssertionError("dp started")
