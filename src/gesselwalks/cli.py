@@ -17,18 +17,14 @@ runs one subcommand loads no others.  ``GRAMMAR`` states every subcommand
 and flag once.  ``read_args`` reads a well-formed command line from it, and
 argparse, which ``build_parser`` imports, answers only help and usage
 errors, so a well-formed run loads none of ``argparse``, ``gettext`` and
-``locale``: about 5 ms of a cold child (2 vCPUs, Python 3.11.7).  No run
-loads ``json`` either: ``_dumps`` writes the bytes of ``json.dumps`` for
-every report, which saves about 1.5 ms of each child that prints one.
+``locale``.  No run loads ``json`` either: ``_dumps`` writes the bytes of
+``json.dumps`` for every report.
 
 ``console_main``, the entry point of ``gessel-walks`` and of ``python -m
 gesselwalks.cli``, ends a plain run without the interpreter's teardown,
 which frees every loaded module and runs a last garbage collection: it runs
 the ``atexit`` callbacks, flushes stdout and stderr, and calls
-``os._exit``.  That saves 10-12 ms a child (medians of 40 alternating
-children, 2 vCPUs, Python 3.11.7): 10.7 ms for ``count --m 0``, 12.2 ms for
-``count --m 140 --n1 24``, 11.6 ms for ``verify --suite root --caps
-24,24,24``.  With a tracer, profiler or ``sys.monitoring`` tool attached
+``os._exit``.  With a tracer, profiler or ``sys.monitoring`` tool attached
 (coverage, cProfile, pdb, trace), or when ``main`` raises, it exits through
 ``sys.exit`` and the full teardown, since those act after the module
 returns.  ``main`` only returns the status, for callers in process.

@@ -1,7 +1,6 @@
 """End-to-end checks of the gessel-walks command line, run in process."""
 
 import csv
-import hashlib
 import importlib
 import io
 import json
@@ -340,33 +339,6 @@ class TestVerify:
         assert (code, err, report["ok"]) == (1, "", False)
         assert report["first_mismatch"]["monomial"] == monomial
 
-    # sha256 of every (caps, exit status, stdout, stderr) of one series suite
-    # over SERIES_PIN_CAPS, as ``series_digest`` writes them
-    SERIES_PIN_CAPS = [
-        *((c, c, c) for c in range(41)),
-        (9, 3, 5), (12, 20, 6), (20, 6, 12), (5, 5, 30), (3, 9, 2), (14, 2, 2),
-        (2, 14, 14), (1, 2, 2), (30, 2, 3), (14, 1, 1), (0, 6, 6), (6, 0, 6),
-        (6, 6, 0), (0, 0, 0), (17, 11, 1), (1, 17, 11),
-    ]
-    SERIES_PINS = {
-        "kernel": "033cd36cc1bbdfb25dfc6e9ca67c93128df03bf66b181d5cb12cd473c065aa0c",
-        "hkernel": "09f0ab93afe89fb6aec26123fac3d5af2643182e9459d5eb00b3ab209a6d00bb",
-        "root": "ed054e5e1697c24a39ea2e54a38f263d44c935abf3deb699d280681ae0bfe31a",
-    }
-
-    @classmethod
-    def series_digest(cls, capsys, suite):
-        digest = hashlib.sha256()
-        for caps in cls.SERIES_PIN_CAPS:
-            code, out, err = run_cli(capsys, "verify", "--suite", suite,
-                                     "--caps", ",".join(map(str, caps)))
-            digest.update(json.dumps([list(caps), code, out, err]).encode() + b"\n")
-        return digest.hexdigest()
-
-    @pytest.mark.parametrize("suite", sorted(SERIES_PINS))
-    def test_series_suites_are_pinned_byte_for_byte(self, capsys, suite):
-        assert self.series_digest(capsys, suite) == self.SERIES_PINS[suite]
-
     def test_root_empty_window_refused(self, capsys):
         err = self.refused(capsys, "--suite", "root", "--caps", "0,0,0")
         assert "nothing to compare" in err
@@ -535,27 +507,6 @@ class TestHessenberg:
         ]
         assert tuple(rows) == H24_ROWS
 
-    # sha256 of every (argv, exit status, stdout, stderr) of the dump at
-    # n = 0..12 in one format, as ``dump_digest`` writes them
-    DUMP_PINS = {
-        "text": "3cd62ebe95478f3e55bed5b2b73bd41ce1c611bf9c8281087c8a0338a3793f20",
-        "json": "d6e8f2a70be1cdaecf5d7c8e64c8639afac513ee83fc15b8b2f6c6536dbdc29c",
-        "csv": "c5ac4613460581fb5410e7dbd8f1f2661f8f444beb1958f46081c72188202346",
-    }
-
-    @staticmethod
-    def dump_digest(capsys, fmt):
-        digest = hashlib.sha256()
-        for n in range(13):
-            argv = ["hessenberg", "--n", str(n), "--dump", "--format", fmt]
-            code, out, err = run_cli(capsys, *argv)
-            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
-        return digest.hexdigest()
-
-    @pytest.mark.parametrize("fmt", sorted(DUMP_PINS))
-    def test_dump_is_pinned_byte_for_byte(self, capsys, fmt):
-        assert self.dump_digest(capsys, fmt) == self.DUMP_PINS[fmt]
-
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_dump_writes_each_row_before_the_next_is_built(self, monkeypatch, fmt):
         """The dump holds one row at a time: row r is on stdout before the
@@ -625,45 +576,6 @@ class TestOneVerdictPerFit:
             assert fit_code == (0 if ok else 1), (family, k)
 
 
-# Exit code, stdout and stderr of a fixed set of invocations, recorded byte
-# for byte from the command line before counting and the verify suites moved
-# into the library.  Moving math must leave every byte of these unchanged.
-# the runs of each group of commands that read axis cells through
-# ``walks.count_walks``
-AXIS_PIN_RUNS = {
-    "universal": [["universal", "--i", str(i), "--format", f]
-                  for i in range(1, 61) for f in ("text", "json", "csv")],
-    "cross_pipeline": [["verify", "--suite", "cross_pipeline", "--k-max", k]
-                       for k in ("200", "1200")],
-    "families": [["verify", "--suite", "families"]],
-    "fit": [["fit", "--family", family.value, "--k", str(k), "--format", f]
-            for family, k in conjectures.FAMILY_PLAN for f in ("text", "json", "csv")],
-}
-
-
-class TestAxisReaderPins:
-    # sha256 of every (argv, exit status, stdout, stderr) of one group of
-    # AXIS_PIN_RUNS, as ``axis_digest`` writes them
-    AXIS_PINS = {
-        "universal": "27a10de93d75f8e5891ca79ee1d712c765bc0096a42410d753b3de2d5a05ba7c",
-        "cross_pipeline": "600095b388059edecf7af6107cb52b68c86820c7a7c41f4e1a3f062ad648d9f8",
-        "families": "d6112353c2c68f77873ba490fe7f21d2e055671382eac0dbc75a0a9a84f1591b",
-        "fit": "2ab5c287becf7c133366af3cccd93f48253f11bc2fd424d5c57382b815a1d661",
-    }
-
-    @classmethod
-    def axis_digest(cls, capsys, group):
-        digest = hashlib.sha256()
-        for argv in AXIS_PIN_RUNS[group]:
-            code, out, err = run_cli(capsys, *argv)
-            digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
-        return digest.hexdigest()
-
-    @pytest.mark.parametrize("group", sorted(AXIS_PINS))
-    def test_axis_readers_are_pinned_byte_for_byte(self, capsys, group):
-        assert self.axis_digest(capsys, group) == self.AXIS_PINS[group]
-
-
 # the characters json escapes, DEL, non-ASCII, astral and a lone surrogate
 JSON_TEXT = st.text(st.characters() | st.sampled_from(
     '"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\ud800\U0001d11e'))
@@ -700,6 +612,9 @@ class TestJsonWriter:
             cli._dumps(value, indent)
 
 
+# Exit code, stdout and stderr of a fixed set of invocations, recorded byte
+# for byte from the command line before counting and the verify suites moved
+# into the library.  Moving math must leave every byte of these unchanged.
 FROZEN = json.loads(Path(__file__).with_name("cli_frozen.json").read_text())
 
 
