@@ -9,10 +9,12 @@ The families' cells, the prefactor c^n (q)_n / (k+2)_n, the P/Q weights
 and the printed rows are read from ``exact``.  A fit solves one integer
 equation a sample by Bareiss's fraction-free elimination; ``Fraction`` is
 only a view for a library caller (``PolyFit.coeffs``, ``family_target``).
-``verify_family_claims`` is a fit's one verdict, which ``fit`` and
-``verify_families`` both read, by cross-multiplication: its structure, and
-equality with its printed row (s_k and r_k with HOR's and VERT's, p_1 and
-q_1 with F201's).
+Every fit must also reproduce the ``HELD_OUT`` points past its samples.
+``verify_family_claims`` checks a fit's claims by cross-multiplication,
+its structure and its equality with its printed row (s_k and r_k with
+HOR's and VERT's, p_1 and q_1 with F201's), and returns them as the one
+JSON-ready dict that ``fit`` and ``verify_families`` print; its verdict is
+``failed_claim``, the first claim that is False.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ if TYPE_CHECKING:
 __all__ = [
     "FitError", "verify_gessel", "G_RECURRENCE_POLYS",
     "recurrence_residual", "default_g", "verify_recurrence_g",
-    "FitFamily", "PolyFit", "claimed_degree", "family_target", "fit_family",
-    "FamilyClaims", "verify_family_claims", "fit_report", "solve_linear_exact",
+    "FitFamily", "PolyFit", "HELD_OUT", "claimed_degree", "family_target", "fit_family",
+    "verify_family_claims", "failed_claim", "fit_report", "solve_linear_exact",
     "FAMILY_PLAN", "verify_families",
 ]
 
@@ -133,12 +135,11 @@ class FitFamily(Enum):
 
 
 class PolyFit(namedtuple("PolyFit",
-                         "family k numerators denominator sample_points verified_extra")):
-    """An exactly interpolated polynomial from one of the ansatz families,
-    together with its validation record: integer ``numerators`` in
-    ascending powers of n over one positive ``denominator``, in lowest
-    terms, the ``sample_points`` it was solved from, and ``verified_extra``
-    held-out points.  ``coeffs`` and its kin are Fraction views."""
+                         "family k numerators denominator sample_points")):
+    """An exactly interpolated polynomial from one of the ansatz families:
+    integer ``numerators`` in ascending powers of n over one positive
+    ``denominator``, in lowest terms, and the ``sample_points`` it was
+    solved from.  ``coeffs`` and its kin are Fraction views."""
 
     __slots__ = ()
 
@@ -162,6 +163,10 @@ class PolyFit(namedtuple("PolyFit",
     @property
     def divisible_by_n_plus_1(self) -> bool:
         return _poly_at(self.numerators, -1) == 0
+
+
+# the points past the samples that every fit must also reproduce
+HELD_OUT = 5
 
 
 def claimed_degree(family: FitFamily, k: int) -> int:
@@ -248,9 +253,9 @@ def _equation(family: FitFamily, k: int, n: int) -> list[int]:
     return [v // g for v in (*eq, num * den)]
 
 
-def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
+def fit_family(family: FitFamily, k: int) -> PolyFit:
     """Fit the ansatz polynomial for (family, k) from consecutive oracle
-    samples n = 0, 1, 2, ... and validate it on ``held_out`` further points.
+    samples n = 0, 1, 2, ... and validate it on ``HELD_OUT`` further points.
 
     P_K and Q_K are solved jointly from the two-polynomial ansatz for
     F(2n; 0, k).  k = 0 is refused where the base case is a printed closed
@@ -258,8 +263,6 @@ def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if held_out < 1:
-        raise ValueError("held_out must be positive")
     joint = family in (FitFamily.P_K, FitFamily.Q_K)
     if joint and k < 1:
         raise ValueError("the k = 0 point is the base closed form; P/Q need k >= 1")
@@ -271,7 +274,7 @@ def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
     if sol is None:
         raise FitError(f"ansatz inconsistent at ({label}, {k})")
     nums, den = sol
-    for n in range(len(nums), len(nums) + held_out):
+    for n in range(len(nums), len(nums) + HELD_OUT):
         *row, rhs = _equation(family, k, n)
         if sum(c * w for c, w in zip(nums, row)) != rhs * den:
             raise FitError(f"conjecture fails at n={n} for ({label}, {k})")
@@ -279,28 +282,7 @@ def fit_family(family: FitFamily, k: int, held_out: int = 5) -> PolyFit:
         n_p = claimed_degree(FitFamily.P_K, k) + 1
         nums = nums[:n_p] if family is FitFamily.P_K else nums[n_p:]
     g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-    return PolyFit(family, k, tuple(v // g for v in nums), den // g, tuple(samples), held_out)
-
-
-class FamilyClaims(namedtuple("FamilyClaims", (
-        "family k degree_expected degree_actual degree_ok"
-        " leading_denominator leading_ok divisible_by_n_plus_1 printed_ok"))):
-    """Which claims a fit satisfies: its degree, leading coefficient 1 /
-    ``leading_denominator``, (n+1) divisibility and printed row.  Each field
-    past ``degree_ok`` is None where the family carries no such claim."""
-
-    __slots__ = ()
-
-    @property
-    def leading_expected(self) -> Fraction | None:
-        from fractions import Fraction
-        return self.leading_denominator and Fraction(1, self.leading_denominator)
-
-    @property
-    def ok(self) -> bool:
-        """The fit's one verdict: no claim it carries fails."""
-        return all(check is not False for check in (
-            self.degree_ok, self.leading_ok, self.divisible_by_n_plus_1, self.printed_ok))
+    return PolyFit(family, k, tuple(v // g for v in nums), den // g, tuple(samples))
 
 
 def _printed_fit(family: FitFamily, k: int) -> tuple[tuple[int, ...], int] | None:
@@ -310,39 +292,42 @@ def _printed_fit(family: FitFamily, k: int) -> tuple[tuple[int, ...], int] | Non
     return F201_ROWS.get(family.value) if k == 1 else None
 
 
-def verify_family_claims(fit: PolyFit) -> FamilyClaims:
-    """Check claimed degree, leading coefficient, (n+1) divisibility and printed row."""
+def verify_family_claims(fit: PolyFit) -> dict:
+    """The fit's claims, JSON-ready: its claimed degree and whether it has
+    it, s_k's leading coefficient 1 / (k! (k+1)!) as a ratio string and
+    whether it has it, (n+1) divisibility and equality with its printed
+    row.  A claim the family does not carry is None."""
     deg_exp = claimed_degree(fit.family, fit.k)
-    leading_den = leading_ok = divisible = None
+    leading = leading_ok = divisible = None
     if fit.family is FitFamily.S_K:
         leading_den = math.factorial(fit.k) * math.factorial(fit.k + 1)
+        leading = ratio_str(1, leading_den)
         leading_ok = fit.numerators[fit.degree] * leading_den == fit.denominator
     if fit.family in _PRINTED_AS and fit.k >= 1:  # the printed rows' (n+1)
         divisible = fit.divisible_by_n_plus_1
     row = _printed_fit(fit.family, fit.k)  # ascending integers over a denominator
     printed = None if row is None else (
         tuple(a * row[1] for a in fit.numerators) == tuple(a * fit.denominator for a in row[0]))
-    return FamilyClaims(fit.family, fit.k, deg_exp, fit.degree, fit.degree == deg_exp,
-                        leading_den, leading_ok, divisible, printed)
+    return {"degree_expected": deg_exp, "degree_ok": fit.degree == deg_exp,
+            "leading_expected": leading, "leading_ok": leading_ok,
+            "divisible_by_n_plus_1": divisible, "printed_ok": printed}
 
 
-def fit_report(fit: PolyFit, claims: FamilyClaims) -> dict:
+def failed_claim(claims: dict) -> str | None:
+    """A fit's one verdict: the first of its ``verify_family_claims`` that
+    is False (``is``, since a claimed degree can be 0), or None if none is."""
+    return next((name for name, check in claims.items() if check is False), None)
+
+
+def fit_report(fit: PolyFit, claims: dict) -> dict:
     """JSON-ready report for one fit and its ``verify_family_claims``."""
     return {
         "family": fit.family.value,
         "k": fit.k,
         "degree": fit.degree,
         "coeffs": [ratio_str(a, fit.denominator) for a in fit.numerators],
-        "claims": {
-            "degree_expected": claims.degree_expected,
-            "degree_ok": claims.degree_ok,
-            "leading_expected": (claims.leading_denominator
-                                 and ratio_str(1, claims.leading_denominator)),
-            "leading_ok": claims.leading_ok,
-            "divisible_by_n_plus_1": claims.divisible_by_n_plus_1,
-            "printed_ok": claims.printed_ok,
-        },
-        "held_out_ok": fit.verified_extra,
+        "claims": claims,
+        "held_out_ok": HELD_OUT,
     }
 
 
@@ -377,11 +362,10 @@ def verify_families() -> CheckReport:
             first = first or {"family": family.value, "k": k, "error": str(exc)}
         else:
             nonzero += 1
-            claims = verify_family_claims(fit)
-            entry = fit_report(fit, claims)
-            entry["ok"] = claims.ok
-            if not claims.ok:  # name the first claim that fails
-                claim = next(name for name, v in entry["claims"].items() if v is False)
+            entry = fit_report(fit, verify_family_claims(fit))
+            claim = failed_claim(entry["claims"])
+            entry["ok"] = claim is None
+            if claim is not None:
                 first = first or {"family": family.value, "k": k, "claim": claim}
         fits.append(entry)
     compared = len(fits)

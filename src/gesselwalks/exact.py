@@ -195,7 +195,7 @@ def conjectured_ratio(family: ClosedFormFamily, k: int | None, n: int) -> tuple[
     0..3; the F201 family takes k=None.  Combinations without a printed
     formula raise ValueError."""
     if n < 0:
-        raise ValueError("conjectured_value needs n >= 0")
+        raise ValueError("conjectured_ratio needs n >= 0")
     if family is ClosedFormFamily.F201:
         if k is not None:
             raise ValueError("formula not displayed: F201 takes k=None")

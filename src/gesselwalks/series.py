@@ -107,31 +107,10 @@ def series_mul(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
 
     Within the shared caps the product coefficients are exact, because a
     contribution to exponent e only involves operand exponents at most e.
-    Each in-cap exponent is one integer in a mixed radix whose y and z
-    fields are 2*cap + 1 wide, so adding two keys adds the exponents with
-    no carry between fields; out-of-cap sums and zeros are dropped at the end.
     """
-    dx, dy, dz = caps = tuple(map(min, a.caps, b.caps))
-    ry, rz = 2 * dy + 1, 2 * dz + 1
-
-    def keyed(s: TruncSeries3) -> list[tuple[int, int]]:
-        return [((ex * ry + ey) * rz + ez, c) for (ex, ey, ez), c in s.coeffs.items()
-                if ex <= dx and ey <= dy and ez <= dz]
-
-    outer, inner = sorted((keyed(a), keyed(b)), key=len)
-    out: dict[int, int] = {}
-    get = out.get
-    for ka, ca in outer:
-        for kb, cb in inner:
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    coeffs: dict[Mono, int] = {}
-    for k, c in out.items():
-        exy, ez = divmod(k, rz)
-        ex, ey = divmod(exy, ry)
-        if c and ex <= dx and ey <= dy and ez <= dz:
-            coeffs[ex, ey, ez] = c
-    return TruncSeries3(caps, coeffs)
+    return make_series(tuple(map(min, a.caps, b.caps)), (
+        ((ax + bx, ay + by, az + bz), ac * bc)
+        for (ax, ay, az), ac in a.coeffs.items() for (bx, by, bz), bc in b.coeffs.items()))
 
 
 def build_G(caps: Caps) -> TruncSeries3:

@@ -15,7 +15,9 @@ from faults import bumped_stream
 from gesselwalks.conjectures import (
     FitFamily,
     fit_family,
+    fit_report,
     recurrence_residual,
+    verify_family_claims,
     verify_recurrence_g,
 )
 from gesselwalks.exact import ClosedFormFamily, catalan, conjectured_value, gessel_closed_form
@@ -191,15 +193,18 @@ def test_criterion_10_polynomial_fits():
         3: scale((3060, 7701, 7289, 3320, 736, 64), 36),
     }
 
+    def held_out(fit):
+        return fit_report(fit, verify_family_claims(fit))["held_out_ok"]
+
     def body():
         for k, coeffs in s_expected.items():
             fit = fit_family(FitFamily.S_K, k)
             assert fit.coeffs == coeffs, k
-            assert fit.verified_extra >= 5
+            assert held_out(fit) >= 5
         for k, coeffs in r_expected.items():
             fit = fit_family(FitFamily.R_K, k)
             assert fit.coeffs == coeffs, k
-            assert fit.verified_extra >= 5
+            assert held_out(fit) >= 5
         with pytest.raises(ValueError, match="closed form"):
             fit_family(FitFamily.R_K, 0)
         for k in range(4):
@@ -211,7 +216,7 @@ def test_criterion_10_polynomial_fits():
         q = fit_family(FitFamily.Q_K, 1)
         assert p.coeffs == (Fraction(5, 27),)
         assert q.coeffs == (Fraction(-50, 270), Fraction(183, 270), Fraction(111, 270))
-        assert p.verified_extra >= 5 and q.verified_extra >= 5
+        assert held_out(p) >= 5 and held_out(q) >= 5
 
     run_criterion("polynomial family fits", 20, body)
 

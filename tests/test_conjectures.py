@@ -12,6 +12,7 @@ from gesselwalks.conjectures import (
     G_RECURRENCE_POLYS,
     claimed_degree,
     default_g,
+    failed_claim,
     family_target,
     fit_family,
     fit_report,
@@ -122,7 +123,8 @@ def reference_fit(family, k, held_out=5):
 
 
 def reference_claims(family, k, coeffs):
-    """Degree, leading coefficient, (n+1) divisibility and printed row, over Fraction."""
+    """Degree, leading coefficient, (n+1) divisibility and printed row, over
+    Fraction: the degree of the coefficients, and the claims as printed."""
     degree = max((d for d, c in enumerate(coeffs) if c), default=0)
     leading = leading_ok = divisible = printed = None
     if family is FitFamily.S_K:
@@ -135,8 +137,14 @@ def reference_claims(family, k, coeffs):
         printed = coeffs == rows[family][k]
     elif k == 1 and family in (FitFamily.P_K, FitFamily.Q_K):
         printed = coeffs == (P1_EXPECTED if family is FitFamily.P_K else Q1_EXPECTED)
-    return (claimed_degree(family, k), degree, degree == claimed_degree(family, k),
-            leading, leading_ok, divisible, printed)
+    return degree, {
+        "degree_expected": claimed_degree(family, k),
+        "degree_ok": degree == claimed_degree(family, k),
+        "leading_expected": None if leading is None else str(leading),
+        "leading_ok": leading_ok,
+        "divisible_by_n_plus_1": divisible,
+        "printed_ok": printed,
+    }
 
 
 # FAMILY_PLAN, and each (family, k) the verify-export benchmark draws
@@ -293,13 +301,13 @@ class TestFits:
     def test_s_family_printed(self, k):
         fit = fit_family(FitFamily.S_K, k)
         assert fit.coeffs == S_EXPECTED[k]
-        assert fit.verified_extra >= 5
+        assert fit_report(fit, verify_family_claims(fit))["held_out_ok"] >= 5
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_r_family_printed(self, k):
         fit = fit_family(FitFamily.R_K, k)
         assert fit.coeffs == R_EXPECTED[k]
-        assert fit.verified_extra >= 5
+        assert fit_report(fit, verify_family_claims(fit))["held_out_ok"] >= 5
 
     def test_pq_printed(self):
         p = fit_family(FitFamily.P_K, 1)
@@ -316,7 +324,7 @@ class TestFits:
     def test_rt_degree(self, k):
         fit = fit_family(FitFamily.RT_K, k)
         assert fit.degree == 2 * k + 1
-        assert fit.verified_extra >= 5
+        assert fit_report(fit, verify_family_claims(fit))["held_out_ok"] >= 5
 
     def test_r_zero_refused(self):
         with pytest.raises(ValueError, match="closed form"):
@@ -377,6 +385,15 @@ class TestFits:
         with pytest.raises(FitError, match=message):
             fit_family(family, 1)
 
+    def test_points_past_held_out_are_not_checked(self, monkeypatch):
+        # r_1 solves samples 0..1 and checks n = 2..6; F(16; 0, 7) is n = 7
+        assert conjectures.HELD_OUT == 5
+        real = conjectures.count_walks
+        monkeypatch.setattr(
+            conjectures, "count_walks", lambda *t: real(*t) + (t == (16, 0, 7))
+        )
+        assert fit_family(FitFamily.R_K, 1).coeffs == R_EXPECTED[1]
+
     def test_held_out_check_reads_f_tilde(self, monkeypatch):
         # rt_1 solves samples 0..3; f_tilde(13; 0, 5) is its value at n = 5
         real = conjectures.f_tilde
@@ -395,24 +412,24 @@ def test_integer_fit_equals_the_fraction_reference(family, k):
     assert all(type(c) is Fraction for c in fit.coeffs)
     assert fit.denominator > 0 and math.gcd(fit.denominator, *fit.numerators) == 1
     claims = verify_family_claims(fit)
-    assert (claims.degree_expected, claims.degree_actual, claims.degree_ok,
-            claims.leading_expected, claims.leading_ok, claims.divisible_by_n_plus_1,
-            claims.printed_ok) == reference_claims(family, k, want)
+    degree, want_claims = reference_claims(family, k, want)
+    assert fit.degree == degree
+    assert list(claims.items()) == list(want_claims.items())
     report = fit_report(fit, claims)
     assert report["coeffs"] == [str(c) for c in want]
-    assert report["claims"]["leading_expected"] == (
-        None if claims.leading_expected is None else str(claims.leading_expected))
+    assert report["claims"] is claims
 
 
 class TestClaims:
     def test_s_leading_coefficients(self):
         for k in range(4):
             claims = verify_family_claims(fit_family(FitFamily.S_K, k))
-            assert claims.leading_expected == Fraction(
+            assert claims["leading_expected"] == str(Fraction(
                 1, math.factorial(k) * math.factorial(k + 1)
-            )
-            assert claims.leading_ok
-            assert claims.ok
+            ))
+            assert claims["leading_ok"] is True
+            # s_0 claims degree 0, a value equal to False, and fails no claim
+            assert failed_claim(claims) is None
 
     def test_s2_leading_is_one_twelfth(self):
         fit = fit_family(FitFamily.S_K, 2)
@@ -420,19 +437,24 @@ class TestClaims:
 
     def test_r_divisibility(self):
         for k in (1, 2, 3):
-            claims = verify_family_claims(fit_family(FitFamily.R_K, k))
-            assert claims.divisible_by_n_plus_1
-            assert claims.degree_actual == 2 * k - 1
-            assert claims.ok
+            fit = fit_family(FitFamily.R_K, k)
+            claims = verify_family_claims(fit)
+            assert claims["divisible_by_n_plus_1"] is True
+            assert fit.degree == 2 * k - 1
+            assert failed_claim(claims) is None
 
     def test_r3_shape(self):
-        claims = verify_family_claims(fit_family(FitFamily.R_K, 3))
-        assert claims.degree_actual == 5
+        assert fit_family(FitFamily.R_K, 3).degree == 5
 
     def test_rt0_degree(self):
         claims = verify_family_claims(fit_family(FitFamily.RT_K, 0))
-        assert claims.degree_expected == 1
-        assert claims.degree_ok
+        assert claims["degree_expected"] == 1
+        assert claims["degree_ok"] is True
+
+    def test_failed_claim_names_the_first_false(self):
+        claims = {"degree_expected": 2, "degree_ok": True, "leading_expected": None,
+                  "leading_ok": False, "divisible_by_n_plus_1": None, "printed_ok": False}
+        assert failed_claim(claims) == "leading_ok"
 
     def test_report_shape(self):
         fit = fit_family(FitFamily.S_K, 1)

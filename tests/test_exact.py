@@ -9,6 +9,7 @@ from gesselwalks.exact import (
     ClosedFormFamily,
     binom_general,
     catalan,
+    conjectured_ratio,
     conjectured_value,
     family_at,
     family_cell,
@@ -170,6 +171,13 @@ class TestConjecturedValue:
             conjectured_value(ClosedFormFamily.HOR, -1, 1)
         with pytest.raises(ValueError):
             conjectured_value(ClosedFormFamily.F201, 0, 1)
+
+    @pytest.mark.parametrize("family, k", [(ClosedFormFamily.F201, None),
+                                           (ClosedFormFamily.VERT, 0),
+                                           (ClosedFormFamily.HOR, 2)])
+    def test_negative_n_rejected_by_name(self, family, k):
+        with pytest.raises(ValueError, match=r"^conjectured_ratio needs n >= 0$"):
+            conjectured_ratio(family, k, -1)
 
     def test_vert_k0_is_catalan(self):
         for n in range(12):

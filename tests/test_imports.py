@@ -51,12 +51,13 @@ def run_fresh(code: str, *flags: str):
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["count", "--m", "40", "--n1", "2"], BEYOND_DP | {"csv"}),
+        (["count", "--m", "40", "--n1", "2"], BEYOND_DP),
+        (["count", "--m", "40", "--n1", "2", "--format", "csv"], BEYOND_DP),
         (["count", "--m", "6", "--method", "det"], BEYOND_INTEGER),
         (["hessenberg", "--n", "1"], BEYOND_INTEGER),
-        # the dump writes its rows as strings, with no csv writer
-        (["hessenberg", "--n", "1", "--dump"], BEYOND_INTEGER | {"csv"}),
-        (["hessenberg", "--n", "1", "--dump", "--format", "csv"], BEYOND_INTEGER | {"csv"}),
+        (["hessenberg", "--n", "1", "--format", "csv"], BEYOND_INTEGER),
+        (["hessenberg", "--n", "1", "--dump"], BEYOND_INTEGER),
+        (["hessenberg", "--n", "1", "--dump", "--format", "csv"], BEYOND_INTEGER),
         (["hessenberg", "--n", "1", "--dump", "--format", "json"], BEYOND_INTEGER),
         # the origin's closed form is an integer quotient
         (["count", "--m", "6", "--method", "closed"], RATIONALS | {"dataclasses"}),
@@ -66,14 +67,16 @@ def run_fresh(code: str, *flags: str):
         (["verify", "--suite", "cross_pipeline", "--k-max", "24"], BEYOND_INTEGER),
         (["verify", "--suite", "families"], RATIONALS | {"dataclasses"}),
         (["universal", "--i", "2"], {"dataclasses"}),
+        (["universal", "--i", "2", "--format", "csv"], {"dataclasses"}),
         # a fit is an integer elimination, printed as reduced integer ratios
-        (["fit", "--family", "r", "--k", "1"], RATIONALS | {"dataclasses", "csv"}),
-        (["fit", "--family", "s", "--k", "2"], RATIONALS | {"dataclasses", "csv"}),
-        (["fit", "--family", "rt", "--k", "1"], RATIONALS | {"dataclasses", "csv"}),
-        (["fit", "--family", "p", "--k", "3"], RATIONALS | {"dataclasses", "csv"}),
-        (["fit", "--family", "q", "--k", "2"], RATIONALS | {"dataclasses", "csv"}),
-        (["table", "--m-max", "3"], RATIONALS | {"dataclasses", "csv"}),
-        (["table", "--m-max", "3", "--format", "csv"], RATIONALS | {"csv"}),
+        (["fit", "--family", "r", "--k", "1"], RATIONALS | {"dataclasses"}),
+        (["fit", "--family", "r", "--k", "1", "--format", "csv"], RATIONALS | {"dataclasses"}),
+        (["fit", "--family", "s", "--k", "2"], RATIONALS | {"dataclasses"}),
+        (["fit", "--family", "rt", "--k", "1"], RATIONALS | {"dataclasses"}),
+        (["fit", "--family", "p", "--k", "3"], RATIONALS | {"dataclasses"}),
+        (["fit", "--family", "q", "--k", "2"], RATIONALS | {"dataclasses"}),
+        (["table", "--m-max", "3"], RATIONALS | {"dataclasses"}),
+        (["table", "--m-max", "3", "--format", "csv"], RATIONALS),
         (["count", "--m", "24", "--n2", "1", "--method", "solve"], BEYOND_INTEGER),
         (["count", "--m", "4", "--method", "multisum", "--max-span", "56"],
          BEYOND_INTEGER),
@@ -91,10 +94,11 @@ def run_fresh(code: str, *flags: str):
 )
 def test_subcommand_loads_only_what_it_runs(argv, absent):
     """Modules loaded by the package are those of the subcommand, and a
-    well-formed command line loads no parser and no json module, which only
-    prints the result here; a module already loaded at interpreter start-up
-    is not the package's doing."""
-    absent = absent | PARSER | {"json"}
+    well-formed command line loads no parser, no json module, which only
+    prints the result here, and no csv module, since every format writes
+    its own rows; a module already loaded at interpreter start-up is not
+    the package's doing."""
+    absent = absent | PARSER | {"json", "csv"}
     loaded = run_fresh(f"""
         import contextlib, io, sys
         before = set(sys.modules)
@@ -169,21 +173,22 @@ def test_library_integer_calls_load_no_rationals():
     integers, loaded, rationals = run_fresh(f"""
         import json, sys
         import gesselwalks as g
+        from gesselwalks.conjectures import failed_claim
         fit = g.fit_family(g.FitFamily.S_K, 1)
         claims = g.verify_family_claims(fit)
         integers = [g.gessel_via_determinant(3), g.binom_general(-3, 4), g.gessel_closed_form(4),
-                    [*fit.numerators, fit.denominator], claims.ok]
+                    [*fit.numerators, fit.denominator], failed_claim(claims),
+                    claims["leading_expected"]]
         loaded = sorted({sorted(RATIONALS)!r} & sys.modules.keys())
         from fractions import Fraction
         rationals = [g.pochhammer(3, 2), g.conjectured_value(g.ClosedFormFamily.HOR, 1, 2),
-                     fit.coeffs[1], fit.leading_coefficient, fit.evaluate(Fraction(1, 2)),
-                     claims.leading_expected]
+                     fit.coeffs[1], fit.leading_coefficient, fit.evaluate(Fraction(1, 2))]
         print(json.dumps([integers, loaded, [[type(v) is Fraction, str(v)] for v in rationals]]))
     """)
-    assert integers == [85, 15, 782, [4, 5, 1, 2], True]
+    assert integers == [85, 15, 782, [4, 5, 1, 2], None, "1/2"]
     assert loaded == []
     assert rationals == [[True, "12"], [True, "9"], [True, "5/2"], [True, "1/2"],
-                         [True, "27/8"], [True, "1/2"]]
+                         [True, "27/8"]]
 
 
 def test_star_import_binds_each_name_to_its_home():
@@ -225,3 +230,24 @@ def test_dir_lists_public_names_and_unknown_names_raise():
     assert listed
     assert loaded_by_dir == []
     assert message == "module 'gesselwalks' has no attribute 'no_such_name'"
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    """``bench/trace_child.py`` looks up the functions it wraps by name, so a
+    renamed or deleted one makes ``install`` raise and every traced benchmark
+    run fail.  Installed in a fresh child, it returns, and a fit run through
+    the wrappers is counted."""
+    bench = SRC.parent / "bench"
+    calls = run_fresh(f"""
+        import contextlib, io, json, sys
+        sys.path.insert(0, {str(bench)!r})
+        import trace_child
+        tracer = trace_child.Tracer("t")
+        trace_child.install(tracer)
+        from gesselwalks import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["fit", "--family", "s", "--k", "1"])
+        print(json.dumps([status, tracer.sums["conjectures.fit_family.calls"],
+                          tracer.sums["conjectures.verify_family_claims.calls"]]))
+    """)
+    assert calls == [0, 1, 1]
