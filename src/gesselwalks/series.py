@@ -5,6 +5,10 @@ A series is a sparse map from exponent triples (ex, ey, ez) to nonzero int
 coefficients, truncated at per-variable caps.  x marks the step count, y the
 horizontal coordinate, z the vertical coordinate of the walk series.
 
+The series checks decode packed ints with the codec of ``walks``, its one
+home: ``walks._unpack`` for the dp's unsigned slots and
+``walks._unpack_signed`` for the signed slots of the checks' two sides.
+
 The kernel and H checks build no series.  They compare their two sides one
 (m, n1) z-column at a time, each column one int whose W-bit slot b holds
 the coefficient of x^m y^n1 z^b, as the dp packs its layers (``walks``).
@@ -30,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping
-from itertools import zip_longest
 
 from . import walks
 from .pipelines import CheckReport
@@ -114,15 +117,15 @@ def series_mul(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
 
 
 def build_G(caps: Caps) -> TruncSeries3:
-    """Walk-count generating series up to the caps, read column by column
-    from a dp pass over dx layers, each column cut to n1 <= dy and
-    n2 <= dz before it is unpacked; every slot the stream yields is a
-    nonzero count within the caps."""
-    columns = walks.columns(*caps)
-    return TruncSeries3(
-        caps,
-        {(m, n1, n2): v for m, n1, counts in columns for n2, v in enumerate(counts)},
-    )
+    """Walk-count generating series up to the caps: the whole columns of a
+    dp pass over dx layers (``walks.columns``), each cut to n1 <= dy and
+    n2 <= dz; every slot the stream yields is a nonzero count.  A negative
+    cap gives the empty series."""
+    dx, dy, dz = caps
+    columns = walks.columns(dx) if min(caps) >= 0 else ()
+    return TruncSeries3(caps, {
+        (m, n1, n2): v
+        for m, n1, counts in columns if n1 <= dy for n2, v in enumerate(counts[:dz + 1])})
 
 
 def build_K(caps: Caps) -> TruncSeries3:
@@ -175,21 +178,12 @@ def _kernel_check(suite: str, caps: Caps, sides) -> CheckReport:
     slot, half = z - 1, z >> 1
     mask = (1 << width * (wz + 1)) - 1
 
-    def low(v: int) -> int:
-        """Slot 0 of v, signed."""
+    def axes(n1: int, v: int) -> int:
+        """All of column 0, slot 0 of the others, signed."""
+        if n1 == 0:
+            return v
         s = v & slot
         return s - z if s >= half else s
-
-    def axes(n1: int, v: int) -> int:
-        return v if n1 == 0 else low(v)
-
-    def values(v: int) -> list[int]:
-        """The signed slots of v in the window, up to its top nonzero one."""
-        out: list[int] = []
-        while v and len(out) <= wz:
-            out.append(low(v))
-            v = (v - out[-1]) >> width
-        return out
 
     nonzero, first = 0, None
     prev: list[int] = []
@@ -202,7 +196,8 @@ def _kernel_check(suite: str, caps: Caps, sides) -> CheckReport:
             kg = xg + ((g2 + (g2 << width) - g1) << width)
             lhs, rhs = sides(n1, xg, kg, z if m == 0 and n1 == 1 else 0, axes)
             if (lhs - rhs) & mask:
-                pairs = list(zip_longest(values(lhs), values(rhs), fillvalue=0))
+                pairs = list(zip(walks._unpack_signed(lhs, width, wz + 1),
+                                 walks._unpack_signed(rhs, width, wz + 1)))
                 nonzero += sum(1 for pair in pairs if any(pair))
                 if first is None:
                     n2 = next(n2 for n2, (lv, rv) in enumerate(pairs) if lv != rv)
@@ -210,7 +205,7 @@ def _kernel_check(suite: str, caps: Caps, sides) -> CheckReport:
             elif -half < rhs < half:  # slot 0 alone, as off column 0
                 nonzero += rhs != 0
             else:
-                nonzero += sum(map(bool, values(rhs)))
+                nonzero += sum(map(bool, walks._unpack_signed(rhs, width, wz + 1)))
         prev = layer
     return CheckReport(suite, math.prod(w + 1 for w in window), nonzero, first, detail)
 
@@ -276,9 +271,9 @@ def _axis_terms(dy: int, wz: int) -> list[tuple[list[int], list[int]]]:
     """[(G(m; n1, 0) for n1 <= dy, G(m; 0, n2) for n2 <= wz)] for m < wz, as
     lists that may stop short of their caps: slot 0 of each column and
     column 0 of each layer of the dp stream (``walks.layers``), decoded in
-    bulk; no other cell is unpacked."""
-    return [([c & ~(-1 << width) for c in layer[:dy + 1]],
-             walks._unpack(layer[0] & ~(-1 << width * (wz + 1)), width))
+    bulk; no other cell is unpacked.  Column 0 of layer m has no slot above
+    m/2, so it needs no cut to wz."""
+    return [([c & ~(-1 << width) for c in layer[:dy + 1]], walks._unpack(layer[0], width))
             for width, layer in walks.layers(wz - 1)]
 
 
@@ -302,8 +297,8 @@ def verify_root_identity(caps: Caps) -> CheckReport:
     subtracting the quotient's row above shifted up two slots; then A_m's
     row z^0 is added whole and its column y^0 into slot 0.  The quotient is
     reduced modulo 2^(W(dy+1)), which drops the terms past y^dy and commutes
-    with shifts and sums, so rows are decoded once, at the end, with 2^(W-1)
-    added to each slot and taken off again to restore its sign.
+    with shifts and sums, so rows are decoded once, at the end
+    (``walks._unpack_signed``).
 
     That is exact if every coefficient met is below 2^(W-1) in size.  One of
     A_k is at most 2B, B the largest axis term of G read; that of y^ey z^ez
@@ -341,9 +336,9 @@ def verify_root_identity(caps: Caps) -> CheckReport:
             quotient = (over - (quotient << 2 * width)) & mask  # / (1+y^2 z)
             out.append(quotient + sum(column[ez - 1:ez + 1]))
         rows = out
-    lhs = {(0, ey, ez): v - half
+    lhs = {(0, ey, ez): v
            for ez, row in enumerate(rows)
-           for ey, v in enumerate(walks._unpack((row + bias) & mask, width)) if v != half}
+           for ey, v in enumerate(walks._unpack_signed(row, width, dy + 1)) if v}
     yz = (0, 1, 1)
     keys = sorted({*lhs, yz})
     first = next((_mismatch(k, lhs.get(k, 0), int(k == yz))

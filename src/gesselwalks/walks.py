@@ -11,8 +11,11 @@ packs column n1 into one Python int with F(m; n1, n2) in the W-bit slot at
 offset W*n2 (Kronecker substitution); W >= 2*m + 4 exceeds the bit length of
 any count of layer m (at most 4^m), so the four-term step becomes four
 big-int operations per column with no carry between slots.  Layer m holds
-about 0.9*m^3 bits.  Columns are decoded in bulk, by one ``struct.unpack`` and
-one ``map(int.from_bytes, ...)`` each (``_unpack``), and widened by ``_widen``.
+about 0.9*m^3 bits.  This module is the one home of that packed-slot codec:
+columns are decoded in bulk, by one ``struct.unpack`` and one
+``map(int.from_bytes, ...)`` each (``_unpack``), widened by ``_widen``, and
+packed ints whose slots are signed, as the series checks build them, are
+decoded by ``_unpack_signed``.
 
 Four shapes of dp share that one step; the first two also share one rule
 for widening slots (``_grow``), the last two one statement of the cone of
@@ -95,6 +98,16 @@ def _unpack(column: int, width: int) -> list[int]:
     return list(map(int.from_bytes, _chunks(column, width // 8), repeat("little")))
 
 
+def _unpack_signed(v: int, width: int, n: int) -> list[int]:
+    """Slots 0..n-1 of a packed int whose slots are signed, each within
+    +-2^(width-1): every slot is biased by 2^(width-1), so the n slots
+    unpack unsigned and none of them is 0, and the bias is taken off again.
+    Slots from n up are dropped."""
+    half = 1 << (width - 1)
+    bias = int.from_bytes(half.to_bytes(width // 8, "little") * n, "little")
+    return [s - half for s in _unpack((v + bias) & ~(-1 << width * n), width)]
+
+
 def _widen(column: int, width: int, wider: int) -> int:
     """A packed column repacked at a width of at least its own: ``struct``
     pads each chunk with zero bytes, so no slot becomes an int."""
@@ -148,8 +161,7 @@ class WalkTable:
     A count of layer m is below 4^m, and layer m has at most m/2 + 1
     nonzero cells on each axis, none in column 0 when m is odd: at most
     about m_max^3/2 bits in all (0.37 m_max^3 at m_max = 298).
-    ``universal --i`` reads to m = 2i - 2, and no bound caps i; it peaks at
-    about 17, 18 and 24 MiB at i = 50, 100 and 150, end to end on Linux.
+    ``universal --i`` reads to m = 2i - 2, and no bound caps i.
 
     Construction is single-writer under ``count_walks``'s lock, since the
     library can be called from threads; a built table may be read from any
@@ -200,25 +212,14 @@ def layers(m_max: int, width: int | None = None) -> Iterator[Layer]:
     return chain([first], islice(_grow(*first, 0), m_max))
 
 
-def columns(
-    m_max: int, n1_max: int | None = None, n2_max: int | None = None
-) -> Iterator[tuple[int, int, list[int]]]:
+def columns(m_max: int) -> Iterator[tuple[int, int, list[int]]]:
     """Yield (m, n1, counts) for every nonzero column of layers 0..m_max,
     sorted, from a pass that holds two layers: m = n1 (mod 2), and
     counts[n2] = F(m; n1, n2) for n2 = 0..(n1 + m) // 2, every slot nonzero.
-
-    Bounds, where given, keep only the columns n1 <= n1_max and the slots
-    n2 <= n2_max of each; a taller column is masked before it is unpacked.
-    A negative m_max or bound admits no cell.
+    A negative m_max gives no column.
     """
-    if min(m_max, n1_max or 0, n2_max or 0) < 0:
-        return
-    stop = None if n1_max is None else n1_max + 1
     for m, (width, layer) in enumerate(layers(m_max)):
-        keep = None if n2_max is None else width * (n2_max + 1)
-        for n1, column in enumerate(islice(layer, stop)):
-            if keep is not None and column.bit_length() > keep:
-                column &= (1 << keep) - 1
+        for n1, column in enumerate(layer):
             if column:
                 yield m, n1, _unpack(column, width)
 

@@ -22,7 +22,7 @@ from gesselwalks.series import (
     x_of_yz,
 )
 from gesselwalks import cli, series, walks
-from gesselwalks.walks import columns, count_walks, f_tilde
+from gesselwalks.walks import _unpack_signed, columns, count_walks, f_tilde, reachable
 
 CAPS = (6, 6, 6)
 
@@ -162,6 +162,24 @@ def naive_mul(a, b):
     return TruncSeries3(caps, {e: c for e, c in out.items() if c})
 
 
+def signed_slots(v, width, n):
+    """The signed slots of v below slot n, up to its top nonzero one, one
+    slot at a time: the per-slot decode the kernel checks used before
+    ``walks._unpack_signed``, kept as its reference."""
+    z = 1 << width
+    out = []
+    while v and len(out) < n:
+        s = v & (z - 1)
+        out.append(s - z if s >= z >> 1 else s)
+        v = (v - out[-1]) >> width
+    return out
+
+
+def pack_signed(slots, width):
+    """Signed slots packed W bits apart, lowest first, by shifts and adds."""
+    return sum(v << width * i for i, v in enumerate(slots))
+
+
 @st.composite
 def capped_series_st(draw):
     """A sparse series with its own caps, each 0 to 4, and coefficients of
@@ -284,6 +302,75 @@ class TestBuildG:
     @pytest.mark.parametrize("caps", [(-1, 3, 3), (3, -1, 3), (3, 3, -1)])
     def test_negative_cap_gives_the_empty_series(self, caps):
         assert build_G(caps) == make_series(caps, {})
+
+    def test_caps_keep_the_whole_columns_cut(self):
+        # build_G cuts the whole columns of the dp stream to its caps itself
+        full = list(columns(21))
+        for dy, dz in [(21, 4), (3, 21), (5, 0), (30, 30), (0, 11)]:
+            expected = {
+                (m, n1, n2): v
+                for m, n1, counts in full if n1 <= dy
+                for n2, v in enumerate(counts[: dz + 1])
+            }
+            assert build_G((21, dy, dz)).coeffs == expected, (dy, dz)
+        for caps in [(21, -1, 5), (21, 5, -1), (21, 5, -2), (-1, 3, 3)]:
+            assert build_G(caps).coeffs == {}, caps
+
+    @pytest.mark.parametrize(
+        "caps", [(30, 40, 40), (30, 30, 30), (30, 12, 5), (29, 7, 0), (30, 0, 9), (0, 0, 0)]
+    )
+    def test_caps_keep_only_nonzero_counts_within_them(self, caps):
+        dx, dy, dz = caps
+        G = build_G(caps)
+        for (m, n1, n2), v in G.coeffs.items():
+            assert m <= dx and n1 <= dy and n2 <= dz
+            assert v, (m, n1, n2)
+        assert set(G.coeffs) == {
+            (m, n1, n2)
+            for m in range(dx + 1)
+            for n1 in range(dy + 1)
+            for n2 in range(dz + 1)
+            if reachable(m, n1, n2)
+        }
+
+
+class TestUnpackSigned:
+    """``walks._unpack_signed`` against the per-slot loop ``signed_slots``:
+    the same slots below n, up to trailing zeros."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.sampled_from([8, 16, 24, 48, 72]), data=st.data())
+    def test_matches_the_per_slot_loop(self, width, data):
+        top = (1 << (width - 1)) - 1
+        slot = st.one_of(st.just(0), st.integers(-top, top), st.sampled_from([-top, top]))
+        slots = data.draw(st.lists(slot, max_size=12))
+        n = data.draw(st.integers(0, 14))
+        v = pack_signed(slots, width)
+        reference = signed_slots(v, width, n)
+        assert _unpack_signed(v, width, n) == reference + [0] * (n - len(reference))
+
+    @pytest.mark.parametrize("width", [8, 16, 72])
+    @pytest.mark.parametrize(
+        "slots, n",
+        [
+            ([3, -1], 2),  # a negative top slot
+            ([0, 0, 5, 0, 0, -7, 0, 0], 8),  # runs of zeros
+            ([0, 0, 0], 3),
+            ([-1, 0, 0, 0, 2], 6),  # zeros above the top slot
+            ([4, -2, 9, -9, 1], 2),  # nonzero slots above n
+            ([-1, -1, -1], 1),
+            ([-2], 0),
+            ([], 4),
+        ],
+    )
+    def test_edge_vectors(self, width, slots, n):
+        top = (1 << (width - 1)) - 1
+        slots = [max(-top, min(top, v * 100)) for v in slots]
+        v = pack_signed(slots, width)
+        expected = (slots + [0] * n)[:n]
+        assert _unpack_signed(v, width, n) == expected
+        reference = signed_slots(v, width, n)
+        assert reference + [0] * (n - len(reference)) == expected
 
 
 class TestKernel:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gesselwalks import cli, triangular
-from gesselwalks.exact import binom_general, catalan
+from gesselwalks.exact import binom_general, catalan, gessel_closed_form
 from gesselwalks.triangular import (
     RHS_INDEX,
     _admitted_columns,
@@ -281,6 +281,32 @@ class TestMultisum:
             inverse_entry_multisum(4, 4, system_entry, max_span=16)
         with pytest.raises(ValueError):
             inverse_entry_multisum(3, -1, system_entry, max_span=16)
+
+
+class TestOneWindowTwoReadings:
+    """The chain sum and the Hessenberg determinant read the same window:
+    rows m+1..k and columns m..k-1 of a unit-lower matrix, whose
+    determinant is (-1)^(k-m) times entry (k, m) of the inverse."""
+
+    @pytest.mark.parametrize("n, span, count", [(1, 20, 2), (2, 56, 11), (3, 108, 85)])
+    def test_origin_window(self, n, span, count):
+        k = origin_index(n)
+        assert k - RHS_INDEX == span
+        chains = inverse_entry_multisum(k, RHS_INDEX, system_entry, max_span=span)
+        assert chains == hessenberg_det(hessenberg_for(k)) == gessel_closed_form(n) == count
+
+    def test_random_unit_lower(self):
+        rng = random.Random(20261022)
+        for _ in range(200):
+            size = rng.randint(2, 9)
+            rows = random_unit_lower(rng, size)
+            k = rng.randrange(1, size)
+            m = rng.randrange(k)
+            window = [row[m:k] for row in rows[m + 1:k + 1]]
+            assert well_formed(window)
+            det = hessenberg_det(sparse_rows(window))
+            chains = inverse_entry_multisum(k, m, lambda r, c: rows[r][c], max_span=16)
+            assert chains == (-1) ** (k - m) * det == unit_lower_inverse(rows)[k][m]
 
 
 @settings(max_examples=25, deadline=None)
