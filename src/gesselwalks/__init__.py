@@ -30,7 +30,6 @@ _HOME = {
     "WalkTable": "walks",
     "binom_general": "exact",
     "pochhammer": "exact",
-    "catalan": "exact",
     "gessel_closed_form": "exact",
     "ClosedFormFamily": "exact",
     "conjectured_value": "exact",
@@ -38,7 +37,6 @@ _HOME = {
     "build_G": "series",
     "build_K": "series",
     "build_H": "series",
-    "x_of_yz": "series",
     "verify_kernel_equation": "series",
     "verify_H_equation": "series",
     "verify_root_identity": "series",

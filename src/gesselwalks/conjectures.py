@@ -27,7 +27,7 @@ from .exact import ClosedFormFamily, conjectured_ratio, family_cell, gessel_clos
 from .exact import F201_ROWS, pq_weights, printed_row, ratio_str, row_factor
 from .exact import _poly_at, _prefactor  # Horner's rule and the prefactor's integer pair
 from .pipelines import CheckReport
-from .walks import count_meet, count_walks, counts_along, f_tilde
+from .walks import count_walks, counts_along, f_tilde
 
 TYPE_CHECKING = False  # true to type checkers; set here so a run needs no typing
 if TYPE_CHECKING:
@@ -35,8 +35,7 @@ if TYPE_CHECKING:
     from typing import Callable, Sequence
 
 __all__ = [
-    "FitError", "verify_gessel", "G_RECURRENCE_POLYS",
-    "recurrence_residual", "default_g", "verify_recurrence_g",
+    "FitError", "verify_gessel", "G_RECURRENCE_POLYS", "verify_recurrence_g",
     "FitFamily", "PolyFit", "HELD_OUT", "claimed_degree", "family_target", "fit_family",
     "verify_family_claims", "failed_claim", "fit_report", "solve_linear_exact",
     "FAMILY_PLAN", "verify_families",
@@ -78,37 +77,22 @@ G_RECURRENCE_POLYS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def default_g(n: int) -> int:
-    """g(n) = F(2n+1; 1, 0) from one two-pass count, which keeps no memo."""
-    return count_meet(2 * n + 1, 1, 0)
-
-
 def _recurrence_terms(n: int, g: Callable[[int], int]) -> list[int]:
     """The terms of the recurrence at n, each coefficient times its g value,
-    skipping those whose coefficient polynomial vanishes at n."""
+    skipping those whose coefficient polynomial vanishes at n: at n = 0 the
+    g(n-1) coefficient is 0, so g(-1) is never read."""
     return [c * g(arg) for poly, arg in zip(G_RECURRENCE_POLYS, (n + 1, n, n - 1))
             if (c := _poly_at(poly, n))]
-
-
-def recurrence_residual(n: int, g: Callable[[int], int] | None = None) -> int:
-    """Residual of the second-order recurrence at n.
-
-    Terms whose coefficient polynomial vanishes are skipped entirely; at
-    n = 0 the g(n-1) coefficient is 0, so g(-1) is never evaluated and the
-    boundary instance reduces to 168 g(1) - 840 g(0).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum(_recurrence_terms(n, g or default_g))
 
 
 def verify_recurrence_g(n_max: int, g: Callable[[int], int] | None = None) -> CheckReport:
     """Check that the recurrence residual vanishes for 0 <= n <= n_max - 1.
 
-    Without an injected g, g(0..n_max) is read from one cone pass to
-    (2 n_max + 1, 1, 0).  ``compared`` counts the residuals checked, up to
-    and including the first that does not vanish, and ``nonzero`` those
-    with a nonzero term.
+    Without an injected g, such as
+    ``lambda n: walks.count_meet(2 * n + 1, 1, 0)``, g(0..n_max) is read
+    from one cone pass to (2 n_max + 1, 1, 0).  ``compared`` counts the
+    residuals checked, up to and including the first that does not vanish,
+    and ``nonzero`` those with a nonzero term.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -139,7 +123,7 @@ class PolyFit(namedtuple("PolyFit",
     """An exactly interpolated polynomial from one of the ansatz families:
     integer ``numerators`` in ascending powers of n over one positive
     ``denominator``, in lowest terms, and the ``sample_points`` it was
-    solved from.  ``coeffs`` and its kin are Fraction views."""
+    solved from.  ``coeffs`` is their Fraction view."""
 
     __slots__ = ()
 
@@ -151,14 +135,6 @@ class PolyFit(namedtuple("PolyFit",
     @property
     def degree(self) -> int:
         return max((d for d, a in enumerate(self.numerators) if a), default=0)
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[self.degree]
-
-    def evaluate(self, n: int | Fraction) -> Fraction:
-        from fractions import Fraction
-        return Fraction(_poly_at(self.numerators, n), self.denominator)
 
     @property
     def divisible_by_n_plus_1(self) -> bool:

@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from typing import Sequence
 
 __all__ = [
-    "binom_general", "pochhammer", "prefactor", "catalan", "gessel_closed_form",
+    "binom_general", "pochhammer", "prefactor", "gessel_closed_form",
     "ClosedFormFamily", "family_cell", "family_at", "printed_row", "row_factor",
     "pq_weights", "F201_ROWS", "conjectured_ratio", "conjectured_value", "ratio_str",
 ]
@@ -79,13 +79,6 @@ def ratio_str(num: int, den: int) -> str:
     """str(Fraction(num, den)) for a nonzero den, without the Fraction."""
     g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
     return str(num // g) if den == g else f"{num // g}/{den // g}"
-
-
-def catalan(n: int) -> int:
-    """The n-th Catalan number, C(2n, n) / (n+1)."""
-    if n < 0:
-        raise ValueError("catalan needs n >= 0")
-    return math.comb(2 * n, n) // (n + 1)
 
 
 def gessel_closed_form(n: int) -> int:

@@ -16,7 +16,8 @@ Other modules are called through their module attributes, never imported
 by name, so a wrapper installed on, say, ``walks.count_walks`` sees every
 call made from here.  ``exact`` and ``triangular`` are imported by the
 functions that call them, so a ``dp`` count loads neither.  A ``det``,
-``solve`` or ``multisum`` count loads both.  No count loads
+``solve`` or ``multisum`` count loads both, and a target that it refuses
+as off its coverage neither.  No count loads
 ``fractions``: the entries are integers, and a ``closed`` count divides
 its form's integer numerator by its denominator and checks the remainder.
 ``CheckReport``, the record of every ``verify`` suite, lives here: every
@@ -122,12 +123,13 @@ def _count_closed(m: int, n1: int, n2: int) -> int:
 
 
 def _count_solve(m: int, n1: int, n2: int) -> int:
-    """Boundary count recovered from the forward-solved triangular system."""
-    from . import triangular
+    """Boundary count recovered from the forward-solved triangular system;
+    an interior target is refused before ``triangular`` is imported."""
     if n1 and n2:
         raise NotCovered(
             "the triangular solve recovers boundary counts only (n1 = 0 or n2 = 0)"
         )
+    from . import triangular
     if not walks.reachable(m, n1, n2):
         return 0
     # the unknowns hold f_tilde(m + 1; ., .), the one-step shift of F(m; ., .)

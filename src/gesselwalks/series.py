@@ -43,8 +43,8 @@ if TYPE_CHECKING:
     from typing import Iterable
 
 __all__ = [
-    "TruncSeries3", "make_series", "monomial", "bump_coeff", "series_add",
-    "series_mul", "build_G", "build_K", "build_H", "x_of_yz", "substitute_x",
+    "TruncSeries3", "make_series", "monomial", "series_add", "series_mul",
+    "build_G", "build_K", "build_H", "substitute_x",
     "verify_kernel_equation", "verify_H_equation", "verify_root_identity",
 ]
 
@@ -89,13 +89,6 @@ def make_series(
 
 def monomial(caps: Caps, ex: int, ey: int, ez: int, coef: int = 1) -> TruncSeries3:
     return make_series(caps, {(ex, ey, ez): coef})
-
-
-def bump_coeff(series: TruncSeries3, mono: Mono, delta: int = 1) -> TruncSeries3:
-    """Copy of the series with one coefficient shifted by delta.  The
-    negative controls bump the dp stream; the tests build their dict
-    references for the same bump with this."""
-    return make_series(series.caps, [*series.coeffs.items(), (mono, delta)])
 
 
 def series_add(a: TruncSeries3, b: TruncSeries3) -> TruncSeries3:
@@ -231,25 +224,6 @@ def verify_H_equation(caps: Caps) -> CheckReport:
         return h, axes(n1, h)
 
     return _kernel_check("hkernel", caps, sides)
-
-
-def x_of_yz(caps: Caps) -> TruncSeries3:
-    """Power-series root of the kernel in x:
-
-        x(y, z) = yz / ((1+z)(1+y^2 z))
-                = sum over a, b >= 0 of (-1)^(a+b) y^(2b+1) z^(a+b+1).
-
-    Only odd powers of y occur.  The x cap of the result is 0; the x
-    component of ``caps`` is ignored.
-    """
-    _, dy, dz = caps
-    items: dict[Mono, int] = {}
-    for b in range((dy + 1) // 2):
-        ey = 2 * b + 1
-        for a in range(dz - b):
-            ez = a + b + 1
-            items[(0, ey, ez)] = 1 if (a + b) % 2 == 0 else -1
-    return TruncSeries3((0, dy, dz), items)
 
 
 def substitute_x(series: TruncSeries3, x_series: TruncSeries3) -> TruncSeries3:

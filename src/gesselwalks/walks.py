@@ -11,11 +11,11 @@ packs column n1 into one Python int with F(m; n1, n2) in the W-bit slot at
 offset W*n2 (Kronecker substitution); W >= 2*m + 4 exceeds the bit length of
 any count of layer m (at most 4^m), so the four-term step becomes four
 big-int operations per column with no carry between slots.  Layer m holds
-about 0.9*m^3 bits.  This module is the one home of that packed-slot codec:
-columns are decoded in bulk, by one ``struct.unpack`` and one
-``map(int.from_bytes, ...)`` each (``_unpack``), widened by ``_widen``, and
-packed ints whose slots are signed, as the series checks build them, are
-decoded by ``_unpack_signed``.
+0.75 to 0.95 m^3 bits, as its slots are up to 25% wider than they need.
+This module is the one home of that packed-slot codec: columns are decoded
+in bulk, by one ``struct.unpack`` and one ``map(int.from_bytes, ...)``
+each (``_unpack``), widened by ``_widen``, and packed ints whose slots are
+signed, as the series checks build them, are decoded by ``_unpack_signed``.
 
 Four shapes of dp share that one step; the first two also share one rule
 for widening slots (``_grow``), the last two one statement of the cone of
@@ -159,9 +159,12 @@ class WalkTable:
     the one live layer kept, recorded after the axes so a cut run regrows it.
 
     A count of layer m is below 4^m, and layer m has at most m/2 + 1
-    nonzero cells on each axis, none in column 0 when m is odd: at most
-    about m_max^3/2 bits in all (0.37 m_max^3 at m_max = 298).
-    ``universal --i`` reads to m = 2i - 2, and no bound caps i.
+    nonzero cells on each axis, none in column 0 when m is odd: the axes
+    hold at most about m_max^3/2 bits in all (0.37 m_max^3 at m_max = 298).
+    The live layer kept besides is layer m_max whole: about 0.75 to 0.95
+    m_max^3 bits, as ``_grow`` pads its slots (0.76 m_max^3 at m_max = 298,
+    0.93 at 598), more than the axes hold.  ``universal --i`` reads to
+    m = 2i - 2, and no bound caps i.
 
     Construction is single-writer under ``count_walks``'s lock, since the
     library can be called from threads; a built table may be read from any

@@ -4,15 +4,16 @@ The kernel, H and root checks read only the dp's packed layer stream,
 ``walks.layers``, so a negative control bumps that stream where the checks
 read it: ``bumped_stream`` patches ``walks.layers`` for the length of a
 ``with`` block, and every layer it yields is a copy with the bumps added.
-The tests build the dict reference for the same bump with
-``series.bump_coeff`` on ``series.build_G``, outside the block, since
-``build_G`` reads the same stream.
+The tests build the dict reference for the same bump with ``bump_coeff``
+on ``series.build_G``, outside the block, since ``build_G`` reads the same
+stream.
 """
 
 from contextlib import contextmanager
 from unittest import mock
 
 from gesselwalks import walks
+from gesselwalks.series import make_series
 
 
 @contextmanager
@@ -42,3 +43,9 @@ def bumped_stream(bumps):
 
     with mock.patch.object(walks, "layers", bumped):
         yield
+
+
+def bump_coeff(series, mono, delta=1):
+    """Copy of a ``series.TruncSeries3`` with the coefficient of ``mono``
+    shifted by delta: the dict reference of one stream bump."""
+    return make_series(series.caps, [*series.coeffs.items(), (mono, delta)])

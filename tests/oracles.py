@@ -8,6 +8,7 @@ recurrence, dense forward substitution instead of chain sums), so an
 agreement is evidence and not a tautology.
 """
 
+import math
 from fractions import Fraction
 
 # F(2n; 0, 0) for n = 0..16
@@ -87,6 +88,11 @@ UNIVERSAL_SEQUENCES = {
 }
 
 STEPS = ((1, 0), (-1, 0), (1, 1), (-1, -1))
+
+
+def catalan(n):
+    """The n-th Catalan number, C(2n, n) / (n+1)."""
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def brute_count(m, n1, n2):

@@ -16,11 +16,10 @@ from gesselwalks.conjectures import (
     FitFamily,
     fit_family,
     fit_report,
-    recurrence_residual,
     verify_family_claims,
     verify_recurrence_g,
 )
-from gesselwalks.exact import ClosedFormFamily, catalan, conjectured_value, gessel_closed_form
+from gesselwalks.exact import ClosedFormFamily, conjectured_value, gessel_closed_form
 from gesselwalks.series import (
     verify_H_equation,
     verify_kernel_equation,
@@ -36,12 +35,13 @@ from gesselwalks.triangular import (
     system_entry,
     universal_sequence,
 )
-from gesselwalks.walks import count_walks, f_entry, shortest_walk
+from gesselwalks.walks import count_meet, count_walks, f_entry, shortest_walk
 from oracles import (
     F_MATRIX_14,
     GESSEL_NUMBERS,
     H24_ROWS,
     UNIVERSAL_SEQUENCES,
+    catalan,
     dense_rows,
     unit_lower_inverse,
 )
@@ -170,8 +170,8 @@ def test_criterion_08_multisum_inversion():
 
 def test_criterion_09_recurrence():
     def body():
-        for n in range(31):
-            assert recurrence_residual(n) == 0, n
+        # g(n) = F(2n+1; 1, 0) read two ways: one meet count each, and the cone pass
+        assert verify_recurrence_g(31, lambda n: count_meet(2 * n + 1, 1, 0)).ok
         assert verify_recurrence_g(31).ok
 
     run_criterion("second order recurrence", 10, body)

@@ -11,19 +11,17 @@ from gesselwalks.conjectures import (
     FitFamily,
     G_RECURRENCE_POLYS,
     claimed_degree,
-    default_g,
     failed_claim,
     family_target,
     fit_family,
     fit_report,
-    recurrence_residual,
     solve_linear_exact,
     verify_family_claims,
     verify_gessel,
     verify_recurrence_g,
 )
 from gesselwalks.exact import gessel_closed_form
-from gesselwalks.walks import count_walks
+from gesselwalks.walks import count_meet, count_walks
 
 
 def poly_mul(a, b):
@@ -204,9 +202,15 @@ class TestRecurrence:
             ) == 256 * n * (3 * n + 1) * (3 * n + 2)
 
     def test_boundary_instance(self):
-        assert default_g(0) == 1
-        assert default_g(1) == 5
-        assert recurrence_residual(0) == 168 * 5 - 840 * 1 == 0
+        # at n = 0 the residual is 168 g(1) - 840 g(0), and g(-1) is never read
+        def g(n):
+            assert n >= 0
+            return count_meet(2 * n + 1, 1, 0)
+
+        assert (g(0), g(1)) == (1, 5)
+        assert conjectures._recurrence_terms(0, g) == [168 * 5, -840 * 1]
+        assert verify_recurrence_g(1, g) == verify_recurrence_g(1)
+        assert verify_recurrence_g(1, g).ok
 
     def test_holds_to_thirty(self):
         check = verify_recurrence_g(30)
@@ -216,7 +220,7 @@ class TestRecurrence:
         assert check.compared == check.nonzero == 30
 
     def test_perturbed_fails(self):
-        bad = lambda n: default_g(n) + (1 if n == 5 else 0)
+        bad = lambda n: count_meet(2 * n + 1, 1, 0) + (1 if n == 5 else 0)
         check = verify_recurrence_g(10, bad)
         assert not check.ok
         assert check.first_mismatch is not None
@@ -237,21 +241,25 @@ class TestRecurrence:
         monkeypatch.setattr(conjectures, "counts_along", bumped)
         check = verify_recurrence_g(10)
         assert calls == [(21, 1, 0)]
-        bad = lambda n: default_g(n) + (n == 5)
-        assert check.first_mismatch == {"n": 4, "residual": str(recurrence_residual(4, bad))}
+        # the same bump of g(5) through an injected g gives the same counterexample
+        bad = lambda n: count_meet(2 * n + 1, 1, 0) + (n == 5)
+        assert check.first_mismatch["n"] == 4
+        assert check == verify_recurrence_g(10, bad)
 
     def test_rejects_zero_range(self):
         with pytest.raises(ValueError):
             verify_recurrence_g(0)
 
-    def test_default_g_keeps_no_memo(self, monkeypatch):
-        # g(n) is one two-pass count, so the residual never reads the memo
+    def test_neither_reading_of_g_uses_the_memo(self, monkeypatch):
+        # the cone pass and a meet count per g(n) both keep no memo
         def refuse(m, n1, n2):
             raise AssertionError("count_walks called")
 
         monkeypatch.setattr(conjectures, "count_walks", refuse)
+        monkeypatch.setattr(walks, "count_walks", refuse)
         before = walks.shared_table().m_max
-        assert recurrence_residual(40) == 0
+        assert verify_recurrence_g(41).ok
+        assert verify_recurrence_g(41, lambda n: walks.count_meet(2 * n + 1, 1, 0)).ok
         assert walks.shared_table().m_max == before
 
 
@@ -341,12 +349,12 @@ class TestFits:
     def test_s_value_at_zero_is_gessel(self):
         for k in range(9):
             fit = fit_family(FitFamily.S_K, k)
-            assert fit.evaluate(0) == gessel_closed_form(k)
+            assert fit.coeffs[0] == gessel_closed_form(k)
 
     def test_fit_reproduces_oracle_inside_ansatz(self):
         fit = fit_family(FitFamily.S_K, 2)
         for n in range(12):
-            assert fit.evaluate(n) == count_walks(n + 4, n, 0)
+            assert sum(c * n**e for e, c in enumerate(fit.coeffs)) == count_walks(n + 4, n, 0)
 
     def test_broken_target_raises_fit_error(self):
         # an off-by-one oracle must be caught at held-out validation
@@ -433,7 +441,7 @@ class TestClaims:
 
     def test_s2_leading_is_one_twelfth(self):
         fit = fit_family(FitFamily.S_K, 2)
-        assert fit.leading_coefficient == Fraction(1, 12)
+        assert fit.coeffs[fit.degree] == Fraction(1, 12)
 
     def test_r_divisibility(self):
         for k in (1, 2, 3):

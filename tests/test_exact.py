@@ -8,7 +8,6 @@ from gesselwalks import walks
 from gesselwalks.exact import (
     ClosedFormFamily,
     binom_general,
-    catalan,
     conjectured_ratio,
     conjectured_value,
     family_at,
@@ -18,7 +17,7 @@ from gesselwalks.exact import (
     prefactor,
     printed_row,
 )
-from oracles import GESSEL_NUMBERS
+from oracles import GESSEL_NUMBERS, catalan
 
 
 def rising(q, n):

@@ -54,6 +54,7 @@ def run_fresh(code: str, *flags: str):
         (["count", "--m", "40", "--n1", "2"], BEYOND_DP),
         (["count", "--m", "40", "--n1", "2", "--format", "csv"], BEYOND_DP),
         (["count", "--m", "6", "--method", "det"], BEYOND_INTEGER),
+        (["count", "--m", "12", "--method", "det", "--format", "json"], BEYOND_INTEGER),
         (["hessenberg", "--n", "1"], BEYOND_INTEGER),
         (["hessenberg", "--n", "1", "--format", "csv"], BEYOND_INTEGER),
         (["hessenberg", "--n", "1", "--dump"], BEYOND_INTEGER),
@@ -166,6 +167,28 @@ def test_usage_error_loads_argparse():
     assert "argparse" in new
 
 
+def test_solve_refusal_loads_no_triangular():
+    """``count --method solve`` refuses an interior target before it imports
+    ``triangular``, and so ``exact``: the run exits 2, with the refusal's
+    frozen stderr bytes, and loads neither module nor the parser."""
+    argv = ["count", "--m", "11", "--n1", "3", "--n2", "2", "--method", "solve"]
+    frozen = json.loads((SRC.parent / "tests" / "cli_frozen.json").read_text())
+    case = next(case for case in frozen if case["argv"] == argv)
+    status, err, new = run_fresh(f"""
+        import contextlib, io, json, sys
+        before = set(sys.modules)
+        from gesselwalks import cli
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = cli.main({argv!r})
+        print(json.dumps([status, err.getvalue(), sorted(set(sys.modules) - before)]))
+    """)
+    assert case["exit"] == 2
+    assert (status, err) == (case["exit"], case["stderr"])
+    assert "gesselwalks.pipelines" in new
+    assert ({"gesselwalks.triangular", "gesselwalks.exact"} | PARSER).isdisjoint(new)
+
+
 def test_library_integer_calls_load_no_rationals():
     """The library's integer entry points, the origin's closed form among
     them, and a fit with its claims start without ``fractions``; the views
@@ -182,13 +205,12 @@ def test_library_integer_calls_load_no_rationals():
         loaded = sorted({sorted(RATIONALS)!r} & sys.modules.keys())
         from fractions import Fraction
         rationals = [g.pochhammer(3, 2), g.conjectured_value(g.ClosedFormFamily.HOR, 1, 2),
-                     fit.coeffs[1], fit.leading_coefficient, fit.evaluate(Fraction(1, 2))]
+                     fit.coeffs[1], fit.coeffs[fit.degree]]
         print(json.dumps([integers, loaded, [[type(v) is Fraction, str(v)] for v in rationals]]))
     """)
     assert integers == [85, 15, 782, [4, 5, 1, 2], None, "1/2"]
     assert loaded == []
-    assert rationals == [[True, "12"], [True, "9"], [True, "5/2"], [True, "1/2"],
-                         [True, "27/8"]]
+    assert rationals == [[True, "12"], [True, "9"], [True, "5/2"], [True, "1/2"]]
 
 
 def test_star_import_binds_each_name_to_its_home():

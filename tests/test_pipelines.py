@@ -3,7 +3,7 @@
 import pytest
 
 from gesselwalks import cli, triangular, walks
-from gesselwalks.pipelines import METHODS, NotCovered, count, verify_cross_pipeline
+from gesselwalks.pipelines import METHODS, CheckReport, NotCovered, count, verify_cross_pipeline
 from oracles import GESSEL_NUMBERS
 
 
@@ -122,6 +122,16 @@ def test_cross_pipeline_refuses_a_size_that_compares_no_count():
     report = verify_cross_pipeline(floor)
     assert report.ok
     assert [row["n"] for row in report.detail["gessel_indices"]] == [0, 1]
+
+
+def test_a_report_is_true_only_when_ok():
+    """A report's truth is its ``ok``: a failed or vacuous report is still a
+    non-empty tuple, which would read as true without ``__bool__``."""
+    mismatch = {"n": 1, "dp": "2", "closed": "3"}
+    for nonzero, first, ok in ((1, None, True), (1, mismatch, False), (0, None, False)):
+        report = CheckReport("gessel", 2, nonzero, first, {})
+        assert bool(report) is report.ok is ok
+        assert (not report) is not ok
 
 
 def test_solve_at_large_m_against_closed_forms():

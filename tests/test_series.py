@@ -3,14 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faults import bumped_stream
+from faults import bump_coeff, bumped_stream
 from gesselwalks.pipelines import CheckReport
 from gesselwalks.series import (
     TruncSeries3,
     build_G,
     build_H,
     build_K,
-    bump_coeff,
     make_series,
     monomial,
     series_add,
@@ -19,7 +18,6 @@ from gesselwalks.series import (
     verify_H_equation,
     verify_kernel_equation,
     verify_root_identity,
-    x_of_yz,
 )
 from gesselwalks import cli, series, walks
 from gesselwalks.walks import _unpack_signed, columns, count_walks, f_tilde, reachable
@@ -116,6 +114,23 @@ def on_axes(a):
 def series_sub(a, b):
     """a - b, term by term, for series sharing their caps."""
     return series_add(a, TruncSeries3(b.caps, {k: -c for k, c in b.coeffs.items()}))
+
+
+def x_of_yz(caps):
+    """Power-series root of the kernel in x:
+
+        x(y, z) = yz / ((1+z)(1+y^2 z))
+                = sum over a, b >= 0 of (-1)^(a+b) y^(2b+1) z^(a+b+1).
+
+    Only odd powers of y occur.  The x cap of the result is 0; the x
+    component of ``caps`` is ignored.
+    """
+    _, dy, dz = caps
+    items = {}
+    for b in range((dy + 1) // 2):
+        for a in range(dz - b):
+            items[(0, 2 * b + 1, a + b + 1)] = 1 if (a + b) % 2 == 0 else -1
+    return TruncSeries3((0, dy, dz), items)
 
 
 def times_root(acc):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gesselwalks import cli, triangular
-from gesselwalks.exact import binom_general, catalan, gessel_closed_form
+from gesselwalks.exact import binom_general, gessel_closed_form
 from gesselwalks.triangular import (
     RHS_INDEX,
     _admitted_columns,
@@ -33,6 +33,7 @@ from oracles import (
     GESSEL_NUMBERS,
     H24_ROWS,
     UNIVERSAL_SEQUENCES,
+    catalan,
     cofactor_det,
     dense_rows,
     gauss_det,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gesselwalks import walks
-from gesselwalks.exact import catalan, gessel_closed_form
+from gesselwalks.exact import gessel_closed_form
 from gesselwalks.walks import (
     WalkTable,
     _cone,
@@ -21,7 +21,7 @@ from gesselwalks.walks import (
     reachable,
     shortest_walk,
 )
-from oracles import F_MATRIX_14, GESSEL_NUMBERS, brute_count
+from oracles import F_MATRIX_14, GESSEL_NUMBERS, brute_count, catalan
 
 
 def pack(slots, width):
