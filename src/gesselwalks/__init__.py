@@ -29,7 +29,6 @@ _HOME = {
     "f_entry": "walks",
     "WalkTable": "walks",
     "binom_general": "exact",
-    "pochhammer": "exact",
     "gessel_closed_form": "exact",
     "ClosedFormFamily": "exact",
     "conjectured_value": "exact",

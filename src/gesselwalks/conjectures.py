@@ -7,8 +7,9 @@ The three suites, ``verify_gessel``, ``verify_recurrence_g`` and
 
 The families' cells, the prefactor c^n (q)_n / (k+2)_n, the P/Q weights
 and the printed rows are read from ``exact``.  A fit solves one integer
-equation a sample by Bareiss's fraction-free elimination; ``Fraction`` is
-only a view for a library caller (``PolyFit.coeffs``, ``family_target``).
+equation a sample by Bareiss's fraction-free elimination, to integer
+numerators over one denominator; ``Fraction`` is only a view for a library
+caller (``family_target``, ``solve_linear_exact``).
 Every fit must also reproduce the ``HELD_OUT`` points past its samples.
 ``verify_family_claims`` checks a fit's claims by cross-multiplication,
 its structure and its equality with its printed row (s_k and r_k with
@@ -123,14 +124,9 @@ class PolyFit(namedtuple("PolyFit",
     """An exactly interpolated polynomial from one of the ansatz families:
     integer ``numerators`` in ascending powers of n over one positive
     ``denominator``, in lowest terms, and the ``sample_points`` it was
-    solved from.  ``coeffs`` is their Fraction view."""
+    solved from."""
 
     __slots__ = ()
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        from fractions import Fraction
-        return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     @property
     def degree(self) -> int:

@@ -1,11 +1,12 @@
 """Exact combinatorial arithmetic for quarter-plane walk counting.
 
 Everything here is pure and exact; floating point never appears in the
-package.  Each rational is one integer numerator/denominator pair, and
-``Fraction`` only a view a library caller asks for (``pochhammer``,
-``prefactor``, ``conjectured_value``): no command loads ``fractions``.
-Each family's cell is stated once, in ``family_cell`` (inverse
-``family_at``), and the factor c^n (q)_n / (k+2)_n once, in ``_prefactor``.
+package.  Each rational is one integer numerator/denominator pair: each
+Pochhammer symbol (q)_n in ``_rising``, and ``Fraction`` only the view
+``conjectured_value`` a library caller asks for; no command loads
+``fractions``.  Each family's cell is stated once, in ``family_cell``
+(inverse ``family_at``), and the factor c^n (q)_n / (k+2)_n once, in
+``_prefactor``.
 The printed polynomials are integer rows over a denominator: VERT's and
 HOR's past k = 0 in ``_PRINTED``, F201's p_1 and q_1 (weights
 ``pq_weights``) in ``F201_ROWS``.  ``conjectures.verify_family_claims``,
@@ -23,7 +24,7 @@ if TYPE_CHECKING:
     from typing import Sequence
 
 __all__ = [
-    "binom_general", "pochhammer", "prefactor", "gessel_closed_form",
+    "binom_general", "gessel_closed_form",
     "ClosedFormFamily", "family_cell", "family_at", "printed_row", "row_factor",
     "pq_weights", "F201_ROWS", "conjectured_ratio", "conjectured_value", "ratio_str",
 ]
@@ -56,23 +57,11 @@ def _rising(p: int, d: int, n: int) -> tuple[int, int]:
     return math.prod(range(p, p + n * d, d)), d**n
 
 
-def pochhammer(q: Fraction | int, n: int) -> Fraction:
-    """Rising factorial (q)_n = q(q+1)...(q+n-1), with (q)_0 = 1."""
-    from fractions import Fraction
-    return Fraction(*_rising(*Fraction(q).as_integer_ratio(), n))
-
-
 def _prefactor(c: int, p: int, d: int, k: int, n: int) -> tuple[int, int]:
     """c^n (p/d)_n / (k+2)_n as an integer pair: the hypergeometric factor of
     the closed forms with excess k and of the fit targets, which divide it out."""
     num, den = _rising(p, d, n)
     return c**n * num, den * math.prod(range(k + 2, k + n + 2))
-
-
-def prefactor(c: int, q: Fraction, k: int, n: int) -> Fraction:
-    """c^n (q)_n / (k+2)_n, ``_prefactor`` as a Fraction."""
-    from fractions import Fraction
-    return Fraction(*_prefactor(c, *Fraction(q).as_integer_ratio(), k, n))
 
 
 def ratio_str(num: int, den: int) -> str:

@@ -5,9 +5,9 @@ A series is a sparse map from exponent triples (ex, ey, ez) to nonzero int
 coefficients, truncated at per-variable caps.  x marks the step count, y the
 horizontal coordinate, z the vertical coordinate of the walk series.
 
-The series checks decode packed ints with the codec of ``walks``, its one
-home: ``walks._unpack`` for the dp's unsigned slots and
-``walks._unpack_signed`` for the signed slots of the checks' two sides.
+The series checks pack and decode ints with the codec of ``walks``, its
+one home: ``walks._pack_signed`` and ``walks._unpack_signed`` for the
+signed slots of the checks' two sides.
 
 The kernel and H checks build no series.  They compare their two sides one
 (m, n1) z-column at a time, each column one int whose W-bit slot b holds
@@ -22,7 +22,8 @@ m are at most 4^m, a slot of K*G at most 2*4^m).  The root check packs the
 other way: one row per z exponent ez, whose signed W-bit slot ey holds
 y^ey z^ez, at the W that ``verify_root_identity`` proves.
 
-The three checks read only the dp stream (``walks.layers``).  Each returns
+The kernel and H checks read only the dp stream (``walks.layers``), the
+root check only the axis memo (``walks.WalkTable``).  Each returns
 a ``pipelines.CheckReport`` of the window's exponents (``compared``), those
 where either side is nonzero, and ``caps`` and ``window`` as its detail.
 The dict layer above them (``TruncSeries3`` to ``substitute_x``) serves
@@ -241,38 +242,30 @@ def substitute_x(series: TruncSeries3, x_series: TruncSeries3) -> TruncSeries3:
     return acc
 
 
-def _axis_terms(dy: int, wz: int) -> list[tuple[list[int], list[int]]]:
-    """[(G(m; n1, 0) for n1 <= dy, G(m; 0, n2) for n2 <= wz)] for m < wz, as
-    lists that may stop short of their caps: slot 0 of each column and
-    column 0 of each layer of the dp stream (``walks.layers``), decoded in
-    bulk; no other cell is unpacked.  Column 0 of layer m has no slot above
-    m/2, so it needs no cut to wz."""
-    return [([c & ~(-1 << width) for c in layer[:dy + 1]], walks._unpack(layer[0], width))
-            for width, layer in walks.layers(wz - 1)]
-
-
 def verify_root_identity(caps: Caps) -> CheckReport:
     """Substitute the kernel root for x in the boundary-transform sections
     and check that H(x(y,z),0,z) + H(x(y,z),y,0) - H(x(y,z),0,0) collapses
     to the single monomial yz.  The three sections add up to the axis
     terms of H = K*G + yz, and substitution is linear, so the root is
-    substituted once.  G is read from the dp stream up to the caps.
+    substituted once.
 
     The axis terms of H are those of K*G (yz is off the axes) and read only
-    the axis terms of G (``_axis_terms``): their x^m part A_m is G(m-1; n1, 0)
-    at z^0 and G(m-1; 0, ez) + G(m-1; 0, ez-1) at y^0 z^ez.  The root r
-    carries z in every term, so the sum of A_m r^m is exact for
-    ez <= wz = min(dx, dz), the z window, and needs m <= wz alone.
+    the axis terms of G: their x^m part A_m is G(m-1; n1, 0) at z^0 and
+    G(m-1; 0, ez) + G(m-1; 0, ez-1) at y^0 z^ez.  The root r carries z in
+    every term, so the sum of A_m r^m is exact for ez <= wz = min(dx, dz),
+    the z window, and needs m <= wz alone.  So G is read from the axis memo
+    ``walks.WalkTable(wz - 1)``, each row cut to n1 <= dy; column 0 of
+    layer m has no slot above m/2, so it needs no cut to wz.
 
     The sum is taken by Horner in x over rows: row ez is one int whose W-bit
     slot ey holds the coefficient of y^ey z^ez, signed.  A step times
     yz/((1+z)(1+y^2 z)) shifts row ez up a slot into row ez+1 (yz), divides
     by 1+z by a running subtraction down the rows and by 1+y^2 z by
     subtracting the quotient's row above shifted up two slots; then A_m's
-    row z^0 is added whole and its column y^0 into slot 0.  The quotient is
-    reduced modulo 2^(W(dy+1)), which drops the terms past y^dy and commutes
-    with shifts and sums, so rows are decoded once, at the end
-    (``walks._unpack_signed``).
+    row z^0 is added whole (``walks._pack_signed``) and its column y^0 into
+    slot 0.  The quotient is reduced modulo 2^(W(dy+1)), which drops the
+    terms past y^dy and commutes with shifts and sums, so rows are decoded
+    once, at the end (``walks._unpack_signed``).
 
     That is exact if every coefficient met is below 2^(W-1) in size.  One of
     A_k is at most 2B, B the largest axis term of G read; that of y^ey z^ez
@@ -292,18 +285,15 @@ def verify_root_identity(caps: Caps) -> CheckReport:
     size = max(0, dy + 1) * max(0, wz + 1)
     if min(dy, wz) < 1:
         return CheckReport("root", size, 0, None, detail)
-    terms = _axis_terms(dy, wz)
+    terms = [(row[:dy + 1], column) for row, column in walks.WalkTable(wz - 1)._axes]
     big = max((v for row, column in terms for v in (*row, *column)), default=0)
     bits = (2 * big).bit_length() + ((wz + 1) * (dy + wz + 1)).bit_length() + dy + wz
     width = -(-bits // 8) * 8
-    nbytes, half = width // 8, 1 << (width - 1)
     mask = (1 << width * (dy + 1)) - 1  # the window's slots
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * (dy + 1), "little")
 
     rows = [0] * (wz + 1)
-    for row, column in [*reversed(terms), ((), ())]:  # A_m for m = wz..0
-        data = b"".join((v + half).to_bytes(nbytes, "little") for v in row)
-        out = [int.from_bytes(data, "little") - (bias & ~(-1 << 8 * len(data)))]
+    for row, column in [*reversed(terms), ([], [])]:  # A_m for m = wz..0
+        out = [walks._pack_signed(row, width)]
         over = quotient = 0
         for ez in range(1, wz + 1):
             over = (rows[ez - 1] << width) - over  # yz * acc / (1+z)

@@ -15,22 +15,24 @@ big-int operations per column with no carry between slots.  Layer m holds
 This module is the one home of that packed-slot codec: columns are decoded
 in bulk, by one ``struct.unpack`` and one ``map(int.from_bytes, ...)``
 each (``_unpack``), widened by ``_widen``, and packed ints whose slots are
-signed, as the series checks build them, are decoded by ``_unpack_signed``.
+signed, as the series checks build them, are packed by ``_pack_signed``
+and decoded by ``_unpack_signed``.
 
 Four shapes of dp share that one step; the first two also share one rule
 for widening slots (``_grow``), the last two one statement of the cone of
-cells that can still reach a goal (``_cone``).  The memo, the
-``WalkTable`` behind ``count_walks``, keeps the axis cells of each layer,
-all its callers read.  The stream, ``layers``, holds two layers and yields
-each one packed, at the widths ``_grow`` picks or at one fixed width; the
-series checks read its packed z-columns as they are, and ``columns``
-unpacks each nonzero column from it for the whole-table readers (``table``
-export, ``build_G``).  The cone, ``counts_along``, follows one target
-(n1, n2) from two layers at one width and returns F(t; n1, n2) for every t
-up to m, for the suites that read every t.  The meet, ``count_meet``,
-answers F(m; n1, n2) alone from two passes of half the depth and half the
-slot width, one from the origin and one back from the target.  Also here:
-the shortest-walk closed forms and the boundary transform's packed matrix.
+cells that can still reach a goal (``_cone``).  The memo, ``WalkTable``,
+keeps the axis cells of each layer, all its callers read: the one shared
+behind ``count_walks``, and the root check's own.  The stream, ``layers``,
+holds two layers and yields each one packed, at the widths ``_grow`` picks
+or at one fixed width; the kernel and H checks read its packed z-columns
+as they are, and ``columns`` unpacks each nonzero column from it for the
+whole-table readers (``table`` export, ``build_G``).  The cone,
+``counts_along``, follows one target (n1, n2) from two layers at one width
+and returns F(t; n1, n2) for every t up to m, for the suites that read
+every t.  The meet, ``count_meet``, answers F(m; n1, n2) alone from two
+passes of half the depth and half the slot width, one from the origin and
+one back from the target.  Also here: the shortest-walk closed forms and
+the boundary transform's packed matrix.
 """
 
 from __future__ import annotations
@@ -98,14 +100,27 @@ def _unpack(column: int, width: int) -> list[int]:
     return list(map(int.from_bytes, _chunks(column, width // 8), repeat("little")))
 
 
+def _bias(width: int, n: int) -> int:
+    """2^(width-1) in each of n slots: the bias of signed slots."""
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * n, "little")
+
+
 def _unpack_signed(v: int, width: int, n: int) -> list[int]:
     """Slots 0..n-1 of a packed int whose slots are signed, each within
     +-2^(width-1): every slot is biased by 2^(width-1), so the n slots
     unpack unsigned and none of them is 0, and the bias is taken off again.
     Slots from n up are dropped."""
     half = 1 << (width - 1)
-    bias = int.from_bytes(half.to_bytes(width // 8, "little") * n, "little")
-    return [s - half for s in _unpack((v + bias) & ~(-1 << width * n), width)]
+    return [s - half for s in _unpack((v + _bias(width, n)) & ~(-1 << width * n), width)]
+
+
+def _pack_signed(values: list[int], width: int) -> int:
+    """The packed int whose slot i holds values[i], signed, each within
+    +-2^(width-1): the inverse of ``_unpack_signed``.  Each slot is packed
+    biased, as one chunk of bytes, and the bias is taken off the whole."""
+    half = 1 << (width - 1)
+    data = b"".join((v + half).to_bytes(width // 8, "little") for v in values)
+    return int.from_bytes(data, "little") - _bias(width, len(values))
 
 
 def _widen(column: int, width: int, wider: int) -> int:

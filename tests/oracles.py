@@ -9,6 +9,7 @@ agreement is evidence and not a tautology.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 # F(2n; 0, 0) for n = 0..16
@@ -93,6 +94,23 @@ STEPS = ((1, 0), (-1, 0), (1, 1), (-1, -1))
 def catalan(n):
     """The n-th Catalan number, C(2n, n) / (n+1)."""
     return math.comb(2 * n, n) // (n + 1)
+
+
+def pochhammer(q, n):
+    """The rising factorial (q)_n = q(q+1)...(q+n-1) over Fraction, by its
+    definition, with (q)_0 = 1."""
+    return math.prod((Fraction(q) + j for j in range(n)), start=Fraction(1))
+
+
+def prefactor(c, q, k, n):
+    """c^n (q)_n / (k+2)_n over Fraction, by its definition."""
+    return c**n * pochhammer(q, n) / pochhammer(k + 2, n)
+
+
+def coeffs(fit):
+    """A ``PolyFit``'s coefficients as Fractions: its numerators over its
+    denominator."""
+    return tuple(Fraction(a, fit.denominator) for a in fit.numerators)
 
 
 def brute_count(m, n1, n2):
@@ -204,3 +222,13 @@ def well_formed(dense):
         for r, row in enumerate(dense)
         for c in range(r + 1, len(dense))
     )
+
+
+def frozen_bytes(case):
+    """A frozen command line case's (exit, stdout, stderr) on this Python.
+    Python 3.13's argparse wraps one usage line otherwise, so that case also
+    holds its 3.13 stdout, as ``stdout_3.13``."""
+    stdout = case["stdout"]
+    if sys.version_info >= (3, 13):
+        stdout = case.get("stdout_3.13", stdout)
+    return case["exit"], stdout, case["stderr"]

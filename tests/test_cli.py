@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from faults import bumped_stream
 from gesselwalks import cli, conjectures, exact, triangular, walks
-from oracles import H24_ROWS, dense_rows
+from oracles import H24_ROWS, dense_rows, frozen_bytes
 
 
 def run_cli(capsys, *argv):
@@ -293,7 +293,8 @@ class TestVerify:
 
     @staticmethod
     def refuse_dp(monkeypatch):
-        """Make ``series.build_G`` and the dp's layer stream raise when called."""
+        """Make ``series.build_G``, the dp's layer stream and the axis memo
+        raise when called."""
         from gesselwalks import series
 
         def refuse(*args):
@@ -301,6 +302,7 @@ class TestVerify:
 
         monkeypatch.setattr(series, "build_G", refuse)
         monkeypatch.setattr(walks, "layers", refuse)
+        monkeypatch.setattr(walks, "WalkTable", refuse)
 
     @pytest.mark.parametrize("suite", ["kernel", "hkernel"])
     def test_negative_window_refused_before_g_is_built(self, capsys, monkeypatch, suite):
@@ -627,7 +629,8 @@ def test_frozen_output(capsys, case):
 # Exit code, stdout and stderr of every help text and of argv that argparse
 # alone answers (a bad choice, a missing or unknown flag, an abbreviation, an
 # = joined value, a negative value), recorded byte for byte at COLUMNS=80
-# while argparse read every command line.
+# while argparse read every command line; ``oracles.frozen_bytes`` picks a
+# case's bytes for this Python.
 PINNED = json.loads(Path(__file__).with_name("cli_usage_frozen.json").read_text())
 
 
@@ -639,7 +642,7 @@ def test_help_and_usage_bytes(capsys, monkeypatch, case):
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+    assert (code, captured.out, captured.err) == frozen_bytes(case)
 
 
 class TestReader:

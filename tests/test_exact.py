@@ -7,22 +7,22 @@ from hypothesis import given, strategies as st
 from gesselwalks import walks
 from gesselwalks.exact import (
     ClosedFormFamily,
+    _prefactor,
+    _rising,
     binom_general,
     conjectured_ratio,
     conjectured_value,
     family_at,
     family_cell,
     gessel_closed_form,
-    pochhammer,
-    prefactor,
     printed_row,
 )
-from oracles import GESSEL_NUMBERS, catalan
+from oracles import GESSEL_NUMBERS, catalan, pochhammer, prefactor
 
 
 def rising(q, n):
-    """(q)_n by its definition, as a reference for the closed forms."""
-    return math.prod((Fraction(q) + j for j in range(n)), start=Fraction(1))
+    """``_rising`` at q, as a Fraction."""
+    return Fraction(*_rising(*Fraction(q).as_integer_ratio(), n))
 
 
 class TestBinomGeneral:
@@ -49,13 +49,17 @@ class TestBinomGeneral:
 
 
 class TestPochhammer:
+    """``_rising``, the integer pair of (q)_n, against the oracle."""
+
     def test_empty_product(self):
-        assert pochhammer(Fraction(5, 6), 0) == 1
+        assert _rising(5, 6, 0) == (1, 1)
+        assert rising(Fraction(5, 6), 0) == pochhammer(Fraction(5, 6), 0) == 1
 
     def test_single_factor(self):
-        assert pochhammer(Fraction(1, 2), 1) == Fraction(1, 2)
+        assert rising(Fraction(1, 2), 1) == pochhammer(Fraction(1, 2), 1) == Fraction(1, 2)
 
     def test_two_factors(self):
+        assert _rising(5, 6, 2) == (55, 36)
         assert pochhammer(Fraction(5, 6), 2) == Fraction(55, 36)
 
     @pytest.mark.parametrize(
@@ -68,14 +72,14 @@ class TestPochhammer:
             expected = Fraction(1)
             for s in range(n):
                 expected *= Fraction(q) + s
-            got = pochhammer(q, n)
-            assert isinstance(got, Fraction)
-            assert got == expected, (q, n)
+            num, den = _rising(*Fraction(q).as_integer_ratio(), n)
+            assert type(num) is int and type(den) is int
+            assert Fraction(num, den) == expected == pochhammer(q, n), (q, n)
 
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(5, 6), Fraction(5, 3)])
     @given(m=st.integers(min_value=0, max_value=10), n=st.integers(min_value=0, max_value=10))
     def test_multiplicative(self, q, m, n):
-        assert pochhammer(q, m + n) == pochhammer(q, m) * pochhammer(q + m, n)
+        assert rising(q, m + n) == rising(q, m) * rising(q + m, n)
 
 
 class TestCatalan:
@@ -110,8 +114,9 @@ class TestGesselClosedForm:
         for n in range(120):
             value = gessel_closed_form(n)
             assert type(value) is int
-            assert value == (16**n * rising(Fraction(1, 2), n) * rising(Fraction(5, 6), n)
-                             / (rising(2, n) * rising(Fraction(5, 3), n))), n
+            assert value == (16**n * pochhammer(Fraction(1, 2), n)
+                             * pochhammer(Fraction(5, 6), n)
+                             / (pochhammer(2, n) * pochhammer(Fraction(5, 3), n))), n
 
 
 class TestFamilyCells:
@@ -138,7 +143,8 @@ class TestFamilyCells:
 class TestPrefactor:
     def test_against_the_definition(self):
         for c, q, k, n in ((16, Fraction(1, 2), 1, 7), (4, Fraction(3, 2), 3, 9), (4, 1, 0, 0)):
-            assert prefactor(c, q, k, n) == c**n * rising(q, n) / rising(k + 2, n)
+            pair = _prefactor(c, *Fraction(q).as_integer_ratio(), k, n)
+            assert Fraction(*pair) == prefactor(c, q, k, n), (c, q, k, n)
 
 
 class TestPrintedRow:

@@ -19,8 +19,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SUBMODULES = ("walks", "exact", "series", "triangular", "conjectures", "pipelines")
 
-# rationals: only the library's Fraction views (pochhammer, conjectured_value,
-# PolyFit.coeffs, ...) load them; every subcommand computes with integer pairs
+# rationals: only the library's Fraction views (conjectured_value,
+# family_target, solve_linear_exact) load them; every subcommand computes with
+# integer pairs
 RATIONALS = {"fractions", "decimal", "numbers"}
 # modules that only other subcommands need
 BEYOND_DP = RATIONALS | {
@@ -196,7 +197,7 @@ def test_library_integer_calls_load_no_rationals():
     integers, loaded, rationals = run_fresh(f"""
         import json, sys
         import gesselwalks as g
-        from gesselwalks.conjectures import failed_claim
+        from gesselwalks.conjectures import failed_claim, family_target, solve_linear_exact
         fit = g.fit_family(g.FitFamily.S_K, 1)
         claims = g.verify_family_claims(fit)
         integers = [g.gessel_via_determinant(3), g.binom_general(-3, 4), g.gessel_closed_form(4),
@@ -204,13 +205,14 @@ def test_library_integer_calls_load_no_rationals():
                     claims["leading_expected"]]
         loaded = sorted({sorted(RATIONALS)!r} & sys.modules.keys())
         from fractions import Fraction
-        rationals = [g.pochhammer(3, 2), g.conjectured_value(g.ClosedFormFamily.HOR, 1, 2),
-                     fit.coeffs[1], fit.coeffs[fit.degree]]
+        rationals = [g.conjectured_value(g.ClosedFormFamily.HOR, 1, 2),
+                     family_target(fit.family, fit.k, 2),
+                     *solve_linear_exact([[2, 0], [0, 4]], [5, 2])]
         print(json.dumps([integers, loaded, [[type(v) is Fraction, str(v)] for v in rationals]]))
     """)
     assert integers == [85, 15, 782, [4, 5, 1, 2], None, "1/2"]
     assert loaded == []
-    assert rationals == [[True, "12"], [True, "9"], [True, "5/2"], [True, "1/2"]]
+    assert rationals == [[True, "9"], [True, "9"], [True, "5/2"], [True, "1/2"]]
 
 
 def test_star_import_binds_each_name_to_its_home():

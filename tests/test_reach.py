@@ -51,10 +51,6 @@ CASES = [case for name in ("cli_frozen.json", "cli_usage_frozen.json")
 REASONS = ("library API", "bench", "failure path", "entry point", "import time")
 
 UNREACHED = {
-    "exact.pochhammer": ("library API", "tests/test_exact.py::TestPochhammer::test_two_factors"),
-    "exact.prefactor": ("library API", "tests/test_exact.py::TestPrefactor::test_against_the_definition"),
-    "conjectures.PolyFit.coeffs": (
-        "library API", "tests/test_conjectures.py::TestFits::test_s_family_printed"),
     "pipelines.CheckReport.__bool__": (
         "library API", "tests/test_pipelines.py::test_a_report_is_true_only_when_ok"),
     "series.TruncSeries3.coeff": ("bench", "substitute_x"),
@@ -79,7 +75,6 @@ UNREACHED = {
     "cli._flush": ("entry point", "only console_main calls it"),
     "__init__.__dir__": ("entry point", "dir(gesselwalks) calls it"),
     "__init__.__getattr__": ("import time", "a submodule's first import asks the package for it"),
-    "walks.WalkTable.__init__": ("import time", "importing walks builds the shared memo"),
 }
 
 

@@ -20,7 +20,7 @@ from gesselwalks.series import (
     verify_root_identity,
 )
 from gesselwalks import cli, series, walks
-from gesselwalks.walks import _unpack_signed, columns, count_walks, f_tilde, reachable
+from gesselwalks.walks import _pack_signed, _unpack_signed, columns, count_walks, f_tilde, reachable
 
 CAPS = (6, 6, 6)
 
@@ -351,7 +351,8 @@ class TestBuildG:
 
 class TestUnpackSigned:
     """``walks._unpack_signed`` against the per-slot loop ``signed_slots``:
-    the same slots below n, up to trailing zeros."""
+    the same slots below n, up to trailing zeros; ``walks._pack_signed``
+    against the shifts and adds of ``pack_signed``, and as its inverse."""
 
     @settings(max_examples=300, deadline=None)
     @given(width=st.sampled_from([8, 16, 24, 48, 72]), data=st.data())
@@ -363,6 +364,18 @@ class TestUnpackSigned:
         v = pack_signed(slots, width)
         reference = signed_slots(v, width, n)
         assert _unpack_signed(v, width, n) == reference + [0] * (n - len(reference))
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.sampled_from([8, 16, 24, 48, 72]), data=st.data())
+    def test_pack_signed_is_its_inverse(self, width, data):
+        # slots at 0 and at +-(2^(W-1) - 1), the ends of the signed range
+        top = (1 << (width - 1)) - 1
+        slot = st.one_of(st.just(0), st.integers(-top, top), st.sampled_from([-top, top]))
+        values = data.draw(st.lists(slot, max_size=12))
+        packed = _pack_signed(values, width)
+        assert packed == pack_signed(values, width)
+        assert _unpack_signed(packed, width, len(values)) == values
+        assert _pack_signed([], width) == 0
 
     @pytest.mark.parametrize("width", [8, 16, 72])
     @pytest.mark.parametrize(
@@ -576,12 +589,13 @@ class TestRoot:
         assert axes == on_axes(build_H(caps))
         assert axes.coeffs
 
-    def test_axis_terms_of_G_read_off_the_layer_stream(self):
+    def test_axis_terms_of_G_read_off_the_memo(self):
         def trimmed(terms):
             return [[v[:max((i + 1 for i, c in enumerate(v) if c), default=0)] for v in pair]
                     for pair in terms]
 
-        # the root check reads them only for a z window of at least 1
+        # the root check reads them only for a z window of at least 1: the
+        # axes of walks.WalkTable(wz - 1), each row cut to n1 <= dy
         for caps in [*((c, c, c) for c in range(1, 41, 4)), (10, 4, 7), (3, 9, 2),
                      (12, 20, 6), (30, 0, 5), (30, 5, 1)]:
             dx, dy, dz = caps
@@ -589,9 +603,9 @@ class TestRoot:
             G = build_G(caps)
             whole = [([G.coeff((m, n1, 0)) for n1 in range(dy + 1)],
                       [G.coeff((m, 0, n2)) for n2 in range(wz + 1)]) for m in range(wz)]
-            stream = series._axis_terms(dy, wz)
-            assert len(stream) == wz, caps
-            assert trimmed(stream) == trimmed(whole), caps
+            memo = [(row[:dy + 1], column) for row, column in walks.WalkTable(wz - 1)._axes]
+            assert len(memo) == wz, caps
+            assert trimmed(memo) == trimmed(whole), caps
 
     @pytest.mark.parametrize("mono", AXIS_BUMPS, ids=bump_id)
     def test_root_identity_mutated_fails(self, mono):
@@ -628,6 +642,7 @@ class TestRoot:
 
         monkeypatch.setattr(series, "build_G", refuse)
         monkeypatch.setattr(walks, "layers", refuse)
+        monkeypatch.setattr(walks, "WalkTable", refuse)
         assert verify_root_identity(caps) == computed
 
     def test_substitution_requires_zero_constant(self):
@@ -688,7 +703,17 @@ class TestPackedRoot:
                 assert report == expected
                 assert not report and report.first_mismatch is not None
 
-    def test_cli_root_reads_the_dp_stream_alone(self, monkeypatch, capsys):
+    def test_root_reads_a_memo_of_its_own(self, monkeypatch):
+        # the shared memo behind count_walks is neither read nor grown
+        def refuse(*args):
+            raise AssertionError("shared memo read")
+
+        monkeypatch.setattr(walks, "_shared", walks.WalkTable(0))
+        monkeypatch.setattr(walks, "count_walks", refuse)
+        assert verify_root_identity((30, 30, 30)) == reference_root((30, 30, 30))
+        assert walks._shared.m_max == 0
+
+    def test_cli_root_builds_no_series(self, monkeypatch, capsys):
         # the packed root check builds no series, G or table columns, also
         # when it refuses a window without yz
         def refuse(*args, **kwargs):
@@ -711,8 +736,8 @@ class TestPackedRoot:
 )
 def test_a_bump_outside_the_stream_domain_is_refused(bumps):
     # an unreachable cell, or a bumped count below 0 or more than 9 above F
-    layers = walks.layers
+    layers, table = walks.layers, walks.WalkTable
     with pytest.raises(ValueError, match="outside the stream's domain"):
         with bumped_stream(bumps):
             pass
-    assert walks.layers is layers
+    assert walks.layers is layers and walks.WalkTable is table
