@@ -378,6 +378,18 @@ class TestUnpackSigned:
         assert _pack_signed([], width) == 0
 
     @pytest.mark.parametrize("width", [8, 16, 72])
+    def test_pack_signed_of_no_values_is_zero(self, width):
+        assert _pack_signed([], width) == 0
+
+    @pytest.mark.parametrize("width", [8, 16, 72])
+    def test_pack_signed_at_the_ends_of_the_range(self, width):
+        top = (1 << (width - 1)) - 1
+        values = [top, -top, 0, -top, top, 0]
+        packed = _pack_signed(values, width)
+        assert packed == pack_signed(values, width)
+        assert _unpack_signed(packed, width, len(values)) == values
+
+    @pytest.mark.parametrize("width", [8, 16, 72])
     @pytest.mark.parametrize(
         "slots, n",
         [
